@@ -7,7 +7,7 @@ rank, and compound-matrix laws that govern such factorizations.  All
 arithmetic is exact: arbitrary-precision integers, rationals, or GF(p).
 """
 
-from .domains import GF, QQ, ZZ, PolynomialDomain, poly_domain
+from .domains import GF, QQ, ZZ, PolynomialDomain
 from .factor import (AlternatingMatrix, FactorizationCertificate,
                      GenericContext, RefinementWitness, diagonal_factorization,
                      factor_left, factor_right, make_generic, quotient_matrix,
@@ -15,8 +15,8 @@ from .factor import (AlternatingMatrix, FactorizationCertificate,
                      solve_common_refinement, standard_symplectic,
                      theorem_main_guard, verify_fundamental, zero_alternating)
 from .matrix import (Matrix, adjugate, char_poly_shifted, compound,
-                     det_bareiss, det_laplace, index_subsets, mat_mul,
-                     rank_exact, transpose)
+                     det_bareiss, det_laplace, index_subsets, rank_exact,
+                     transpose)
 from .polyring import (SYMBOLIC_CAP, ExactDivisionError, PolyRing, Polynomial,
                        order_key)
 from .specialize import (MultiplicityError, ProjectorPoint, SpecPoint,

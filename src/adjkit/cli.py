@@ -206,8 +206,8 @@ def cmd_compound(args) -> int:
     ctx = GenericContext(args.n, allow_large=_allow_large(args))
     if not 1 <= args.m <= args.n:
         raise UsageError(f"m must be within 1..{args.n}")
-    report = compound_det_check(ctx, args.m)
     cmp_m = ctx.X.compound(args.m)
+    report = compound_det_check(ctx, args.m, cmp_m=cmp_m)
     payload = {"n": args.n, "m": args.m, "compound": cmp_m.to_json(),
                "det_check": report}
     lines = [f"compound(X,{args.m}): {cmp_m.rows}x{cmp_m.cols}",

@@ -21,9 +21,6 @@ class IntegerDomain:
     zero = 0
     one = 1
 
-    def from_int(self, n):
-        return int(n)
-
     def add(self, a, b):
         return a + b
 
@@ -62,9 +59,6 @@ class RationalDomain:
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
 
     def add(self, a, b):
         return a + b
@@ -112,9 +106,6 @@ class PrimeFieldDomain:
         self.zero = 0
         self.one = 1 % p
 
-    def from_int(self, n):
-        return n % self.p
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -159,9 +150,6 @@ class PolynomialDomain:
         self.zero = ring.zero
         self.one = ring.one
 
-    def from_int(self, n):
-        return self.ring.const(n)
-
     def add(self, a, b):
         return a + b
 
@@ -202,7 +190,3 @@ def GF(p: int) -> PrimeFieldDomain:
     if dom is None:
         dom = _gf_cache[p] = PrimeFieldDomain(p)
     return dom
-
-
-def poly_domain(ring: PolyRing) -> PolynomialDomain:
-    return PolynomialDomain(ring)

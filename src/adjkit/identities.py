@@ -127,16 +127,19 @@ def complement_reindexing(n: int, m: int):
 
 
 def compound_det_check(ctx: GenericContext, m: int,
-                       rng: random.Random | None = None) -> dict:
-    """Verify det(compound(X, m)) = det(X)^C(n-1, m-1), route-aware."""
+                       rng: random.Random | None = None,
+                       cmp_m: Matrix | None = None) -> dict:
+    """Verify det(compound(X, m)) = det(X)^C(n-1, m-1), route-aware.
+
+    ``cmp_m`` is compound(X, m) when the caller has already built it.
+    """
     n = ctx.n
     e = comb(n - 1, m - 1)
     big_n = comb(n, m)
-    cmp_m = ctx.X.compound(m)
+    if cmp_m is None:
+        cmp_m = ctx.X.compound(m)
     checks: dict = {}
-    verified = getattr(ctx, "_compound_verified", None)
-    if verified is None:
-        verified = ctx._compound_verified = {}
+    verified = ctx.compound_verified
     if _compound_direct_feasible(n, m):
         route = "direct"
         ok = verified.get(m)
@@ -287,14 +290,12 @@ def _sym_compound(ctx: GenericContext, seed: int) -> dict:
 
 def _sym_complementary(ctx: GenericContext, seed: int) -> dict:
     checks = {}
-    ident_scale = {}
     for m in range(1, ctx.n + 1):
         cmp_m = ctx.X.compound(m)
         d = ctx.X.complementary_compound(m)
         big_n = cmp_m.rows
         ident = Matrix.identity(ctx.domain, big_n).scale(ctx.detX)
         checks[f"m_{m}"] = cmp_m * d.transpose() == ident
-        ident_scale[m] = big_n
     return {"identity": "complementary_compound", "n": ctx.n,
             "checks": checks, "passed": all(checks.values())}
 

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 from . import kernels
 from .domains import GF, QQ, ZZ, PolynomialDomain, PrimeFieldDomain, RationalDomain
-from .polyring import PolyRing, Polynomial, _packed_safe, packed_safe_det
+from .polyring import PolyRing, Polynomial, packed_safe_det
 
 
 def index_subsets(n: int, m: int) -> list[tuple[int, ...]]:
@@ -98,9 +98,13 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------
 
     def _check_domain(self, other: "Matrix"):
-        if self.domain.name != other.domain.name:
-            raise ValueError(
-                f"domain mismatch: {self.domain.name} vs {other.domain.name}")
+        a, b = self.domain, other.domain
+        if a.name != b.name:
+            raise ValueError(f"domain mismatch: {a.name} vs {b.name}")
+        # a polynomial domain's name leaves out the variable names
+        if isinstance(a, PolynomialDomain) and not a.ring.compatible(b.ring):
+            raise ValueError(f"domain mismatch: {a.name} rings over "
+                             "different variables")
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_domain(other)
@@ -150,7 +154,7 @@ class Matrix:
 
     def _mul_poly(self, other: "Matrix") -> "Matrix":
         ring = self.domain.ring
-        p = ring.p
+        p = ring.p or 0
         n, k, m = self.rows, self.cols, other.cols
         out = []
         for i in range(n):
@@ -160,10 +164,7 @@ class Matrix:
                 for l in range(k):
                     a, b = arow[l].terms, other.entries[l * m + j].terms
                     if a and b:
-                        if p is None:
-                            kernels.fma_terms(acc, a, b, False)
-                        else:
-                            kernels.fma_terms_mod(acc, a, b, False, p)
+                        kernels.fma_terms(acc, a, b, False, p)
                 out.append(Polynomial(ring, acc))
         return Matrix(self.domain, n, m, out)
 
@@ -224,12 +225,11 @@ class Matrix:
         # the packed engine pays off once the term volume is nontrivial;
         # tiny determinants are faster on the tuple kernels
         volume = sum(len(t) for row in rows_terms for t in row)
+        p = ring.p or 0
         if (volume >= 128 or self.rows >= 7) and packed_safe_det(grid, ring):
-            terms = kernels.packed_det_laplace(rows_terms, ring.nvars, ring.p or 0)
-        elif ring.p is None:
-            terms = kernels.det_laplace_terms(rows_terms, ring.nvars)
+            terms = kernels.packed_det_laplace(rows_terms, ring.nvars, p)
         else:
-            terms = kernels.det_laplace_terms_mod(rows_terms, ring.nvars, ring.p)
+            terms = kernels.det_laplace_terms(rows_terms, ring.nvars, p)
         return Polynomial(ring, terms)
 
     def det_equals(self, expected: Polynomial) -> bool:
@@ -537,10 +537,6 @@ class Matrix:
 
 
 # Functional aliases used throughout the test-suite and CLI.
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a * b
-
 
 def transpose(a: Matrix) -> Matrix:
     return a.transpose()

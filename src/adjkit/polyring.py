@@ -93,9 +93,9 @@ class PolyRing:
         self.nvars = len(names)
         self.t_index = self.index.get("t")
         zero_e = (0,) * self.nvars
-        self._zero = Polynomial(self, {}, zero_e, 0)
+        self._zero = Polynomial(self, {}, zero_e)
         one = Fraction(1) if rational else 1
-        self._one = Polynomial(self, {zero_e: one}, zero_e, 1)
+        self._one = Polynomial(self, {zero_e: one}, zero_e)
 
     @classmethod
     def generic(cls, n: int, p: int | None = None, rational: bool = False,
@@ -138,14 +138,14 @@ class PolyRing:
         if not c:
             return self._zero
         zero_e = (0,) * self.nvars
-        return Polynomial(self, {zero_e: c}, zero_e, abs(c))
+        return Polynomial(self, {zero_e: c}, zero_e)
 
     def var(self, name: str) -> "Polynomial":
         i = self.index.get(name)
         if i is None:
             raise KeyError(f"unknown variable {name!r}")
         e = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {e: self.coeff(1)}, e, 1)
+        return Polynomial(self, {e: self.coeff(1)}, e)
 
     def from_terms(self, terms: Mapping[Sequence[int], object]) -> "Polynomial":
         clean = {}
@@ -246,20 +246,18 @@ class PolyRing:
 class Polynomial:
     """Canonical sparse polynomial over a :class:`PolyRing`.
 
-    ``_exp_bound``/``_coeff_bound`` are certified overestimates (per-variable
-    max exponent, max |coefficient|) used to gate the packed fast path; they
-    are propagated through arithmetic and computed by scanning on demand.
+    ``_exp_bound`` is a certified overestimate of the per-variable maximum
+    exponent, used to gate the packed fast path; it is propagated through
+    arithmetic and computed by scanning on demand.
     """
 
-    __slots__ = ("ring", "terms", "_exp_bound", "_coeff_bound")
+    __slots__ = ("ring", "terms", "_exp_bound")
 
     def __init__(self, ring: PolyRing, terms: dict,
-                 exp_bound: tuple | None = None,
-                 coeff_bound: int | None = None):
+                 exp_bound: tuple | None = None):
         self.ring = ring
         self.terms = terms
         self._exp_bound = exp_bound
-        self._coeff_bound = coeff_bound
 
     # -- bounds for the packed path -------------------------------------
 
@@ -273,16 +271,6 @@ class Polynomial:
                     if e[i] > mx[i]:
                         mx[i] = e[i]
             b = self._exp_bound = tuple(mx)
-        return b
-
-    def coeff_bound(self) -> int:
-        b = self._coeff_bound
-        if b is None:
-            if self.ring.p is not None:
-                b = self.ring.p - 1
-            else:
-                b = max((abs(c) for c in self.terms.values()), default=0)
-            self._coeff_bound = b
         return b
 
     # -- basics ----------------------------------------------------------
@@ -320,23 +308,17 @@ class Polynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        p = self.ring.p
-        terms = (kernels.add_terms(self.terms, q.terms) if p is None
-                 else kernels.add_terms_mod(self.terms, q.terms, p))
-        eb = cb = None
+        terms = kernels.add_terms(self.terms, q.terms, self.ring.p or 0)
+        eb = None
         if self._exp_bound is not None and q._exp_bound is not None:
             eb = tuple(map(max, self._exp_bound, q._exp_bound))
-        if self._coeff_bound is not None and q._coeff_bound is not None:
-            cb = self._coeff_bound + q._coeff_bound
-        return Polynomial(self.ring, terms, eb, cb)
+        return Polynomial(self.ring, terms, eb)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ring.p
-        terms = (kernels.neg_terms(self.terms) if p is None
-                 else kernels.neg_terms_mod(self.terms, p))
-        return Polynomial(self.ring, terms, self._exp_bound, self._coeff_bound)
+        terms = kernels.neg_terms(self.terms, self.ring.p or 0)
+        return Polynomial(self.ring, terms, self._exp_bound)
 
     def __sub__(self, other):
         q = self._coerce(other)
@@ -365,31 +347,19 @@ class Polynomial:
             if not any(e1):
                 return q._scaled(c1)
         eb = tuple(map(int.__add__, self.exp_bound(), q.exp_bound()))
-        cb = min(len(a), len(b)) * self.coeff_bound() * q.coeff_bound()
-        p = ring.p
-        if len(a) * len(b) >= _PACKED_MIN_PAIRS and not ring.rational:
-            if _packed_safe(eb, cb, p):
-                terms = kernels.packed_mul_terms(a, b, ring.nvars, p or 0)
-                return Polynomial(ring, terms, eb, cb)
-        terms = (kernels.mul_terms(a, b) if p is None
-                 else kernels.mul_terms_mod(a, b, p))
-        return Polynomial(ring, terms, eb, cb)
+        p = ring.p or 0
+        if len(a) * len(b) >= _PACKED_MIN_PAIRS and _packed_safe(eb):
+            terms = kernels.packed_mul_terms(a, b, ring.nvars, p)
+        else:
+            terms = kernels.mul_terms(a, b, p)
+        return Polynomial(ring, terms, eb)
 
     __rmul__ = __mul__
 
     def _scaled(self, c) -> "Polynomial":
         """self * c for a nonzero normalized scalar c."""
-        ring = self.ring
-        if ring.p is not None:
-            terms = kernels.scale_terms_mod(self.terms, c, ring.p)
-        else:
-            terms = kernels.scale_terms(self.terms, c)
-        cb = None
-        if self._coeff_bound is not None:
-            cb = self._coeff_bound * (abs(c) if ring.p is None else 1)
-            if ring.p is not None:
-                cb = ring.p - 1
-        return Polynomial(ring, terms, self._exp_bound, cb)
+        terms = kernels.scale_terms(self.terms, c, self.ring.p or 0)
+        return Polynomial(self.ring, terms, self._exp_bound)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -444,9 +414,6 @@ class Polynomial:
         e = max(self.terms, key=order_key)
         return e, self.terms[e]
 
-    def coeff_of(self, exps: Sequence[int]):
-        return self.terms.get(tuple(exps), 0)
-
     def constant_term(self):
         return self.terms.get((0,) * self.ring.nvars, 0)
 
@@ -491,15 +458,13 @@ class Polynomial:
                 return None
             if p is not None:
                 qc = c * lt_inv % p
-                new = kernels.sub_scaled_terms_mod(rem, diff, qc, q.terms, p)
             elif ring.rational:
                 qc = c / lt_c
-                new = kernels.sub_scaled_terms(rem, diff, qc, q.terms)
+            elif c % lt_c:
+                return None
             else:
-                if c % lt_c:
-                    return None
                 qc = c // lt_c
-                new = kernels.sub_scaled_terms(rem, diff, qc, q.terms)
+            new = kernels.sub_scaled_terms(rem, diff, qc, q.terms, p or 0)
             quot[diff] = qc
             for k in new:
                 heapq.heappush(heap, (_heap_key(k), k))
@@ -555,19 +520,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def derivative(self, name: str) -> "Polynomial":
-        i = self.ring.index[name]
-        p = self.ring.p
-        terms = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k:
-                c2 = c * k if p is None else (c * k) % p
-                if c2:
-                    e2 = e[:i] + (k - 1,) + e[i + 1:]
-                    terms[e2] = c2
-        return Polynomial(self.ring, terms)
-
     # -- formatting --------------------------------------------------------
 
     def __str__(self) -> str:
@@ -613,32 +565,20 @@ class ExactDivisionError(ArithmeticError):
     """An exact division that a verified identity guarantees has failed."""
 
 
-def _packed_safe(exp_bound: tuple, coeff_bound: int, p: int | None) -> bool:
+def _packed_safe(exp_bound: tuple) -> bool:
     """May this computation run in the packed one-byte-per-exponent form?"""
-    if any(v > 255 for v in exp_bound):
-        return False
-    if p is not None:
-        return p < kernels.PACKED_PRIME_LIMIT
-    limit = kernels.PACKED_COEFF_LIMIT
-    return limit is None or coeff_bound < limit
+    return all(v <= 255 for v in exp_bound)
 
 
-def packed_safe_det(entries_grid, ring: PolyRing):
+def packed_safe_det(entries_grid, ring: PolyRing) -> bool:
     """Certify the packed path for a determinant of the given poly entries.
 
-    Bounds: a k-by-k minor's per-variable exponent is at most the sum over
-    rows of the row maximum, and its coefficients are bounded by
-    n! * prod(row term count * row coefficient bound).
+    A k-by-k minor's per-variable exponent is at most the sum over rows of
+    the row maximum.
     """
-    if ring.rational:
-        return False
-    n = len(entries_grid)
     exp_tot = [0] * ring.nvars
-    coeff_tot = 1
     for row in entries_grid:
         row_exp = [0] * ring.nvars
-        row_terms = 1
-        row_coeff = 1
         for poly in row:
             if poly.is_zero():
                 continue
@@ -646,10 +586,6 @@ def packed_safe_det(entries_grid, ring: PolyRing):
             for i in range(ring.nvars):
                 if bb[i] > row_exp[i]:
                     row_exp[i] = bb[i]
-            row_terms = max(row_terms, len(poly.terms))
-            row_coeff = max(row_coeff, poly.coeff_bound())
         for i in range(ring.nvars):
             exp_tot[i] += row_exp[i]
-        coeff_tot *= row_terms * row_coeff
-    coeff_tot *= math.factorial(n)
-    return _packed_safe(tuple(exp_tot), coeff_tot, ring.p)
+    return _packed_safe(tuple(exp_tot))

@@ -53,6 +53,19 @@ def test_domain_mismatch():
         a * b
 
 
+def test_polynomial_rings_over_different_variables_do_not_mix():
+    rab, rxy = PolyRing(("a", "b")), PolyRing(("x", "y"))
+    a = Matrix.from_rows(PolynomialDomain(rab), [[rab.var("a")]])
+    y = Matrix.from_rows(PolynomialDomain(rxy), [[rxy.var("y")]])
+    for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
+        with pytest.raises(ValueError):
+            op(a, y)
+    # the same variable table in a fresh ring object still mixes
+    again = PolyRing(("a", "b"))
+    b = Matrix.from_rows(PolynomialDomain(again), [[again.var("b")]])
+    assert (a * b).to_rows() == [[rab.var("a") * rab.var("b")]]
+
+
 def test_transpose_involution():
     rng = random.Random(1)
     m = rand_int_matrix(rng, 4)
