@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .domains import QQ, ZZ
+from .domains import QQ
 from .factor import (AlternatingMatrix, FactorizationCertificate,
                      GenericContext, factor_left, factor_right,
                      reverify_certificate, solve_common_refinement,
@@ -97,6 +97,9 @@ def cmd_verify(args) -> int:
     if args.prime is not None:
         if args.seed is None:
             raise UsageError("--seed is required for mod-p verification")
+        if args.n < 2:
+            # its trials include order-2 compounds and rank n-1 samples
+            raise UsageError("mod-p verification needs n >= 2")
         report = run_modp_suite(args.n, args.prime, args.trials, args.seed,
                                 include_corrupted=args.negative_control)
     else:

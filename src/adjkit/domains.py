@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyring import PolyRing, Polynomial, _is_prime
+from .polyring import PolyRing, _is_prime
 
 
 class IntegerDomain:
@@ -89,7 +89,10 @@ class RationalDomain:
         if isinstance(v, int):
             return Fraction(v)
         if isinstance(v, str):
-            return Fraction(v)
+            try:
+                return Fraction(v)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {v!r}") from None
         raise ValueError(f"expected rational entry, got {v!r}")
 
 

@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .domains import QQ, ZZ, PolynomialDomain
+from .domains import ZZ, PolynomialDomain
 from .matrix import Matrix, lift_int_matrix
-from .polyring import SYMBOLIC_CAP, ExactDivisionError, PolyRing, Polynomial, order_key
+from .polyring import ExactDivisionError, PolyRing, Polynomial
 
 FEASIBLE = "feasible"
 INFEASIBLE_ODD = "infeasible_odd"
@@ -153,8 +153,13 @@ def zero_alternating(n: int) -> AlternatingMatrix:
 
 def random_unimodular(n: int, rng: random.Random, bound: int = 2,
                       ops: int | None = None) -> Matrix:
-    """Product of random integer shears; always determinant +1."""
+    """Product of random integer shears; always determinant +1.
+
+    A 1x1 matrix has no shears, so n = 1 gives the identity.
+    """
     m = Matrix.identity(ZZ, n)
+    if n == 1:
+        return m
     if ops is None:
         ops = 3 * n
     for _ in range(ops):

@@ -11,8 +11,9 @@ so are the results: no zero coefficient is ever stored.  A kernel tests
 The ``packed_*`` kernels are the path of large products and determinants.
 There the exponent vector is packed into one Python int (one byte per
 variable, big-endian), so that multiplying two monomials is one integer
-addition.  Callers must certify that no exponent of the result exceeds
-255; see ``polyring.packed_safe_det``.  Their results are tuple-keyed.
+addition.  Each packed kernel bounds the exponents of its result from its
+inputs and takes the tuple path when one might exceed 255, so callers
+choose them by size alone.  Their results are tuple-keyed.
 
 The kernels are pure Python; ``IMPL`` names the implementation.
 """
@@ -251,15 +252,32 @@ def det_laplace_terms(rows, nvars, p=0):
     return _laplace(rows, (0,) * nvars, _fma, p)
 
 
+def _max_exp(terms, width):
+    """The largest exponent in a term dict; 0 with no terms or variables."""
+    return max(map(max, terms), default=0) if width else 0
+
+
 def packed_mul_terms(a, b, width, p=0):
-    """mul_terms computed through the packed representation."""
+    """mul_terms, computed through the packed representation when every
+    exponent of the product fits in a byte."""
     out = {}
+    if _max_exp(a, width) + _max_exp(b, width) > 255:
+        _fma(out, a, b, False, p)
+        return out
     _packed_fma(out, _pack(a), _pack(b), False, p)
     return _unpack(out, width)
 
 
 def packed_det_laplace(rows, width, p=0):
-    """det_laplace_terms computed through the packed representation."""
+    """det_laplace_terms, computed through the packed representation when
+    every exponent of the determinant fits in a byte.
+
+    An exponent of a term of the determinant is at most the sum over the
+    rows of the largest exponent in each row.
+    """
+    if sum(max((_max_exp(e, width) for e in row), default=0)
+           for row in rows) > 255:
+        return _laplace(rows, (0,) * width, _fma, p)
     packed = [[_pack(e) for e in row] for row in rows]
     return _unpack(_laplace(packed, 0, _packed_fma, p), width)
 

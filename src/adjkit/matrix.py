@@ -12,8 +12,8 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from . import kernels
-from .domains import GF, QQ, ZZ, PolynomialDomain, PrimeFieldDomain, RationalDomain
-from .polyring import PolyRing, Polynomial, packed_safe_det
+from .domains import PolynomialDomain, PrimeFieldDomain, RationalDomain
+from .polyring import PolyRing, Polynomial
 
 
 def index_subsets(n: int, m: int) -> list[tuple[int, ...]]:
@@ -23,6 +23,50 @@ def index_subsets(n: int, m: int) -> list[tuple[int, ...]]:
     matrix rows/columns.
     """
     return list(combinations(range(n), m))
+
+
+def _row_reduce(work: list[list], ncols: int, dom,
+                reduced: bool = False) -> tuple[list[int], object]:
+    """Row-reduce the rows ``work`` over the field ``dom``, in place.
+
+    Pivots are searched in the first ``ncols`` columns only, so an
+    augmented [A | B] is reduced by the pivots of A.  Forward elimination
+    leaves a row echelon form; ``reduced=True`` also scales each pivot row
+    to a leading one and clears the pivot column above it, which gives the
+    reduced row echelon form.  Returns the pivot columns and the product of
+    the pivots, negated once per row swap: the determinant of a square A
+    whose every column has a pivot.
+    """
+    is_zero, mul, sub = dom.is_zero, dom.mul, dom.sub
+    nrows = len(work)
+    pivots: list[int] = []
+    det = dom.one
+    for col in range(ncols):
+        r = len(pivots)
+        for i in range(r, nrows):
+            if not is_zero(work[i][col]):
+                break
+        else:
+            continue
+        if i != r:
+            work[r], work[i] = work[i], work[r]
+            det = dom.neg(det)
+        pval = work[r][col]
+        det = mul(det, pval)
+        inv = dom.inv(pval)
+        # left of col the pivot row is zero, so updates start at col
+        prow = work[r][col:]
+        if reduced:
+            prow = [mul(v, inv) for v in prow]
+            work[r][col:] = prow
+        for i in range(0 if reduced else r + 1, nrows):
+            row = work[i]
+            if i != r and not is_zero(row[col]):
+                f = row[col] if reduced else mul(row[col], inv)
+                row[col:] = [sub(a, mul(f, b))
+                             for a, b in zip(row[col:], prow)]
+        pivots.append(col)
+    return pivots, det
 
 
 class Matrix:
@@ -220,13 +264,12 @@ class Matrix:
 
     def _det_laplace_poly(self):
         ring = self.domain.ring
-        grid = self.to_rows()
-        rows_terms = [[e.terms for e in row] for row in grid]
+        rows_terms = [[e.terms for e in row] for row in self.to_rows()]
         # the packed engine pays off once the term volume is nontrivial;
         # tiny determinants are faster on the tuple kernels
         volume = sum(len(t) for row in rows_terms for t in row)
         p = ring.p or 0
-        if (volume >= 128 or self.rows >= 7) and packed_safe_det(grid, ring):
+        if volume >= 128 or self.rows >= 7:
             terms = kernels.packed_det_laplace(rows_terms, ring.nvars, p)
         else:
             terms = kernels.det_laplace_terms(rows_terms, ring.nvars, p)
@@ -272,31 +315,8 @@ class Matrix:
 
     def _det_gauss(self):
         """Determinant by Gaussian elimination; field domains only."""
-        dom = self.domain
-        n = self.rows
-        work = [row[:] for row in self.to_rows()]
-        sign = False
-        det = dom.one
-        for col in range(n):
-            pivot = None
-            for i in range(col, n):
-                if not dom.is_zero(work[i][col]):
-                    pivot = i
-                    break
-            if pivot is None:
-                return dom.zero
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                sign = not sign
-            pval = work[col][col]
-            det = dom.mul(det, pval)
-            inv = dom.inv(pval)
-            for i in range(col + 1, n):
-                if not dom.is_zero(work[i][col]):
-                    factor = dom.mul(work[i][col], inv)
-                    work[i] = [dom.sub(a, dom.mul(factor, b))
-                               for a, b in zip(work[i], work[col])]
-        return dom.neg(det) if sign else det
+        pivots, det = _row_reduce(self.to_rows(), self.cols, self.domain)
+        return det if len(pivots) == self.rows else self.domain.zero
 
     def det(self):
         """Default determinant: Laplace for polynomial entries, Gaussian
@@ -324,52 +344,19 @@ class Matrix:
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        work = [row[:] + [dom.one if j == i else dom.zero for j in range(n)]
+        work = [row + [dom.one if j == i else dom.zero for j in range(n)]
                 for i, row in enumerate(self.to_rows())]
-        for col in range(n):
-            pivot = None
-            for i in range(col, n):
-                if not dom.is_zero(work[i][col]):
-                    pivot = i
-                    break
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = dom.inv(work[col][col])
-            work[col] = [dom.mul(v, inv) for v in work[col]]
-            for i in range(n):
-                if i != col and not dom.is_zero(work[i][col]):
-                    factor = work[i][col]
-                    work[i] = [dom.sub(a, dom.mul(factor, b))
-                               for a, b in zip(work[i], work[col])]
-        return Matrix(dom, n, n, [work[i][n + j]
-                                  for i in range(n) for j in range(n)])
+        pivots, _ = _row_reduce(work, n, dom, reduced=True)
+        if len(pivots) < n:
+            raise ZeroDivisionError("matrix is singular")
+        return Matrix(dom, n, n, [v for row in work for v in row[n:]])
 
     def _kernel_vector(self) -> list:
         """A nonzero kernel vector of a singular square matrix over a field."""
         dom = self.domain
         n = self.rows
-        work = [row[:] for row in self.to_rows()]
-        pivots = []
-        rank = 0
-        for col in range(n):
-            pivot_row = None
-            for i in range(rank, n):
-                if not dom.is_zero(work[i][col]):
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            inv = dom.inv(work[rank][col])
-            work[rank] = [dom.mul(v, inv) for v in work[rank]]
-            for i in range(n):
-                if i != rank and not dom.is_zero(work[i][col]):
-                    factor = work[i][col]
-                    work[i] = [dom.sub(a, dom.mul(factor, b))
-                               for a, b in zip(work[i], work[rank])]
-            pivots.append(col)
-            rank += 1
+        work = self.to_rows()
+        pivots, _ = _row_reduce(work, n, dom, reduced=True)
         free = next(c for c in range(n) if c not in pivots)
         vec = [dom.zero] * n
         vec[free] = dom.one
@@ -467,27 +454,8 @@ class Matrix:
             raise TypeError(
                 f"exact rank needs a field domain, not {dom.name}; "
                 "specialize polynomial matrices first")
-        m = [row[:] for row in self.to_rows()]
-        rank = 0
-        for col in range(self.cols):
-            pivot_row = None
-            for i in range(rank, self.rows):
-                if not dom.is_zero(m[i][col]):
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-            inv = dom.inv(m[rank][col])
-            for i in range(rank + 1, self.rows):
-                factor = dom.mul(m[i][col], inv)
-                if not dom.is_zero(factor):
-                    for j in range(col, self.cols):
-                        m[i][j] = dom.sub(m[i][j], dom.mul(factor, m[rank][j]))
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
+        pivots, _ = _row_reduce(self.to_rows(), self.cols, dom)
+        return len(pivots)
 
     def nullity(self) -> int:
         return self.cols - self.rank()

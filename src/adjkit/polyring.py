@@ -92,10 +92,9 @@ class PolyRing:
         self.rational = rational
         self.nvars = len(names)
         self.t_index = self.index.get("t")
-        zero_e = (0,) * self.nvars
-        self._zero = Polynomial(self, {}, zero_e)
+        self._zero = Polynomial(self, {})
         one = Fraction(1) if rational else 1
-        self._one = Polynomial(self, {zero_e: one}, zero_e)
+        self._one = Polynomial(self, {(0,) * self.nvars: one})
 
     @classmethod
     def generic(cls, n: int, p: int | None = None, rational: bool = False,
@@ -137,15 +136,14 @@ class PolyRing:
         c = self.coeff(c)
         if not c:
             return self._zero
-        zero_e = (0,) * self.nvars
-        return Polynomial(self, {zero_e: c}, zero_e)
+        return Polynomial(self, {(0,) * self.nvars: c})
 
     def var(self, name: str) -> "Polynomial":
         i = self.index.get(name)
         if i is None:
             raise KeyError(f"unknown variable {name!r}")
         e = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {e: self.coeff(1)}, e)
+        return Polynomial(self, {e: self.coeff(1)})
 
     def from_terms(self, terms: Mapping[Sequence[int], object]) -> "Polynomial":
         clean = {}
@@ -209,8 +207,10 @@ class PolyRing:
                         raise ValueError(f"misplaced coefficient in {s!r}")
                     saw_coeff = True
                     if "/" in factor:
-                        num, den = factor.split("/", 1)
-                        coeff *= Fraction(int(num), int(den))
+                        num, den = map(int, factor.split("/", 1))
+                        if not den:
+                            raise ValueError(f"zero denominator in {s!r}")
+                        coeff *= Fraction(num, den)
                     else:
                         coeff *= int(factor)
                     continue
@@ -244,34 +244,13 @@ class PolyRing:
 
 
 class Polynomial:
-    """Canonical sparse polynomial over a :class:`PolyRing`.
+    """Canonical sparse polynomial over a :class:`PolyRing`."""
 
-    ``_exp_bound`` is a certified overestimate of the per-variable maximum
-    exponent, used to gate the packed fast path; it is propagated through
-    arithmetic and computed by scanning on demand.
-    """
+    __slots__ = ("ring", "terms")
 
-    __slots__ = ("ring", "terms", "_exp_bound")
-
-    def __init__(self, ring: PolyRing, terms: dict,
-                 exp_bound: tuple | None = None):
+    def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
-        self._exp_bound = exp_bound
-
-    # -- bounds for the packed path -------------------------------------
-
-    def exp_bound(self) -> tuple:
-        b = self._exp_bound
-        if b is None:
-            n = self.ring.nvars
-            mx = [0] * n
-            for e in self.terms:
-                for i in range(n):
-                    if e[i] > mx[i]:
-                        mx[i] = e[i]
-            b = self._exp_bound = tuple(mx)
-        return b
 
     # -- basics ----------------------------------------------------------
 
@@ -309,16 +288,13 @@ class Polynomial:
         if q is None:
             return NotImplemented
         terms = kernels.add_terms(self.terms, q.terms, self.ring.p or 0)
-        eb = None
-        if self._exp_bound is not None and q._exp_bound is not None:
-            eb = tuple(map(max, self._exp_bound, q._exp_bound))
-        return Polynomial(self.ring, terms, eb)
+        return Polynomial(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
         terms = kernels.neg_terms(self.terms, self.ring.p or 0)
-        return Polynomial(self.ring, terms, self._exp_bound)
+        return Polynomial(self.ring, terms)
 
     def __sub__(self, other):
         q = self._coerce(other)
@@ -346,20 +322,19 @@ class Polynomial:
             (e1, c1), = a.items()
             if not any(e1):
                 return q._scaled(c1)
-        eb = tuple(map(int.__add__, self.exp_bound(), q.exp_bound()))
         p = ring.p or 0
-        if len(a) * len(b) >= _PACKED_MIN_PAIRS and _packed_safe(eb):
+        if len(a) * len(b) >= _PACKED_MIN_PAIRS:
             terms = kernels.packed_mul_terms(a, b, ring.nvars, p)
         else:
             terms = kernels.mul_terms(a, b, p)
-        return Polynomial(ring, terms, eb)
+        return Polynomial(ring, terms)
 
     __rmul__ = __mul__
 
     def _scaled(self, c) -> "Polynomial":
         """self * c for a nonzero normalized scalar c."""
         terms = kernels.scale_terms(self.terms, c, self.ring.p or 0)
-        return Polynomial(self.ring, terms, self._exp_bound)
+        return Polynomial(self.ring, terms)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -564,28 +539,3 @@ class Polynomial:
 class ExactDivisionError(ArithmeticError):
     """An exact division that a verified identity guarantees has failed."""
 
-
-def _packed_safe(exp_bound: tuple) -> bool:
-    """May this computation run in the packed one-byte-per-exponent form?"""
-    return all(v <= 255 for v in exp_bound)
-
-
-def packed_safe_det(entries_grid, ring: PolyRing) -> bool:
-    """Certify the packed path for a determinant of the given poly entries.
-
-    A k-by-k minor's per-variable exponent is at most the sum over rows of
-    the row maximum.
-    """
-    exp_tot = [0] * ring.nvars
-    for row in entries_grid:
-        row_exp = [0] * ring.nvars
-        for poly in row:
-            if poly.is_zero():
-                continue
-            bb = poly.exp_bound()
-            for i in range(ring.nvars):
-                if bb[i] > row_exp[i]:
-                    row_exp[i] = bb[i]
-        for i in range(ring.nvars):
-            exp_tot[i] += row_exp[i]
-    return _packed_safe(tuple(exp_tot))

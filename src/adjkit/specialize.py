@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .domains import GF, QQ, ZZ, PolynomialDomain, PrimeFieldDomain, RationalDomain
 from .factor import FactorizationCertificate, GenericContext
-from .matrix import Matrix
+from .matrix import Matrix, _row_reduce
 from .polyring import PolyRing, Polynomial
 
 
@@ -252,27 +252,7 @@ def make_projector(v: list, basis: list[list]) -> ProjectorPoint:
 
 def _column_space_basis(m: Matrix) -> list[list]:
     """Exact basis of the column space (the pivot columns)."""
-    dom = m.domain
-    work = [row[:] for row in m.to_rows()]
-    pivots = []
-    rank = 0
-    for col in range(m.cols):
-        pivot_row = None
-        for i in range(rank, m.rows):
-            if not dom.is_zero(work[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = dom.inv(work[rank][col])
-        for i in range(rank + 1, m.rows):
-            factor = dom.mul(work[i][col], inv)
-            if not dom.is_zero(factor):
-                for j in range(col, m.cols):
-                    work[i][j] = dom.sub(work[i][j], dom.mul(factor, work[rank][j]))
-        pivots.append(col)
-        rank += 1
+    pivots, _ = _row_reduce(m.to_rows(), m.cols, m.domain)
     return [[m[i, c] for i in range(m.rows)] for c in pivots]
 
 

@@ -72,6 +72,16 @@ def test_verify_modp_small(capsys):
     assert "suite: PASS" in out
 
 
+def test_verify_n1(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "1")
+    assert code == 0
+    assert "suite: PASS" in out
+    code, _, err = run(capsys, "verify", "--n", "1", "--prime", "31",
+                       "--trials", "5", "--seed", "7")
+    assert code == 2
+    assert "n >= 2" in err
+
+
 def test_verify_bad_prime(capsys):
     code, _, err = run(capsys, "verify", "--n", "5", "--prime", "32",
                        "--trials", "5", "--seed", "7")
@@ -228,6 +238,29 @@ def test_rank_check_detects_tampering(capsys, tmp_path, cert_file):
     code, out, _ = run(capsys, "rank-check", "--cert", str(bad),
                        "--point", str(pt))
     assert code == 1
+
+
+def test_rank_check_zero_denominator_in_point(capsys, tmp_path, cert_file):
+    pt = point_file(tmp_path, [["1/0", 0, 0, 0], [0, 1, 0, 0],
+                               [0, 0, 1, 0], [0, 0, 0, 1]])
+    code, _, err = run(capsys, "rank-check", "--cert", str(cert_file),
+                       "--point", str(pt))
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_rank_check_zero_denominator_in_certificate(capsys, tmp_path,
+                                                    cert_file):
+    obj = json.loads(cert_file.read_text())
+    obj["Y"]["entries"][0][0] = "1/0*x_1_1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    pt = point_file(tmp_path, [[0, 0, 0, 0], [0, 1, 0, 0],
+                               [0, 0, 1, 0], [0, 0, 0, 1]])
+    code, _, err = run(capsys, "rank-check", "--cert", str(bad),
+                       "--point", str(pt))
+    assert code == 2
+    assert "zero denominator" in err
 
 
 def test_rank_check_missing_file(capsys, tmp_path):

@@ -111,6 +111,7 @@ def test_product_above_the_packed_exponent_limit():
     prod = a * b
     assert prod.terms == {(300, k): min(k, 198 - k) + 1 for k in range(199)}
     assert prod.terms == kernels.mul_terms(a.terms, b.terms)
+    assert prod.terms == kernels.packed_mul_terms(a.terms, b.terms, 2)
 
 
 def test_det_above_the_packed_exponent_limit():
@@ -122,6 +123,17 @@ def test_det_above_the_packed_exponent_limit():
     a, b, c, d = entries
     m = Matrix.from_rows(PolynomialDomain(R), [[a, b], [c, d]])
     assert m.det_laplace() == a * d - b * c
+    # every entry fits in a byte, the determinant does not
+    rows = [[a.terms, b.terms], [c.terms, d.terms]]
+    assert kernels.packed_det_laplace(rows, 2) == (a * d - b * c).terms
+    assert (kernels.packed_det_laplace(rows, 2, 31)
+            == kernels.det_laplace_terms(rows, 2, 31))
+
+
+def test_packed_kernels_in_a_ring_without_variables():
+    assert kernels.packed_mul_terms({(): 3}, {(): 5}, 0) == {(): 15}
+    assert kernels.packed_det_laplace([[{(): 2}, {(): 3}],
+                                       [{(): 4}, {(): 5}]], 0) == {(): -2}
 
 
 @pytest.mark.parametrize("p", (None, 2, 31))

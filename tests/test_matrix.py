@@ -17,6 +17,35 @@ def rand_int_matrix(rng, n, lo=-9, hi=9):
                                  for _ in range(n)])
 
 
+def rand_field_matrix(rng, dom, n, rank):
+    """A random n-by-n matrix of the given rank over GF(p) or QQ."""
+    def draw():
+        if dom is QQ:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return rng.randrange(dom.p)
+    while True:
+        u = Matrix.from_rows(dom, [[draw() for _ in range(rank)]
+                                   for _ in range(n)])
+        v = Matrix.from_rows(dom, [[draw() for _ in range(n)]
+                                   for _ in range(rank)])
+        m = u * v if rank else Matrix.zeros(dom, n, n)
+        if m.rank() == rank:
+            return m
+
+
+def cofactor_adjugate(a):
+    """adj(A) by its definition: entry (i, j) is (-1)^(i+j) det A(j|i)."""
+    n, dom = a.rows, a.domain
+    out = []
+    for i in range(n):
+        for j in range(n):
+            rows = [k for k in range(n) if k != j]
+            cols = [k for k in range(n) if k != i]
+            c = a.submatrix(rows, cols).det_bareiss()
+            out.append(dom.neg(c) if (i + j) % 2 else c)
+    return Matrix(dom, n, n, out)
+
+
 # ---------------------------------------------------------------------------
 # products and transpose
 # ---------------------------------------------------------------------------
@@ -130,6 +159,15 @@ def test_gauss_det_agrees_with_bareiss():
         assert m._det_gauss() == m.det_bareiss()
 
 
+def test_gauss_det_agrees_with_bareiss_over_qq():
+    rng = random.Random(14)
+    for n in (3, 4, 5):
+        for rank in (n, n - 1):
+            for _ in range(5):
+                m = rand_field_matrix(rng, QQ, n, rank)
+                assert m._det_gauss() == m.det_bareiss()
+
+
 def test_non_square_det_rejected():
     m = Matrix.from_rows(ZZ, [[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
@@ -190,6 +228,34 @@ def test_adjugate_conjugation_random():
             u_inv = u.adjugate()  # det(u) = 1
             assert u * u_inv == Matrix.identity(ZZ, n)
             assert (u * a * u_inv).adjugate() == u * a.adjugate() * u_inv
+
+
+@pytest.mark.parametrize("dom", (GF(101), QQ), ids=("GF101", "QQ"))
+def test_field_adjugate_is_the_cofactor_matrix(dom):
+    rng = random.Random(15)
+    for n in (3, 4, 5):
+        for rank in (n, n - 1, n - 2, 0):
+            for _ in range(3):
+                a = rand_field_matrix(rng, dom, n, rank)
+                assert a.adjugate() == cofactor_adjugate(a)
+
+
+@pytest.mark.parametrize("dom", (GF(101), QQ), ids=("GF101", "QQ"))
+def test_inverse(dom):
+    rng = random.Random(16)
+    for n in (1, 2, 4, 6):
+        a = rand_field_matrix(rng, dom, n, n)
+        assert a * a.inverse() == Matrix.identity(dom, n)
+        assert a.inverse() * a == Matrix.identity(dom, n)
+        with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+            rand_field_matrix(rng, dom, n, n - 1).inverse()
+
+
+def test_inverse_rejects_bad_input():
+    with pytest.raises(TypeError):
+        Matrix.identity(ZZ, 3).inverse()
+    with pytest.raises(ValueError):
+        Matrix.zeros(QQ, 2, 3).inverse()
 
 
 def test_field_adjugate_rank_deficient():

@@ -5,6 +5,7 @@ and the sampled subspace map."""
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -277,6 +278,19 @@ def test_grassmann_dimensions(certs):
     rep = grassmann_map_sample(cert_r, pp)
     assert rep["dimension"] == 1 and rep["holds"]
     rep = grassmann_map_sample(cert_l, pp)
+    assert rep["dimension"] == 2 and rep["holds"]
+
+
+def test_grassmann_basis_is_the_pivot_columns():
+    # E zeroes row 0: in E*Y column 0 is zero and column 2 is twice column 1
+    ring = PolyRing.generic(4)
+    y = Matrix.from_rows(PolynomialDomain(ring), [
+        [ring.const(c) for c in row]
+        for row in ([5, 1, 2, 0], [0, 1, 2, 0], [0, 0, 0, 1], [0, 3, 6, 1])])
+    cert = SimpleNamespace(Y=y, n=4, d=1)
+    pp = make_projector(unit(4, 0), [unit(4, 1), unit(4, 2), unit(4, 3)])
+    rep = grassmann_map_sample(cert, pp)
+    assert rep["basis"] == [["0", "1", "0", "3"], ["0", "0", "1", "1"]]
     assert rep["dimension"] == 2 and rep["holds"]
 
 
