@@ -10,18 +10,16 @@ arithmetic is exact: arbitrary-precision integers, rationals, or GF(p).
 from .domains import GF, QQ, ZZ, PolynomialDomain
 from .factor import (AlternatingMatrix, FactorizationCertificate,
                      GenericContext, RefinementWitness, diagonal_factorization,
-                     factor_left, factor_right, make_generic, quotient_matrix,
+                     factor_left, factor_right, quotient_matrix,
                      random_alternating, reverify_certificate, sandwich,
                      solve_common_refinement, standard_symplectic,
                      theorem_main_guard, verify_fundamental, zero_alternating)
-from .matrix import (Matrix, adjugate, char_poly_shifted, compound,
-                     det_bareiss, det_laplace, index_subsets, rank_exact,
-                     transpose)
+from .matrix import Matrix, index_subsets
 from .polyring import (SYMBOLIC_CAP, ExactDivisionError, PolyRing, Polynomial,
                        order_key)
 from .specialize import (MultiplicityError, ProjectorPoint, SpecPoint,
-                         eigen_zero_multiplicity, grassmann_map_sample,
-                         lemma_rk_check, make_projector, phi_apply, psi_apply,
-                         sz_check, verify_dvr_bound, verify_ufd_bound)
+                         grassmann_map_sample, lemma_rk_check, phi_apply,
+                         psi_apply, sz_check, verify_dvr_bound,
+                         verify_ufd_bound)
 
 __version__ = "0.1.0"

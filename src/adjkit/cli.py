@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .domains import QQ
@@ -31,11 +30,6 @@ OK, CHECK_FAILED, USAGE = 0, 1, 2
 
 class UsageError(Exception):
     pass
-
-
-def _allow_large(args) -> bool:
-    return bool(getattr(args, "allow_large", False)
-                or os.environ.get("ADJKIT_ALLOW_LARGE", "") not in ("", "0"))
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -78,7 +72,7 @@ def _load_alternating(source: str, n: int, seed, bound: int) -> AlternatingMatri
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    ctx = GenericContext(args.n, allow_large=_allow_large(args))
+    ctx = GenericContext(args.n, allow_large=args.allow_large)
     payload = {
         "n": args.n,
         "X": ctx.X.to_json(),
@@ -103,12 +97,12 @@ def cmd_verify(args) -> int:
         report = run_modp_suite(args.n, args.prime, args.trials, args.seed,
                                 include_corrupted=args.negative_control)
     else:
-        if args.n > SYMBOLIC_CAP and not _allow_large(args):
+        if args.n > SYMBOLIC_CAP and not args.allow_large:
             raise UsageError(
                 f"symbolic verification above n={SYMBOLIC_CAP} needs --allow-large")
         report = run_symbolic_suite(args.n, seed=args.seed or 0,
                                     include_corrupted=args.negative_control,
-                                    allow_large=_allow_large(args))
+                                    allow_large=args.allow_large)
     lines = [f"identity suite ({report['mode']}), n={args.n}:"]
     for rep in report["reports"]:
         status = "PASS" if rep["passed"] else "FAIL"
@@ -124,10 +118,10 @@ def cmd_factor(args) -> int:
         raise UsageError(
             f"n={args.n} is odd: the adjugate of the generic matrix admits "
             "no factorization into noninvertible factors for odd n")
-    ctx = GenericContext(args.n, allow_large=_allow_large(args))
     alt = _load_alternating(args.A, args.n, args.seed, args.bound)
     if not alt.invertible:
         raise UsageError("the alternating matrix must be invertible")
+    ctx = GenericContext(args.n, allow_large=args.allow_large)
     if args.n >= 6:
         print(f"building degree-{args.n - 2} cofactor quotients for n={args.n}; "
               "this can take minutes", file=sys.stderr)
@@ -152,11 +146,11 @@ def cmd_factor(args) -> int:
 def cmd_refine(args) -> int:
     if args.n % 2:
         raise UsageError("refinement needs even n")
-    ctx = GenericContext(args.n, allow_large=_allow_large(args))
     alt = _load_alternating(args.A, args.n, args.seed, args.bound)
     alt2 = _load_alternating(args.Aprime, args.n, args.seed, args.bound)
     if not (alt.invertible and alt2.invertible):
         raise UsageError("both alternating matrices must be invertible")
+    ctx = GenericContext(args.n, allow_large=args.allow_large)
     witness = solve_common_refinement(ctx, alt, alt2)
     if witness is None:
         _emit(args, {"n": args.n, "result": "no_solution"},
@@ -176,7 +170,8 @@ def cmd_rank_check(args) -> int:
     try:
         with open(args.cert) as fh:
             cert_obj = json.load(fh)
-        cert = FactorizationCertificate.from_json(cert_obj)
+        ctx = GenericContext(cert_obj["n"])
+        cert = FactorizationCertificate.from_json(cert_obj, ctx)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot load certificate: {exc}")
     try:
@@ -185,7 +180,6 @@ def cmd_rank_check(args) -> int:
         point = Matrix.from_json(point_obj, QQ)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot load point: {exc}")
-    ctx = GenericContext(cert.n)
     revalidation = reverify_certificate(cert, ctx)
     if not revalidation["passed"]:
         _emit(args, revalidation,
@@ -206,9 +200,9 @@ def cmd_rank_check(args) -> int:
 
 
 def cmd_compound(args) -> int:
-    ctx = GenericContext(args.n, allow_large=_allow_large(args))
     if not 1 <= args.m <= args.n:
         raise UsageError(f"m must be within 1..{args.n}")
+    ctx = GenericContext(args.n, allow_large=args.allow_large)
     cmp_m = ctx.X.compound(args.m)
     report = compound_det_check(ctx, args.m, cmp_m=cmp_m)
     payload = {"n": args.n, "m": args.m, "compound": cmp_m.to_json(),

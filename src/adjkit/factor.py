@@ -66,11 +66,6 @@ class GenericContext:
         return lift_int_matrix(m, self.ring)
 
 
-def make_generic(n: int, p: int | None = None,
-                 allow_large: bool = False) -> GenericContext:
-    return GenericContext(n, p=p, allow_large=allow_large)
-
-
 def verify_fundamental(ctx: GenericContext) -> dict:
     """Check X*adj = adj*X = det*I and det(adj(X)) = det(X)^(n-1)."""
     det_i = ctx.identity.scale(ctx.detX)
@@ -151,18 +146,15 @@ def zero_alternating(n: int) -> AlternatingMatrix:
     return AlternatingMatrix(Matrix.zeros(ZZ, n, n))
 
 
-def random_unimodular(n: int, rng: random.Random, bound: int = 2,
-                      ops: int | None = None) -> Matrix:
-    """Product of random integer shears; always determinant +1.
+def random_unimodular(n: int, rng: random.Random, bound: int = 2) -> Matrix:
+    """Product of 3n random integer shears; always determinant +1.
 
     A 1x1 matrix has no shears, so n = 1 gives the identity.
     """
     m = Matrix.identity(ZZ, n)
     if n == 1:
         return m
-    if ops is None:
-        ops = 3 * n
-    for _ in range(ops):
+    for _ in range(3 * n):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         if j >= i:
@@ -234,15 +226,18 @@ class FactorizationCertificate:
     @classmethod
     def from_json(cls, obj: dict, ctx: GenericContext | None = None
                   ) -> "FactorizationCertificate":
-        n = obj["n"]
+        n, side = obj["n"], obj["side"]
+        if side not in ("right", "left"):
+            raise ValueError(f"certificate side must be 'right' or 'left', "
+                             f"not {side!r}")
         if ctx is None:
-            ctx = make_generic(n)
+            ctx = GenericContext(n)
         elif ctx.n != n:
             raise ValueError("context dimension does not match certificate")
         pd = ctx.domain
         return cls(
             n=n,
-            side=obj["side"],
+            side=side,
             d=obj["d"],
             alt=AlternatingMatrix.from_json(obj["A"]),
             Y=Matrix.from_json(obj["Y"], pd),
@@ -251,19 +246,49 @@ class FactorizationCertificate:
         )
 
 
-def _exponent_checks_feasible(n: int) -> bool:
-    # det(Y) at n=6 is det(X)^4 with ~1e9 terms: physically out of reach.
-    # Product and det(Z) checks stay exact at every n; the det(Y) exponent
-    # law is certified exactly up to n=4 and corroborated pointwise beyond.
-    return n <= 4
+def _certificate_checks(ctx: GenericContext, cert: FactorizationCertificate,
+                        forms: bool) -> dict:
+    """The exact checks of a certificate, in the order they are reported.
+
+    ``forms`` adds what a built certificate has by construction: the linear
+    factor X^T A (right) or A X^T (left) and the value of d.
+    """
+    n, right = cert.n, cert.side == "right"
+    det_a = cert.alt.det
+    checks = {"product": cert.Y * cert.Z == ctx.adjX}
+    if forms:
+        a = ctx.lift(cert.alt.matrix)
+        if right:
+            checks["z_form"] = cert.Z == ctx.X.transpose() * a
+        else:
+            checks["y_form"] = cert.Y == a * ctx.X.transpose()
+        checks["d_value"] = cert.d == (n - 2 if right else 1)
+    # The quotient factor's det at n=6 is det(X)^4 with ~1e9 terms:
+    # physically out of reach.  The product check stays exact at every n;
+    # the determinant laws are certified exactly up to n=4 and corroborated
+    # pointwise beyond.
+    if n <= 4:
+        # det(quotient factor)*det(A) = det(X)^(n-2) and
+        # det(linear factor) = det(X)*det(A)
+        power, linear = ctx.det_power(n - 2), ctx.detX._scaled(det_a)
+        det_y, det_z = cert.Y.det_laplace(), cert.Z.det_laplace()
+        if right:
+            checks["det_y_exponent"] = det_y._scaled(det_a) == power
+            checks["det_z"] = det_z == linear
+        else:
+            checks["det_y"] = det_y == linear
+            checks["det_z_exponent"] = det_z._scaled(det_a) == power
+    return checks
 
 
-def factor_right(ctx: GenericContext, alt: AlternatingMatrix,
-                 check_exponents: bool | None = None) -> FactorizationCertificate:
-    """adj(X) = Y * (X^T A) with det(Y)*det(A) = det(X)^(n-2).
+def _factor(ctx: GenericContext, alt: AlternatingMatrix,
+            side: str) -> FactorizationCertificate:
+    """The verified certificate of adj(X) = Y * Z through ``alt``.
 
-    Y is adj(X)*adj(A)*adj(X)^T divided entrywise by det(A)*det(X); all
-    arithmetic stays in the integer polynomial ring.
+    The quotient factor, Y on the right and Z on the left, is
+    adj(X)*adj(A)*adj(X)^T (right) or adj(X)^T*adj(A)*adj(X) (left) divided
+    entrywise by det(A)*det(X); all arithmetic stays in the integer
+    polynomial ring.
     """
     n = ctx.n
     if n % 2:
@@ -272,75 +297,42 @@ def factor_right(ctx: GenericContext, alt: AlternatingMatrix,
         raise ValueError("alternating matrix must be invertible")
     if alt.n != n:
         raise ValueError("dimension mismatch")
-    adj_a = ctx.lift(alt.matrix.adjugate())
-    s = ctx.adjX * adj_a * ctx.adjX.transpose()
+    adj_x, adj_t = ctx.adjX, ctx.adjX.transpose()
+    if side == "left":
+        adj_x, adj_t = adj_t, adj_x
+    s = adj_x * ctx.lift(alt.matrix.adjugate()) * adj_t
     divisor = ctx.detX._scaled(alt.det)
-    Y = s.map_entries(lambda e: e.exact_div_or_raise(divisor))
-    Z = ctx.X.transpose() * ctx.lift(alt.matrix)
-    checks = {"product": Y * Z == ctx.adjX}
-    if check_exponents is None:
-        check_exponents = _exponent_checks_feasible(n)
-    if check_exponents:
-        checks["det_y_exponent"] = \
-            Y.det_laplace()._scaled(alt.det) == ctx.det_power(n - 2)
-        checks["det_z"] = Z.det_laplace() == ctx.detX._scaled(alt.det)
-    cert = FactorizationCertificate(n=n, side="right", d=n - 2, alt=alt,
-                                    Y=Y, Z=Z, checks=checks)
+    quotient = s.map_entries(lambda e: e.exact_div_or_raise(divisor))
+    a = ctx.lift(alt.matrix)
+    if side == "right":
+        y, z, d = quotient, ctx.X.transpose() * a, n - 2
+    else:
+        y, z, d = a * ctx.X.transpose(), quotient, 1
+    cert = FactorizationCertificate(n=n, side=side, d=d, alt=alt, Y=y, Z=z)
+    cert.checks = _certificate_checks(ctx, cert, forms=False)
     if not cert.passed:
         raise ExactDivisionError("factorization certificate failed verification")
     return cert
 
 
-def factor_left(ctx: GenericContext, alt: AlternatingMatrix,
-                check_exponents: bool | None = None) -> FactorizationCertificate:
+def factor_right(ctx: GenericContext,
+                 alt: AlternatingMatrix) -> FactorizationCertificate:
+    """adj(X) = Y * (X^T A) with det(Y)*det(A) = det(X)^(n-2)."""
+    return _factor(ctx, alt, "right")
+
+
+def factor_left(ctx: GenericContext,
+                alt: AlternatingMatrix) -> FactorizationCertificate:
     """adj(X) = (A X^T) * Z with det(Z)*det(A) = det(X)^(n-2)."""
-    n = ctx.n
-    if n % 2:
-        raise ValueError("factorization needs even n (odd n admits none)")
-    if not alt.invertible:
-        raise ValueError("alternating matrix must be invertible")
-    if alt.n != n:
-        raise ValueError("dimension mismatch")
-    adj_a = ctx.lift(alt.matrix.adjugate())
-    s = ctx.adjX.transpose() * adj_a * ctx.adjX
-    divisor = ctx.detX._scaled(alt.det)
-    Z = s.map_entries(lambda e: e.exact_div_or_raise(divisor))
-    Y = ctx.lift(alt.matrix) * ctx.X.transpose()
-    checks = {"product": Y * Z == ctx.adjX}
-    if check_exponents is None:
-        check_exponents = _exponent_checks_feasible(n)
-    if check_exponents:
-        checks["det_y"] = Y.det_laplace() == ctx.detX._scaled(alt.det)
-        checks["det_z_exponent"] = \
-            Z.det_laplace()._scaled(alt.det) == ctx.det_power(n - 2)
-    cert = FactorizationCertificate(n=n, side="left", d=1, alt=alt,
-                                    Y=Y, Z=Z, checks=checks)
-    if not cert.passed:
-        raise ExactDivisionError("factorization certificate failed verification")
-    return cert
+    return _factor(ctx, alt, "left")
 
 
 def reverify_certificate(cert: FactorizationCertificate,
                          ctx: GenericContext | None = None) -> dict:
     """Recompute a loaded certificate's checks from scratch."""
     if ctx is None:
-        ctx = make_generic(cert.n)
-    checks = {"product": cert.Y * cert.Z == ctx.adjX}
-    if cert.side == "right":
-        checks["z_form"] = cert.Z == ctx.X.transpose() * ctx.lift(cert.alt.matrix)
-        checks["d_value"] = cert.d == cert.n - 2
-    else:
-        checks["y_form"] = cert.Y == ctx.lift(cert.alt.matrix) * ctx.X.transpose()
-        checks["d_value"] = cert.d == 1
-    if _exponent_checks_feasible(cert.n):
-        if cert.side == "right":
-            checks["det_y_exponent"] = \
-                cert.Y.det_laplace()._scaled(cert.alt.det) == ctx.det_power(cert.n - 2)
-            checks["det_z"] = cert.Z.det_laplace() == ctx.detX._scaled(cert.alt.det)
-        else:
-            checks["det_y"] = cert.Y.det_laplace() == ctx.detX._scaled(cert.alt.det)
-            checks["det_z_exponent"] = \
-                cert.Z.det_laplace()._scaled(cert.alt.det) == ctx.det_power(cert.n - 2)
+        ctx = GenericContext(cert.n)
+    checks = _certificate_checks(ctx, cert, forms=True)
     return {"n": cert.n, "side": cert.side, "checks": checks,
             "passed": all(checks.values())}
 

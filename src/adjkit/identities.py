@@ -127,7 +127,6 @@ def complement_reindexing(n: int, m: int):
 
 
 def compound_det_check(ctx: GenericContext, m: int,
-                       rng: random.Random | None = None,
                        cmp_m: Matrix | None = None) -> dict:
     """Verify det(compound(X, m)) = det(X)^C(n-1, m-1), route-aware.
 
@@ -178,8 +177,7 @@ def compound_det_check(ctx: GenericContext, m: int,
             route = "paired"
             # only the product of the two complementary determinants is
             # pinned symbolically; spot checks carry the split
-        if rng is None:
-            rng = random.Random(20_000 + 101 * n + m)
+        rng = random.Random(20_000 + 101 * n + m)
         spot_ok = True
         for _ in range(3):
             a = rand_int_matrix(rng, n, -3, 3).map_entries(Fraction, QQ)
@@ -309,10 +307,11 @@ def _sym_corrupted(ctx: GenericContext, seed: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# mod-p trial runners: (n, p, rng, **kw) -> (ok, note)
+# mod-p trial runners: (n, p, rng) -> (ok, note); the compound runners
+# use order m = 2
 # ---------------------------------------------------------------------------
 
-def _modp_fundamental(n, p, rng, **kw):
+def _modp_fundamental(n, p, rng):
     b = rand_gfp_matrix(rng, n, p)
     dom = GF(p)
     adj = b.adjugate()
@@ -323,13 +322,13 @@ def _modp_fundamental(n, p, rng, **kw):
     return ok, None
 
 
-def _modp_multiplicativity(n, p, rng, **kw):
+def _modp_multiplicativity(n, p, rng):
     a = rand_gfp_matrix(rng, n, p)
     b = rand_gfp_matrix(rng, n, p)
     return (a * b).adjugate() == b.adjugate() * a.adjugate(), None
 
 
-def _modp_conjugation(n, p, rng, **kw):
+def _modp_conjugation(n, p, rng):
     a = rand_gfp_matrix(rng, n, p)
     u = _reduce_mod(random_unimodular(n, rng), p)
     u_inv = u.adjugate()  # det = 1 mod p
@@ -337,7 +336,7 @@ def _modp_conjugation(n, p, rng, **kw):
     return ok, None
 
 
-def _modp_sandwich(n, p, rng, **kw):
+def _modp_sandwich(n, p, rng):
     # finite-field content of the sandwich lemma: for singular B the
     # alternating sandwich vanishes identically
     b = rand_gfp_singular(rng, n, p)
@@ -348,7 +347,7 @@ def _modp_sandwich(n, p, rng, **kw):
     return ok, None
 
 
-def _modp_factor_product(n, p, rng, **kw):
+def _modp_factor_product(n, p, rng):
     if n % 2:
         raise ValueError("factor identities need even n")
     alt = standard_symplectic(n)
@@ -362,23 +361,23 @@ def _modp_factor_product(n, p, rng, **kw):
     return ok, None
 
 
-def _modp_compound_det(n, p, rng, m=2, **kw):
+def _modp_compound_det(n, p, rng):
     b = rand_gfp_matrix(rng, n, p)
-    e = comb(n - 1, m - 1)
-    ok = b.compound(m).det() == pow(b.det(), e, p)
+    # the exponent C(n-1, m-1) at m = 2
+    ok = b.compound(2).det() == pow(b.det(), n - 1, p)
     return ok, None
 
 
-def _modp_complementary(n, p, rng, m=2, **kw):
+def _modp_complementary(n, p, rng):
     b = rand_gfp_matrix(rng, n, p)
     dom = GF(p)
-    big_n = comb(n, m)
+    big_n = comb(n, 2)
     ident = Matrix.identity(dom, big_n).scale(b.det())
-    ok = b.compound(m) * b.complementary_compound(m).transpose() == ident
+    ok = b.compound(2) * b.complementary_compound(2).transpose() == ident
     return ok, None
 
 
-def _modp_corrupted(n, p, rng, **kw):
+def _modp_corrupted(n, p, rng):
     b = rand_gfp_matrix(rng, n, p)
     adj = b.adjugate()
     ok = adj.det_bareiss() == pow(b.det_bareiss(), n, p)

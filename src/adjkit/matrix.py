@@ -344,25 +344,23 @@ class Matrix:
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        work = [row + [dom.one if j == i else dom.zero for j in range(n)]
-                for i, row in enumerate(self.to_rows())]
-        pivots, _ = _row_reduce(work, n, dom, reduced=True)
+        work, pivots = self._reduce_with_identity()
         if len(pivots) < n:
             raise ZeroDivisionError("matrix is singular")
         return Matrix(dom, n, n, [v for row in work for v in row[n:]])
 
-    def _kernel_vector(self) -> list:
-        """A nonzero kernel vector of a singular square matrix over a field."""
+    def _reduce_with_identity(self) -> tuple[list[list], list[int]]:
+        """Reduce [A | I] to [R | E], R the reduced row echelon form of A.
+
+        E records the row operations, so E*A = R.  Returns the rows of
+        [R | E] and the pivot columns of R.
+        """
         dom = self.domain
         n = self.rows
-        work = self.to_rows()
+        work = [row + [dom.one if j == i else dom.zero for j in range(n)]
+                for i, row in enumerate(self.to_rows())]
         pivots, _ = _row_reduce(work, n, dom, reduced=True)
-        free = next(c for c in range(n) if c not in pivots)
-        vec = [dom.zero] * n
-        vec[free] = dom.one
-        for r, c in enumerate(pivots):
-            vec[c] = dom.neg(work[r][free])
-        return vec
+        return work, pivots
 
     def adjugate(self) -> "Matrix":
         """Transposed cofactor matrix; adj(A)*A = A*adj(A) = det(A)*I.
@@ -383,19 +381,24 @@ class Matrix:
             det = self.det()
             if not dom.is_zero(det):
                 return self.inverse().scale(det)
-            rank = self.rank()
-            if rank < n - 1:
+            work, pivots = self._reduce_with_identity()
+            if len(pivots) < n - 1:
                 return Matrix.zeros(dom, n, n)
             # adj has rank one: columns span ker(A), rows span ker(A^T);
-            # one explicit cofactor calibrates the scale
-            u = self._kernel_vector()
-            v = self.transpose()._kernel_vector()
-            i = next(k for k in range(n) if not dom.is_zero(u[k]))
+            # one explicit cofactor calibrates the scale.  u in ker(A) has
+            # u[i] = 1 at R's free column i; v is the row of E beside R's
+            # zero row, so v*A = 0.
+            i = next(c for c in range(n) if c not in pivots)
+            u = [dom.zero] * n
+            u[i] = dom.one
+            for r, c in enumerate(pivots):
+                u[c] = dom.neg(work[r][i])
+            v = work[n - 1][n:]
             j = next(k for k in range(n) if not dom.is_zero(v[k]))
             c = self.minor(j, i)
             if (i + j) % 2:
                 c = dom.neg(c)
-            scale = dom.mul(c, dom.inv(dom.mul(u[i], v[j])))
+            scale = dom.mul(c, dom.inv(v[j]))
             return Matrix(dom, n, n,
                           [dom.mul(scale, dom.mul(u[a], v[b]))
                            for a in range(n) for b in range(n)])
@@ -502,36 +505,6 @@ class Matrix:
             raise ValueError("entry grid does not match the declared shape")
         frm = domain.from_json
         return cls(domain, rows, cols, [frm(v) for row in grid for v in row])
-
-
-# Functional aliases used throughout the test-suite and CLI.
-
-def transpose(a: Matrix) -> Matrix:
-    return a.transpose()
-
-
-def det_laplace(a: Matrix):
-    return a.det_laplace()
-
-
-def det_bareiss(a: Matrix):
-    return a.det_bareiss()
-
-
-def adjugate(a: Matrix) -> Matrix:
-    return a.adjugate()
-
-
-def compound(a: Matrix, m: int) -> Matrix:
-    return a.compound(m)
-
-
-def rank_exact(a: Matrix) -> int:
-    return a.rank()
-
-
-def char_poly_shifted(a: Matrix) -> Polynomial:
-    return a.char_poly_shifted()
 
 
 def lift_int_matrix(a: Matrix, ring: PolyRing) -> Matrix:

@@ -53,7 +53,7 @@ class SpecPoint:
         """Algebraic multiplicity of the eigenvalue 0."""
         return self.char_poly_shifted.t_valuation()
 
-    def assignment(self, ring: PolyRing) -> dict:
+    def assignment(self) -> dict:
         n = self.n
         out = {}
         for i in range(n):
@@ -94,7 +94,7 @@ def phi_apply(m: Matrix, pt: SpecPoint) -> Matrix:
     if not isinstance(m.domain, PolynomialDomain):
         raise TypeError("phi_apply expects a polynomial matrix")
     _check_t_free(m)
-    assign = pt.assignment(m.domain.ring)
+    assign = pt.assignment()
     dom = pt.matrix.domain
     if isinstance(dom, PrimeFieldDomain) and m.domain.ring.p not in (None, dom.p):
         raise ValueError("coefficient modulus does not match the point")
@@ -172,10 +172,6 @@ def verify_ufd_bound(m: Matrix) -> dict:
     }
 
 
-def eigen_zero_multiplicity(pt: SpecPoint) -> int:
-    return pt.zero_multiplicity
-
-
 def lemma_rk_check(cert: FactorizationCertificate, pt: SpecPoint,
                    ctx: GenericContext | None = None) -> dict:
     """The four exact rank equalities at a multiplicity-one point.
@@ -246,10 +242,6 @@ class ProjectorPoint:
         return SpecPoint(self.E)
 
 
-def make_projector(v: list, basis: list[list]) -> ProjectorPoint:
-    return ProjectorPoint(v, basis)
-
-
 def _column_space_basis(m: Matrix) -> list[list]:
     """Exact basis of the column space (the pivot columns)."""
     pivots, _ = _row_reduce(m.to_rows(), m.cols, m.domain)
@@ -296,13 +288,15 @@ def grassmann_map_sample(cert: FactorizationCertificate,
 # randomized mod-p corroboration
 # ---------------------------------------------------------------------------
 
-def sz_check(identity: str, n: int, p: int, trials: int, seed: int,
-             **params) -> dict:
+def sz_check(identity: str, n: int, p: int, trials: int, seed: int) -> dict:
     """Run seeded random GF(p) trials of a registered identity.
 
     Any failure of a proved identity is an implementation defect; the
     deliberately corrupted identities are negative controls and are
-    expected to fail.  Deterministic for a fixed seed.
+    expected to fail.  A run that cannot fail is refused: no trials, or
+    the corrupted det(adj B) = det(B)^n over GF(2), where
+    det^(n-1)*(det - 1) vanishes at every point.  Deterministic for a
+    fixed seed.
     """
     from . import identities
     spec = identities.REGISTRY.get(identity)
@@ -311,11 +305,15 @@ def sz_check(identity: str, n: int, p: int, trials: int, seed: int,
                        f"registered: {sorted(identities.REGISTRY)}")
     if spec.modp is None:
         raise ValueError(f"identity {identity!r} has no mod-p trial")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, not {trials}")
+    if identity == "corrupted_adj_det" and p == 2:
+        raise ValueError("the corrupted identity cannot fail over GF(2)")
     rng = random.Random(seed)
     failures = []
     observations = []
     for trial in range(trials):
-        ok, note = spec.modp(n, p, rng, **params)
+        ok, note = spec.modp(n, p, rng)
         if not ok:
             failures.append({"trial": trial, "detail": note})
         elif note:
@@ -323,7 +321,7 @@ def sz_check(identity: str, n: int, p: int, trials: int, seed: int,
     return {
         "identity": identity,
         "n": n,
-        "params": {"p": p, "seed": seed, **params},
+        "params": {"p": p, "seed": seed},
         "trials": trials,
         "failures": failures,
         "observations": observations,

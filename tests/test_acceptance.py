@@ -20,9 +20,9 @@ from math import comb
 import pytest
 
 from adjkit import (GF, QQ, ZZ, AlternatingMatrix, GenericContext, Matrix,
-                    MultiplicityError, PolyRing, PolynomialDomain, SpecPoint,
-                    factor_left, factor_right, grassmann_map_sample,
-                    lemma_rk_check, make_projector, phi_apply, psi_apply,
+                    MultiplicityError, PolyRing, PolynomialDomain,
+                    ProjectorPoint, SpecPoint, factor_left, factor_right,
+                    grassmann_map_sample, lemma_rk_check, phi_apply, psi_apply,
                     quotient_matrix, random_alternating,
                     solve_common_refinement, standard_symplectic, sz_check,
                     theorem_main_guard, verify_dvr_bound, verify_ufd_bound,
@@ -209,7 +209,7 @@ def test_criterion_07_grassmann_samples(actx):
             cols = [[Fraction(rng.randint(-3, 3)) for _ in range(4)]
                     for _ in range(4)]
             try:
-                pp = make_projector(cols[0], cols[1:])
+                pp = ProjectorPoint(cols[0], cols[1:])
             except ValueError:
                 continue
             rep = grassmann_map_sample(cert, pp)

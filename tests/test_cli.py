@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from adjkit import cli
 from adjkit.cli import main
 
 
@@ -80,6 +81,27 @@ def test_verify_n1(capsys):
                        "--trials", "5", "--seed", "7")
     assert code == 2
     assert "n >= 2" in err
+
+
+def test_verify_modp_refuses_runs_without_trials(capsys):
+    for trials in ("0", "-5"):
+        code, out, err = run(capsys, "verify", "--n", "6", "--prime",
+                             "2147483647", "--trials", trials, "--seed", "1",
+                             "--negative-control")
+        assert code == 2
+        assert out == "" and "trial" in err
+
+
+def test_verify_modp_refuses_negative_control_over_gf2(capsys):
+    # det^(n-1) * (det - 1) vanishes on GF(2): the control cannot fail
+    code, out, err = run(capsys, "verify", "--n", "4", "--prime", "2",
+                         "--trials", "20", "--seed", "1", "--negative-control")
+    assert code == 2
+    assert out == "" and "GF(2)" in err
+    code, out, _ = run(capsys, "verify", "--n", "4", "--prime", "2",
+                       "--trials", "20", "--seed", "1")
+    assert code == 0
+    assert "suite: PASS" in out
 
 
 def test_verify_bad_prime(capsys):
@@ -240,6 +262,23 @@ def test_rank_check_detects_tampering(capsys, tmp_path, cert_file):
     assert code == 1
 
 
+def test_rank_check_rejects_unknown_side(capsys, tmp_path, cert_file):
+    pt = point_file(tmp_path, [[0, 0, 0, 0], [0, 1, 0, 0],
+                               [0, 0, 1, 0], [0, 0, 0, 1]])
+    for source in ("right", "left"):
+        code, out, _ = run(capsys, "factor", "--n", "4", "--A", "symplectic",
+                           "--side", source, "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        obj["side"] = "bogus"
+        bad = tmp_path / f"bogus_{source}.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "rank-check", "--cert", str(bad),
+                             "--point", str(pt))
+        assert code == 2
+        assert out == "" and "bogus" in err
+
+
 def test_rank_check_zero_denominator_in_point(capsys, tmp_path, cert_file):
     pt = point_file(tmp_path, [["1/0", 0, 0, 0], [0, 1, 0, 0],
                                [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -286,6 +325,20 @@ def test_compound_command(capsys):
 def test_compound_out_of_range(capsys):
     code, _, err = run(capsys, "compound", "--n", "3", "--m", "4")
     assert code == 2
+
+
+def test_arguments_are_checked_before_the_context(capsys, monkeypatch):
+    def no_context(*args, **kwargs):
+        raise AssertionError("built the generic context before the checks")
+
+    monkeypatch.setattr(cli, "GenericContext", no_context)
+    missing = "/does/not/exist.json"
+    for argv in (("compound", "--n", "6", "--m", "9"),
+                 ("factor", "--n", "6", "--A", missing),
+                 ("refine", "--n", "6", "--A", "J", "--Aprime", missing)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "error:" in err
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ factorization, and the common-refinement solver."""
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from adjkit import (AlternatingMatrix, ExactDivisionError,
                     FactorizationCertificate, GenericContext, Matrix, QQ, ZZ,
                     diagonal_factorization, factor_left, factor_right,
-                    make_generic, quotient_matrix, random_alternating,
+                    quotient_matrix, random_alternating,
                     reverify_certificate, sandwich, solve_common_refinement,
                     standard_symplectic, theorem_main_guard,
                     verify_fundamental, zero_alternating)
@@ -33,7 +34,7 @@ def test_make_generic_n2(ctx2):
 
 
 def test_make_generic_n1():
-    ctx = make_generic(1)
+    ctx = GenericContext(1)
     assert ctx.detX == ctx.ring.var("x_1_1")
     assert ctx.adjX.to_rows() == [[ctx.ring.one]]
 
@@ -44,7 +45,7 @@ def test_make_generic_n3_adj_det(ctx3):
 
 def test_make_generic_cap():
     with pytest.raises(ValueError):
-        make_generic(7)
+        GenericContext(7)
 
 
 def test_verify_fundamental(ctx2, ctx3, ctx4):
@@ -303,6 +304,33 @@ def test_tampered_certificate_detected(ctx4):
     obj["Y"]["entries"][0][0] = "x_1_1^2"
     loaded = FactorizationCertificate.from_json(obj, ctx4)
     assert not reverify_certificate(loaded, ctx4)["passed"]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_certificate_check_names_and_order(request, n):
+    # the text output prints the checks in this order
+    ctx = request.getfixturevalue(f"ctx{n}")
+    alt = random_alternating(n, seed=5)
+    right, left = factor_right(ctx, alt), factor_left(ctx, alt)
+    assert list(right.checks.items()) == [
+        ("product", True), ("det_y_exponent", True), ("det_z", True)]
+    assert list(left.checks.items()) == [
+        ("product", True), ("det_y", True), ("det_z_exponent", True)]
+    assert list(reverify_certificate(right, ctx)["checks"].items()) == [
+        ("product", True), ("z_form", True), ("d_value", True),
+        ("det_y_exponent", True), ("det_z", True)]
+    assert list(reverify_certificate(left, ctx)["checks"].items()) == [
+        ("product", True), ("y_form", True), ("d_value", True),
+        ("det_y", True), ("det_z_exponent", True)]
+
+
+def test_tampered_left_certificate_detected(ctx4):
+    j = standard_symplectic(4)
+    right, left = factor_right(ctx4, j), factor_left(ctx4, j)
+    checks = reverify_certificate(replace(left, Y=right.Y), ctx4)["checks"]
+    assert not checks["y_form"] and not checks["product"]
+    checks = reverify_certificate(replace(left, d=2), ctx4)["checks"]
+    assert [k for k, ok in checks.items() if not ok] == ["d_value"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from adjkit import GF, QQ, ZZ, Matrix, PolyRing, PolynomialDomain
+from adjkit import GF, QQ, ZZ, Matrix, PolyRing, PolynomialDomain, matrix
 from adjkit.factor import random_unimodular
 
 
@@ -230,7 +230,8 @@ def test_adjugate_conjugation_random():
             assert (u * a * u_inv).adjugate() == u * a.adjugate() * u_inv
 
 
-@pytest.mark.parametrize("dom", (GF(101), QQ), ids=("GF101", "QQ"))
+@pytest.mark.parametrize("dom", (GF(101), QQ, GF(2_147_483_647)),
+                         ids=("GF101", "QQ", "GF2^31-1"))
 def test_field_adjugate_is_the_cofactor_matrix(dom):
     rng = random.Random(15)
     for n in (3, 4, 5):
@@ -256,6 +257,23 @@ def test_inverse_rejects_bad_input():
         Matrix.identity(ZZ, 3).inverse()
     with pytest.raises(ValueError):
         Matrix.zeros(QQ, 2, 3).inverse()
+
+
+def test_field_adjugate_at_corank_one_reduces_three_times(monkeypatch):
+    # det(A), one reduction of [A | I] for both kernels, and one minor
+    a = rand_field_matrix(random.Random(17), GF(2_147_483_647), 10, 9)
+    calls = []
+    reduce = matrix._row_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(matrix, "_row_reduce", counting)
+    adj = a.adjugate()
+    monkeypatch.undo()
+    assert calls == [10, 10, 9]
+    assert adj == cofactor_adjugate(a)
 
 
 def test_field_adjugate_rank_deficient():

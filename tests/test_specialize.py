@@ -10,11 +10,10 @@ from types import SimpleNamespace
 import pytest
 
 from adjkit import (GF, QQ, ZZ, Matrix, MultiplicityError, PolyRing,
-                    PolynomialDomain, SpecPoint, eigen_zero_multiplicity,
-                    factor_left, factor_right, grassmann_map_sample,
-                    lemma_rk_check, make_projector, phi_apply, psi_apply,
-                    standard_symplectic, sz_check, verify_dvr_bound,
-                    verify_ufd_bound)
+                    PolynomialDomain, ProjectorPoint, SpecPoint, factor_left,
+                    factor_right, grassmann_map_sample, lemma_rk_check,
+                    phi_apply, psi_apply, standard_symplectic, sz_check,
+                    verify_dvr_bound, verify_ufd_bound)
 
 
 @pytest.fixture(scope="module")
@@ -171,11 +170,11 @@ def test_zero_determinant_valuation_is_infinite():
 # ---------------------------------------------------------------------------
 
 def test_multiplicity_examples():
-    assert eigen_zero_multiplicity(diag_point(0, 1, 1, 1)) == 1
+    assert diag_point(0, 1, 1, 1).zero_multiplicity == 1
     jb = jordan_block_point(4)
     assert jb.matrix.rank() == 3
-    assert eigen_zero_multiplicity(jb) == 4
-    assert eigen_zero_multiplicity(diag_point(2, 1, 1, 1)) == 0
+    assert jb.zero_multiplicity == 4
+    assert diag_point(2, 1, 1, 1).zero_multiplicity == 0
 
 
 def test_rank_law_right_cert_at_diag(certs):
@@ -236,7 +235,7 @@ def unit(n, i):
 
 
 def test_projector_coordinate_case():
-    pp = make_projector(unit(4, 0), [unit(4, 1), unit(4, 2), unit(4, 3)])
+    pp = ProjectorPoint(unit(4, 0), [unit(4, 1), unit(4, 2), unit(4, 3)])
     expected = Matrix.diagonal(QQ, [Fraction(0), Fraction(1),
                                     Fraction(1), Fraction(1)])
     assert pp.E == expected
@@ -245,7 +244,7 @@ def test_projector_coordinate_case():
 def test_projector_oblique_case():
     v = [Fraction(1), Fraction(1), Fraction(0), Fraction(0)]
     basis = [unit(4, 1), unit(4, 2), unit(4, 3)]
-    pp = make_projector(v, basis)
+    pp = ProjectorPoint(v, basis)
     e = pp.E
     # kernel and fixed subspace, via the defining linear relations
     zero = [Fraction(0)] * 4
@@ -254,12 +253,12 @@ def test_projector_oblique_case():
         assert [sum(e[i, j] * w[j] for j in range(4)) for i in range(4)] == w
     assert e * e == e
     assert e.rank() == 3
-    assert eigen_zero_multiplicity(pp.spec_point) == 1
+    assert pp.spec_point.zero_multiplicity == 1
 
 
 def test_projector_rejects_dependent_inputs():
     with pytest.raises(ValueError):
-        make_projector(unit(3, 0), [unit(3, 0), unit(3, 1)])
+        ProjectorPoint(unit(3, 0), [unit(3, 0), unit(3, 1)])
 
 
 def rand_projector(rng, n):
@@ -267,14 +266,14 @@ def rand_projector(rng, n):
         cols = [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
                 for _ in range(n)]
         try:
-            return make_projector(cols[0], cols[1:])
+            return ProjectorPoint(cols[0], cols[1:])
         except ValueError:
             continue
 
 
 def test_grassmann_dimensions(certs):
     cert_r, cert_l = certs
-    pp = make_projector(unit(4, 0), [unit(4, 1), unit(4, 2), unit(4, 3)])
+    pp = ProjectorPoint(unit(4, 0), [unit(4, 1), unit(4, 2), unit(4, 3)])
     rep = grassmann_map_sample(cert_r, pp)
     assert rep["dimension"] == 1 and rep["holds"]
     rep = grassmann_map_sample(cert_l, pp)
@@ -288,7 +287,7 @@ def test_grassmann_basis_is_the_pivot_columns():
         [ring.const(c) for c in row]
         for row in ([5, 1, 2, 0], [0, 1, 2, 0], [0, 0, 0, 1], [0, 3, 6, 1])])
     cert = SimpleNamespace(Y=y, n=4, d=1)
-    pp = make_projector(unit(4, 0), [unit(4, 1), unit(4, 2), unit(4, 3)])
+    pp = ProjectorPoint(unit(4, 0), [unit(4, 1), unit(4, 2), unit(4, 3)])
     rep = grassmann_map_sample(cert, pp)
     assert rep["basis"] == [["0", "1", "0", "3"], ["0", "0", "1", "1"]]
     assert rep["dimension"] == 2 and rep["holds"]
