@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .domains import ZZ, PolynomialDomain
 from .matrix import Matrix, lift_int_matrix
-from .polyring import ExactDivisionError, PolyRing, Polynomial
+from .polyring import ExactDivisionError, PolyRing, Polynomial, aligned
 
 FEASIBLE = "feasible"
 INFEASIBLE_ODD = "infeasible_odd"
@@ -149,8 +149,11 @@ def zero_alternating(n: int) -> AlternatingMatrix:
 def random_unimodular(n: int, rng: random.Random, bound: int = 2) -> Matrix:
     """Product of 3n random integer shears; always determinant +1.
 
-    A 1x1 matrix has no shears, so n = 1 gives the identity.
+    A 1x1 matrix has no shears, so n = 1 gives the identity.  The shear
+    coefficients are the nonzero integers in [-bound, bound].
     """
+    if bound < 1:
+        raise ValueError(f"bound must be at least 1, got {bound}")
     m = Matrix.identity(ZZ, n)
     if n == 1:
         return m
@@ -471,18 +474,6 @@ def _sparse_solve(columns: list[dict], target: dict, ncols: int):
     return solution, free
 
 
-def _homogeneous_exponents(nvars: int, degree: int, width: int):
-    """Exponent tuples (padded to width) of the given total degree."""
-    from itertools import combinations_with_replacement
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        e = [0] * width
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return out
-
-
 def solve_common_refinement(ctx: GenericContext, alt: AlternatingMatrix,
                             alt_prime: AlternatingMatrix
                             ) -> RefinementWitness | None:
@@ -509,66 +500,61 @@ def solve_common_refinement(ctx: GenericContext, alt: AlternatingMatrix,
     base = a_x_t * ctx.lift(alt_prime.matrix)                 # A X^T A'
 
     nx = n * n  # the x variables; t is never involved
-    r_monos = _homogeneous_exponents(nx, n - 2, ring.nvars)
-    w_monos = _homogeneous_exponents(nx, n - 3, ring.nvars) if n >= 3 else []
+    r_monos = ring.monomials(n - 2, nx)
+    w_monos = ring.monomials(n - 3, nx) if n >= 3 else []
     nr = len(r_monos)
     nw = len(w_monos)
     ncols = nr + n * n * nw
-
-    def addexp(a, b):
-        return tuple(map(int.__add__, a, b))
+    uvs = [(u, v) for u in range(n) for v in range(n)]
+    # (A X^T)[u,a] * (X^T A')[b,v], at index (a * n + b) * n * n + u * n + v
+    prods = [a_x_t[u, a] * x_t_a2[b, v]
+             for a in range(n) for b in range(n) for u, v in uvs]
+    # every column entry is a monomial x^mu times a term of the same total
+    # degree n - 1: at one key width, the key of their product is the sum
+    width, terms = aligned(r_monos + w_monos + base.entries + prods, n - 1)
+    mu_keys = [next(iter(t)) for t in terms[:nr + nw]]
+    base_terms = terms[nr + nw:nr + nw + nx]
+    prod_terms = terms[nr + nw + nx:]
 
     columns: list[dict] = [dict() for _ in range(ncols)]
+
+    def fill(col, mk, entries):
+        # the keys (u, v, mu + k) of one column are all distinct
+        for uv, entry in zip(uvs, entries):
+            for k, c in entry.items():
+                col[(*uv, mk + k)] = c
+
     # r columns: coefficient of monomial mu in r contributes
     # x^mu * (A X^T A')[u,v]
-    for mi, mu in enumerate(r_monos):
-        col = columns[mi]
-        for u in range(n):
-            for v in range(n):
-                for exps, c in base[u, v].terms.items():
-                    key = (u, v, addexp(exps, mu))
-                    col[key] = col.get(key, 0) + c
+    for mi, mk in enumerate(mu_keys[:nr]):
+        fill(columns[mi], mk, base_terms)
     # W columns: coefficient of x^mu in W[a][b] contributes
     # x^mu * (A X^T)[u,a] * (X^T A')[b,v]
-    for a in range(n):
-        for b in range(n):
-            block = nr + (a * n + b) * nw
-            for u in range(n):
-                left = a_x_t[u, a]
-                if left.is_zero():
-                    continue
-                for v in range(n):
-                    right = x_t_a2[b, v]
-                    if right.is_zero():
-                        continue
-                    prod = left * right
-                    for mi, mu in enumerate(w_monos):
-                        col = columns[block + mi]
-                        for exps, c in prod.terms.items():
-                            key = (u, v, addexp(exps, mu))
-                            col[key] = col.get(key, 0) + c
+    for ab in range(nx):
+        for mi, mk in enumerate(mu_keys[nr:]):
+            fill(columns[nr + ab * nw + mi], mk, prod_terms[ab * nx:(ab + 1) * nx])
 
-    target: dict = {}
-    for u in range(n):
-        for v in range(n):
-            for exps, c in ctx.adjX[u, v].terms.items():
-                target[(u, v, exps)] = c
+    # the solver eliminates its rows in the order of (u, v, exponent tuple)
+    unpack = ring.unpacker(width)
+    exps = {k: unpack(k) for k in {k for col in columns for _, _, k in col}}
+    columns = [{(u, v, exps[k]): c for (u, v, k), c in col.items()}
+               for col in columns]
+    target = {(*uv, e): c for uv, entry in zip(uvs, ctx.adjX.entries)
+              for e, c in entry.terms.items()}
 
     solved = _sparse_solve(columns, target, ncols)
     if solved is None:
         return None
     solution, free = solved
 
-    r = qring.from_terms({mu: solution[mi]
-                          for mi, mu in enumerate(r_monos) if solution[mi]})
-    w_entries = []
-    for a in range(n):
-        for b in range(n):
-            block = nr + (a * n + b) * nw
-            terms = {mu: solution[block + mi]
-                     for mi, mu in enumerate(w_monos) if solution[block + mi]}
-            w_entries.append(qring.from_terms(terms))
-    W = Matrix(qd, n, n, w_entries)
+    def combination(keys, start):
+        return Polynomial(qring, {k: solution[start + i]
+                                  for i, k in enumerate(keys)
+                                  if solution[start + i]}, width)
+
+    r = combination(mu_keys[:nr], 0)
+    W = Matrix(qd, n, n, [combination(mu_keys[nr:], nr + ab * nw)
+                          for ab in range(nx)])
 
     # verify over the rational-coefficient ring
     conv = qring.convert

@@ -1,19 +1,14 @@
 """Term-arithmetic kernels: the inner loops of polynomial arithmetic.
 
-A polynomial is carried around as a plain dict mapping an exponent vector
-(a tuple of non-negative ints, one slot per ring variable) to a nonzero
-coefficient.  Every kernel takes the modulus as its last parameter ``p``:
-``p=0`` means characteristic zero, with int or Fraction coefficients; a
-prime ``p`` means int coefficients in ``[1, p)``.  Inputs are canonical and
-so are the results: no zero coefficient is ever stored.  A kernel tests
-``p`` once per call, never inside its loops over term pairs.
-
-The ``packed_*`` kernels are the path of large products and determinants.
-There the exponent vector is packed into one Python int (one byte per
-variable, big-endian), so that multiplying two monomials is one integer
-addition.  Each packed kernel bounds the exponents of its result from its
-inputs and takes the tuple path when one might exceed 255, so callers
-choose them by size alone.  Their results are tuple-keyed.
+A polynomial is carried around as a plain dict mapping a monomial key to a
+nonzero coefficient.  The kernels know nothing of the key layout (that is
+defined in ``polyring``): the key of a product of two monomials is the sum
+of their keys, and the caller guarantees that every sum it asks for is the
+key of a monomial.  Every kernel takes the modulus as its last parameter
+``p``: ``p=0`` means characteristic zero, with int or Fraction
+coefficients; a prime ``p`` means int coefficients in ``[1, p)``.  Inputs
+are canonical and so are the results: no zero coefficient is ever stored.
+A kernel tests ``p`` once per call, never inside its loops over term pairs.
 
 The kernels are pure Python; ``IMPL`` names the implementation.
 """
@@ -37,7 +32,7 @@ def _reduce(terms, p):
 
 
 def _fma(acc, a, b, negate, p):
-    """acc += a*b (or -= when negate), in place on tuple-keyed dicts."""
+    """acc += a*b (or -= when negate), in place."""
     if not a or not b:
         return
     if len(a) < len(b):
@@ -45,64 +40,17 @@ def _fma(acc, a, b, negate, p):
     get = acc.get
     bitems = list(b.items())
     if p:
-        for ea, ca in a.items():
-            if negate:
-                ca = p - ca
-            for eb, cb in bitems:
-                e = tuple(map(int.__add__, ea, eb))
-                v = get(e)
-                if v is None:
-                    v = (ca * cb) % p
-                    if v:
-                        acc[e] = v
-                else:
-                    v = (v + ca * cb) % p
-                    if v:
-                        acc[e] = v
-                    else:
-                        del acc[e]
-    else:
-        for ea, ca in a.items():
-            if negate:
-                ca = -ca
-            for eb, cb in bitems:
-                e = tuple(map(int.__add__, ea, eb))
-                v = get(e)
-                if v is None:
-                    acc[e] = ca * cb
-                else:
-                    v = v + ca * cb
-                    if v:
-                        acc[e] = v
-                    else:
-                        del acc[e]
-
-
-def _packed_fma(acc, a, b, negate, p):
-    """_fma on packed-int keys."""
-    if not a or not b:
-        return
-    if len(a) < len(b):
-        a, b = b, a
-    get = acc.get
-    bitems = list(b.items())
-    if p:
+        pop = acc.pop
         for ea, ca in a.items():
             if negate:
                 ca = p - ca
             for eb, cb in bitems:
                 e = ea + eb
-                v = get(e)
-                if v is None:
-                    v = (ca * cb) % p
-                    if v:
-                        acc[e] = v
+                v = (get(e, 0) + ca * cb) % p
+                if v:
+                    acc[e] = v
                 else:
-                    v = (v + ca * cb) % p
-                    if v:
-                        acc[e] = v
-                    else:
-                        del acc[e]
+                    pop(e, None)
     else:
         for ea, ca in a.items():
             if negate:
@@ -120,16 +68,8 @@ def _packed_fma(acc, a, b, negate, p):
                         del acc[e]
 
 
-def _pack(terms):
-    return {int.from_bytes(bytes(e), "big"): c for e, c in terms.items()}
-
-
-def _unpack(packed, width):
-    return {tuple(k.to_bytes(width, "big")): c for k, c in packed.items()}
-
-
-def _laplace(rows, one, fma, p):
-    """Determinant of a square grid of term dicts keyed like ``one``.
+def _laplace(rows, p):
+    """Determinant of a square grid of term dicts.
 
     Subset-memoized Laplace expansion over column subsets: level k holds the
     minors on rows 0..k-1, indexed by a bitmask of k columns.  Only two
@@ -137,7 +77,7 @@ def _laplace(rows, one, fma, p):
     largest minor layers.
     """
     n = len(rows)
-    level = {0: {one: 1}}  # empty minor = 1
+    level = {0: {0: 1}}  # empty minor = 1, at the key of the monomial 1
     cols = list(range(n))
     for k in range(1, n + 1):
         row_entries = rows[k - 1]
@@ -155,7 +95,7 @@ def _laplace(rows, one, fma, p):
                 if entry:
                     prev = level[mask & ~(1 << j)]
                     if prev:
-                        fma(acc, entry, prev, (k - 1 + pos) % 2 == 1, p)
+                        _fma(acc, entry, prev, (k - 1 + pos) % 2 == 1, p)
             nxt[mask] = acc
         level = nxt
     return level[(1 << n) - 1]
@@ -167,10 +107,6 @@ def _laplace(rows, one, fma, p):
 
 def add_terms(a, b, p=0):
     """Return the term dict of a + b."""
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
     out = dict(a)
     get = out.get
     for e, c in b.items():
@@ -208,8 +144,9 @@ def fma_terms(acc, a, b, negate, p=0):
     _fma(acc, a, b, negate, p)
 
 
-def sub_scaled_terms(rem, exps, coeff, b, p=0):
-    """rem -= (coeff * x^exps) * b, in place; return the keys newly created.
+def sub_scaled_terms(rem, key, coeff, b, p=0):
+    """rem -= (coeff * monomial key) * b, in place; return the keys newly
+    created.
 
     Used by the exact-division loop, which tracks fresh monomials in a heap.
     """
@@ -218,13 +155,11 @@ def sub_scaled_terms(rem, exps, coeff, b, p=0):
     if p:
         nc = p - coeff
         for eb, cb in b.items():
-            e = tuple(map(int.__add__, exps, eb))
+            e = key + eb
             v = get(e)
-            if v is None:
-                v = (nc * cb) % p
-                if v:
-                    rem[e] = v
-                    new_keys.append(e)
+            if v is None:  # a product of nonzero residues is nonzero
+                rem[e] = (nc * cb) % p
+                new_keys.append(e)
             else:
                 v = (v + nc * cb) % p
                 if v:
@@ -233,7 +168,7 @@ def sub_scaled_terms(rem, exps, coeff, b, p=0):
                     del rem[e]
     else:
         for eb, cb in b.items():
-            e = tuple(map(int.__add__, exps, eb))
+            e = key + eb
             v = get(e)
             if v is None:
                 rem[e] = -coeff * cb
@@ -247,39 +182,25 @@ def sub_scaled_terms(rem, exps, coeff, b, p=0):
     return new_keys
 
 
-def det_laplace_terms(rows, nvars, p=0):
-    """Determinant of a square grid of tuple-keyed term dicts."""
-    return _laplace(rows, (0,) * nvars, _fma, p)
+def det_laplace_terms(rows, p=0):
+    """Determinant of a square grid of term dicts."""
+    return _laplace(rows, p)
 
 
-def _max_exp(terms, width):
-    """The largest exponent in a term dict; 0 with no terms or variables."""
-    return max(map(max, terms), default=0) if width else 0
+# The callers route large products and determinants to these two names and
+# small ones to mul_terms and det_laplace_terms.  The bodies are the same;
+# the names remain only as traced span names of the large route.
 
-
-def packed_mul_terms(a, b, width, p=0):
-    """mul_terms, computed through the packed representation when every
-    exponent of the product fits in a byte."""
+def packed_mul_terms(a, b, p=0):
+    """mul_terms, under the span name of large products."""
     out = {}
-    if _max_exp(a, width) + _max_exp(b, width) > 255:
-        _fma(out, a, b, False, p)
-        return out
-    _packed_fma(out, _pack(a), _pack(b), False, p)
-    return _unpack(out, width)
+    _fma(out, a, b, False, p)
+    return out
 
 
-def packed_det_laplace(rows, width, p=0):
-    """det_laplace_terms, computed through the packed representation when
-    every exponent of the determinant fits in a byte.
-
-    An exponent of a term of the determinant is at most the sum over the
-    rows of the largest exponent in each row.
-    """
-    if sum(max((_max_exp(e, width) for e in row), default=0)
-           for row in rows) > 255:
-        return _laplace(rows, (0,) * width, _fma, p)
-    packed = [[_pack(e) for e in row] for row in rows]
-    return _unpack(_laplace(packed, 0, _packed_fma, p), width)
+def packed_det_laplace(rows, p=0):
+    """det_laplace_terms, under the span name of large determinants."""
+    return _laplace(rows, p)
 
 
 # perfbench/layers.py wraps every kernel by name, these old mod-p names too.

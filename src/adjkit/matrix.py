@@ -12,8 +12,8 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from . import kernels
-from .domains import PolynomialDomain, PrimeFieldDomain, RationalDomain
-from .polyring import PolyRing, Polynomial
+from .domains import PolynomialDomain, RationalDomain
+from .polyring import PolyRing, Polynomial, aligned
 
 
 def index_subsets(n: int, m: int) -> list[tuple[int, ...]]:
@@ -67,6 +67,16 @@ def _row_reduce(work: list[list], ncols: int, dom,
                              for a, b in zip(row[col:], prow)]
         pivots.append(col)
     return pivots, det
+
+
+def _t_ring(dom) -> PolyRing:
+    """The univariate ring in t over the numeric domain dom."""
+    return PolyRing(("t",), p=getattr(dom, "p", None),
+                    rational=isinstance(dom, RationalDomain))
+
+
+def _max_degree(polys) -> int:
+    return max((f.total_degree() for f in polys), default=0)
 
 
 class Matrix:
@@ -150,21 +160,18 @@ class Matrix:
             raise ValueError(f"domain mismatch: {a.name} rings over "
                              "different variables")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
         self._check_domain(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        add = self.domain.add
         return Matrix(self.domain, self.rows, self.cols,
-                      [add(a, b) for a, b in zip(self.entries, other.entries)])
+                      list(map(op, self.entries, other.entries)))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(self.domain.add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_domain(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        sub = self.domain.sub
-        return Matrix(self.domain, self.rows, self.cols,
-                      [sub(a, b) for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(self.domain.sub, other)
 
     def __neg__(self) -> "Matrix":
         neg = self.domain.neg
@@ -200,16 +207,19 @@ class Matrix:
         ring = self.domain.ring
         p = ring.p or 0
         n, k, m = self.rows, self.cols, other.cols
+        degree = _max_degree(self.entries) + _max_degree(other.entries)
+        width, terms = aligned(self.entries + other.entries, degree)
+        a_terms, b_terms = terms[:n * k], terms[n * k:]
         out = []
         for i in range(n):
-            arow = self.entries[i * k:(i + 1) * k]
+            arow = a_terms[i * k:(i + 1) * k]
             for j in range(m):
                 acc: dict = {}
                 for l in range(k):
-                    a, b = arow[l].terms, other.entries[l * m + j].terms
+                    a, b = arow[l], b_terms[l * m + j]
                     if a and b:
                         kernels.fma_terms(acc, a, b, False, p)
-                out.append(Polynomial(ring, acc))
+                out.append(Polynomial(ring, acc, width))
         return Matrix(self.domain, n, m, out)
 
     def transpose(self) -> "Matrix":
@@ -264,16 +274,22 @@ class Matrix:
 
     def _det_laplace_poly(self):
         ring = self.domain.ring
-        rows_terms = [[e.terms for e in row] for row in self.to_rows()]
-        # the packed engine pays off once the term volume is nontrivial;
-        # tiny determinants are faster on the tuple kernels
-        volume = sum(len(t) for row in rows_terms for t in row)
+        rows = self.to_rows()
+        # every term of the determinant has at most the sum of the row
+        # maxima as its degree
+        degree = sum(map(_max_degree, rows))
+        width, terms = aligned(self.entries, degree)
+        n = self.rows
+        rows_terms = [terms[i * n:(i + 1) * n] for i in range(n)]
+        # one engine under two names: the large route remains only as the
+        # traced span name kernels.packed_det, until the benchmark merges them
+        volume = sum(map(len, terms))
         p = ring.p or 0
-        if volume >= 128 or self.rows >= 7:
-            terms = kernels.packed_det_laplace(rows_terms, ring.nvars, p)
+        if volume >= 128 or n >= 7:
+            terms = kernels.packed_det_laplace(rows_terms, p)
         else:
-            terms = kernels.det_laplace_terms(rows_terms, ring.nvars, p)
-        return Polynomial(ring, terms)
+            terms = kernels.det_laplace_terms(rows_terms, p)
+        return Polynomial(ring, terms, width)
 
     def det_equals(self, expected: Polynomial) -> bool:
         """Exact test det(self) == expected for polynomial matrices."""
@@ -409,14 +425,17 @@ class Matrix:
                 out[i * n + j] = dom.neg(c) if (i + j) % 2 else c
         return Matrix(dom, n, n, out)
 
-    def compound(self, m: int) -> "Matrix":
-        """The matrix of all m-by-m minors, subsets ordered lexicographically."""
+    def _order_subsets(self, m: int) -> list[tuple[int, ...]]:
+        """The m-subsets of the rows of a square matrix, for compounds."""
         if not self.is_square:
             raise ValueError("compound of a non-square matrix")
-        n = self.rows
-        if not 1 <= m <= n:
-            raise ValueError(f"compound order {m} out of range 1..{n}")
-        subs = index_subsets(n, m)
+        if not 1 <= m <= self.rows:
+            raise ValueError(f"compound order {m} out of range 1..{self.rows}")
+        return index_subsets(self.rows, m)
+
+    def compound(self, m: int) -> "Matrix":
+        """The matrix of all m-by-m minors, subsets ordered lexicographically."""
+        subs = self._order_subsets(m)
         out = []
         for S in subs:
             for T in subs:
@@ -429,13 +448,8 @@ class Matrix:
         Signs use 1-based index sums; with this convention
         compound(A, m) * complementary_compound(A, m)^T = det(A) * I.
         """
-        if not self.is_square:
-            raise ValueError("compound of a non-square matrix")
-        n = self.rows
-        if not 1 <= m <= n:
-            raise ValueError(f"compound order {m} out of range 1..{n}")
-        subs = index_subsets(n, m)
-        full = set(range(n))
+        subs = self._order_subsets(m)
+        full = set(range(self.rows))
         dom = self.domain
         out = []
         for S in subs:
@@ -470,12 +484,7 @@ class Matrix:
         dom = self.domain
         if isinstance(dom, PolynomialDomain):
             raise TypeError("char_poly_shifted expects a numeric matrix")
-        if isinstance(dom, PrimeFieldDomain):
-            tring = PolyRing(("t",), p=dom.p)
-        elif isinstance(dom, RationalDomain):
-            tring = PolyRing(("t",), rational=True)
-        else:
-            tring = PolyRing(("t",))
+        tring = _t_ring(dom)
         pd = PolynomialDomain(tring)
         t = tring.var("t")
         n = self.rows

@@ -6,11 +6,19 @@ variable names; the standard ring for an n-by-n generic matrix has the
 n^2 + 1 variables ``x_1_1 ... x_n_n, t`` in row-major order with ``t``
 last.
 
-Monomials are exponent tuples aligned with the ring's variable order.  The
-canonical term order is graded: higher total degree first, ties broken by
-comparing exponents from the last variable (the largest, ``t``) downward,
-larger exponent winning.  Under this order the determinant of the generic
-2x2 matrix prints as ``x_1_1*x_2_2 - x_1_2*x_2_1``.
+The canonical term order is graded: higher total degree first, ties broken
+by comparing exponents from the last variable (the largest, ``t``)
+downward, larger exponent winning.  Under this order the determinant of the
+generic 2x2 matrix prints as ``x_1_1*x_2_2 - x_1_2*x_2_1``.
+
+Term dicts are keyed by one packed int per monomial, laid out here alone:
+the total degree in the top field, then the variables from ``t`` down to
+the first, each field ``width`` data bits under a guard bit.  So integer
+order is the term order, a monomial product is a key sum, and divisibility
+is one guard-bit test.  Each polynomial records its width (8 to begin
+with); operations align operands to the wider one and double it when a
+degree could overflow, so exponents have no limit.  Exponent tuples appear
+only at the edges (parsing, ``from_terms``, ``str``, the ``terms`` view).
 
 Polynomials are immutable once constructed and safe to share; every
 operation returns a fresh canonical value (no stored zero coefficients,
@@ -19,20 +27,25 @@ equality is term-map equality).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import re
+from collections.abc import ItemsView, Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations_with_replacement
 
 from . import kernels
 
 # Hard cap on the symbolic matrix dimension; override via allow_large flags.
 SYMBOLIC_CAP = 6
 
-# Minimum |a|*|b| term-pair count before a product is routed through the
-# packed (one-int-per-monomial) representation.
+# Minimum |a|*|b| term-pair count before a product takes the span name
+# kernels.packed_mul_terms (mul_terms' body), kept while the benchmark names it.
 _PACKED_MIN_PAIRS = 1 << 13
+
+# Data bits per key field of a new polynomial.
+_WIDTH = 8
 
 
 def order_key(exps: Sequence[int]):
@@ -40,9 +53,40 @@ def order_key(exps: Sequence[int]):
     return (sum(exps), exps[::-1])
 
 
-def _heap_key(exps: Sequence[int]):
-    """Negated order key, so heapq's min-heap pops the largest monomial."""
-    return (-sum(exps), tuple(-v for v in exps[::-1]))
+@functools.cache  # one instance per (nvars, width): a handful per process
+class _Layout:
+    """Keys of monomials in ``nvars`` variables at one width: variable i at
+    bit ``shifts[i]``, the degree at ``top``, guard bits clear."""
+
+    __slots__ = ("mask", "shifts", "top", "guards")
+
+    def __init__(self, nvars: int, width: int):
+        field = width + 1
+        self.mask = (1 << width) - 1
+        self.shifts = tuple(range(0, nvars * field, field))
+        self.top = nvars * field
+        self.guards = sum(1 << (s + width)
+                          for s in range(0, self.top + 1, field))
+
+    def pack(self, exps) -> int:
+        return sum(map(int.__lshift__, exps, self.shifts)) | sum(exps) << self.top
+
+    def unpack(self, key: int) -> tuple:
+        return tuple(map(self.mask.__and__, map(key.__rshift__, self.shifts)))
+
+
+def _width_for(degree: int, width: int = _WIDTH) -> int:
+    """width, doubled until a field holds the total degree."""
+    while degree >> width:
+        width *= 2
+    return width
+
+
+def aligned(polys: Sequence["Polynomial"], degree: int = 0):
+    """(width, packed term dicts of polys) at one width: the widest of
+    theirs, doubled until a field holds the total degree ``degree``."""
+    width = _width_for(degree, max((f.width for f in polys), default=_WIDTH))
+    return width, [f._at(width) for f in polys]
 
 
 def _is_prime(p: int) -> bool:
@@ -93,8 +137,7 @@ class PolyRing:
         self.nvars = len(names)
         self.t_index = self.index.get("t")
         self._zero = Polynomial(self, {})
-        one = Fraction(1) if rational else 1
-        self._one = Polynomial(self, {(0,) * self.nvars: one})
+        self._one = Polynomial(self, {0: Fraction(1) if rational else 1})
 
     @classmethod
     def generic(cls, n: int, p: int | None = None, rational: bool = False,
@@ -136,33 +179,48 @@ class PolyRing:
         c = self.coeff(c)
         if not c:
             return self._zero
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {0: c})
 
     def var(self, name: str) -> "Polynomial":
         i = self.index.get(name)
         if i is None:
             raise KeyError(f"unknown variable {name!r}")
-        e = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {e: self.coeff(1)})
+        return self.from_terms({tuple(int(j == i) for j in range(self.nvars)): 1})
+
+    def monomials(self, degree: int, count: int) -> list["Polynomial"]:
+        """The monic monomials of total degree ``degree`` in the first
+        ``count`` variables, in combinations-with-replacement order."""
+        return [self.from_terms({tuple(map(combo.count, range(self.nvars))): 1})
+                for combo in combinations_with_replacement(range(count), degree)]
+
+    def unpacker(self, width: int):
+        """The map from a key at ``width`` to its exponent tuple."""
+        return _Layout(self.nvars, width).unpack
 
     def from_terms(self, terms: Mapping[Sequence[int], object]) -> "Polynomial":
-        clean = {}
-        for e, c in terms.items():
+        return self._from_pairs(terms.items())
+
+    def _from_pairs(self, pairs) -> "Polynomial":
+        """Sum of (exponent vector, coefficient) pairs."""
+        clean = []
+        for e, c in pairs:
             e = tuple(e)
             if len(e) != self.nvars or any(v < 0 for v in e):
                 raise ValueError(f"bad exponent vector {e}")
             c = self.coeff(c)
             if c:
-                prev = clean.get(e)
-                if prev is not None:
-                    c = prev + c
-                    if self.p is not None:
-                        c %= self.p
-                    if not c:
-                        del clean[e]
-                        continue
-                clean[e] = c
-        return Polynomial(self, clean)
+                clean.append((e, c))
+        width = _width_for(max((sum(e) for e, _ in clean), default=0))
+        pack = _Layout(self.nvars, width).pack
+        out = {}
+        for e, c in clean:
+            k = pack(e)
+            c = out.pop(k, 0) + c
+            if self.p is not None:
+                c %= self.p
+            if c:
+                out[k] = c
+        return Polynomial(self, out, width)
 
     def compatible(self, other: "PolyRing") -> bool:
         return (self.names == other.names and self.p == other.p
@@ -173,8 +231,11 @@ class PolyRing:
         if poly.ring.names != self.names:
             raise ValueError("variable tables differ")
         if poly.ring.compatible(self):
-            return poly if poly.ring is self else Polynomial(self, dict(poly.terms))
-        return self.from_terms(poly.terms)
+            return poly if poly.ring is self else Polynomial(self, poly.packed,
+                                                             poly.width)
+        coeff = self.coeff
+        return Polynomial(self, {k: c for k, v in poly.packed.items()
+                                 if (c := coeff(v))}, poly.width)
 
     # -- parsing -------------------------------------------------------------
 
@@ -189,7 +250,7 @@ class PolyRing:
         if compact in ("0", "+0", "-0"):
             return self._zero
         pos = 0
-        terms: dict = {}
+        pairs = []
         for m in self._term_re.finditer(compact):
             if m.start() != pos:
                 raise ValueError(f"cannot parse {s!r} near offset {m.start()}")
@@ -222,21 +283,10 @@ class PolyRing:
                 if i is None:
                     raise ValueError(f"unknown variable {name!r} in {s!r}")
                 exps[i] += 1 if exp is None else int(exp)
-            c = self.coeff(coeff)
-            if c:
-                e = tuple(exps)
-                prev = terms.get(e)
-                if prev is not None:
-                    c = prev + c
-                    if self.p is not None:
-                        c %= self.p
-                    if not c:
-                        del terms[e]
-                        continue
-                terms[e] = c
+            pairs.append((exps, self.coeff(coeff)))
         if pos != len(compact):
             raise ValueError(f"cannot parse {s!r} near offset {pos}")
-        return Polynomial(self, terms)
+        return self._from_pairs(pairs)
 
     def __repr__(self):
         mode = f"GF({self.p})" if self.p is not None else ("QQ" if self.rational else "ZZ")
@@ -244,25 +294,51 @@ class PolyRing:
 
 
 class Polynomial:
-    """Canonical sparse polynomial over a :class:`PolyRing`."""
+    """Canonical sparse polynomial over a :class:`PolyRing`: ``packed`` maps
+    keys at field width ``width`` to nonzero coefficients."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "packed", "width")
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    def __init__(self, ring: PolyRing, packed: dict, width: int = _WIDTH):
         self.ring = ring
-        self.terms = terms
+        self.packed = packed
+        self.width = width
+
+    @property
+    def terms(self) -> "TermsView":
+        """Read-only {exponent tuple: coefficient} view of the terms."""
+        return TermsView(self)
+
+    @property
+    def _layout(self) -> _Layout:
+        return _Layout(self.ring.nvars, self.width)
+
+    def _at(self, width: int) -> dict:
+        """The term dict at a width no narrower than self.width."""
+        if width == self.width:
+            return self.packed
+        src, dst = self._layout, _Layout(self.ring.nvars, width)
+        return {dst.pack(src.unpack(k)): c for k, c in self.packed.items()}
+
+    def _with(self, other: "Polynomial", degree: int = 0):
+        """(width, self's term dict, other's) at one width holding ``degree``."""
+        width = _width_for(degree, max(self.width, other.width))
+        return width, self._at(width), other._at(width)
 
     # -- basics ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.ring.compatible(other.ring) and self.terms == other.terms
+            if not self.ring.compatible(other.ring):
+                return False
+            _, a, b = self._with(other)
+            return a == b
         if isinstance(other, (int, Fraction)):
             return self == self.ring.const(other)
         return NotImplemented
@@ -270,7 +346,7 @@ class Polynomial:
     __hash__ = None  # term maps are mutable dicts
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.packed)
 
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
@@ -287,14 +363,15 @@ class Polynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        terms = kernels.add_terms(self.terms, q.terms, self.ring.p or 0)
-        return Polynomial(self.ring, terms)
+        width, a, b = self._with(q)
+        terms = kernels.add_terms(a, b, self.ring.p or 0)
+        return Polynomial(self.ring, terms, width)
 
     __radd__ = __add__
 
     def __neg__(self):
-        terms = kernels.neg_terms(self.terms, self.ring.p or 0)
-        return Polynomial(self.ring, terms)
+        terms = kernels.neg_terms(self.packed, self.ring.p or 0)
+        return Polynomial(self.ring, terms, self.width)
 
     def __sub__(self, other):
         q = self._coerce(other)
@@ -310,31 +387,28 @@ class Polynomial:
         if q is None:
             return NotImplemented
         ring = self.ring
-        a, b = self.terms, q.terms
+        a, b = self.packed, q.packed
         if not a or not b:
             return ring.zero
-        # scalar shortcut
-        if len(b) == 1:
-            (e1, c1), = b.items()
-            if not any(e1):
-                return self._scaled(c1)
-        if len(a) == 1:
-            (e1, c1), = a.items()
-            if not any(e1):
-                return q._scaled(c1)
+        # scalar shortcut: key 0 is the monomial 1
+        if len(b) == 1 and 0 in b:
+            return self._scaled(b[0])
+        if len(a) == 1 and 0 in a:
+            return q._scaled(a[0])
+        width, a, b = self._with(q, self.total_degree() + q.total_degree())
         p = ring.p or 0
         if len(a) * len(b) >= _PACKED_MIN_PAIRS:
-            terms = kernels.packed_mul_terms(a, b, ring.nvars, p)
+            terms = kernels.packed_mul_terms(a, b, p)
         else:
             terms = kernels.mul_terms(a, b, p)
-        return Polynomial(ring, terms)
+        return Polynomial(ring, terms, width)
 
     __rmul__ = __mul__
 
     def _scaled(self, c) -> "Polynomial":
         """self * c for a nonzero normalized scalar c."""
-        terms = kernels.scale_terms(self.terms, c, self.ring.p or 0)
-        return Polynomial(self.ring, terms)
+        terms = kernels.scale_terms(self.packed, c, self.ring.p or 0)
+        return Polynomial(self.ring, terms, self.width)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -351,51 +425,44 @@ class Polynomial:
     # -- queries -------------------------------------------------------------
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        # the largest key has the largest degree, in its top field
+        return max(self.packed, default=0) >> self._layout.top
 
     def degree_in(self, names: Iterable[str]) -> int:
         idx = [self.ring.index[s] for s in names]
         return max((sum(e[i] for i in idx) for e in self.terms), default=0)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = {sum(e) for e in self.terms}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
+        top = self._layout.top
+        degs = {k >> top for k in self.packed}
+        return len(degs) <= 1 and (degree is None or degs <= {degree})
 
     def t_valuation(self):
         """Least power of t; math.inf for the zero polynomial."""
         ti = self.ring.t_index
         if ti is None:
             raise ValueError("ring has no variable t")
-        if not self.terms:
-            return math.inf
-        val = None
         for e in self.terms:
             for i, v in enumerate(e):
                 if v and i != ti:
                     raise ValueError(
                         f"t-valuation undefined: {self.ring.names[i]} occurs")
-            if val is None or e[ti] < val:
-                val = e[ti]
-        return val
+        return min((e[ti] for e in self.terms), default=math.inf)
 
     def leading(self):
         """(exponent tuple, coefficient) of the largest term."""
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=order_key)
-        return e, self.terms[e]
+        k = max(self.packed)
+        return self._layout.unpack(k), self.packed[k]
 
     def constant_term(self):
-        return self.terms.get((0,) * self.ring.nvars, 0)
+        return self.packed.get(0, 0)
 
     def sorted_terms(self):
-        """Terms in descending canonical order."""
-        return [(e, self.terms[e]) for e in
-                sorted(self.terms, key=order_key, reverse=True)]
+        """(exponent tuple, coefficient) pairs in descending canonical order."""
+        unpack, packed = self._layout.unpack, self.packed
+        return [(unpack(k), packed[k]) for k in sorted(packed, reverse=True)]
 
     # -- exact division --------------------------------------------------
 
@@ -405,7 +472,8 @@ class Polynomial:
         Division by the zero polynomial raises; an indivisible input is a
         regular None result, not an error.  Single-divisor long division by
         the leading term: sound and complete for deciding exact divisibility
-        over ZZ, QQ and GF(p).
+        over ZZ, QQ and GF(p).  Every key it forms has a total degree at
+        most deg(self), so the wider of the two widths holds them all.
         """
         q = self._coerce(divisor)
         if q is None:
@@ -416,20 +484,24 @@ class Polynomial:
         if self.is_zero():
             return ring.zero
         p = ring.p
-        lt_e, lt_c = q.leading()
+        width, rem, dterms = self._with(q)
+        guards = _Layout(ring.nvars, width).guards
+        lt = max(dterms)
+        lt_c = dterms[lt]
         if p is not None:
             lt_inv = pow(lt_c, p - 2, p)
-        rem = dict(self.terms)
-        heap = [(_heap_key(e), e) for e in rem]
+        rem = dict(rem)
+        # negated keys: heapq's min-heap pops the largest monomial first
+        heap = [-k for k in rem]
         heapq.heapify(heap)
         quot: dict = {}
         while heap:
-            _, e = heapq.heappop(heap)
+            e = -heapq.heappop(heap)
             c = rem.get(e)
             if c is None:
                 continue  # stale heap entry
-            diff = tuple(map(int.__sub__, e, lt_e))
-            if any(v < 0 for v in diff):
+            # lt divides e when no field of e - lt borrows through its guard
+            if ((e | guards) - lt) & guards != guards:
                 return None
             if p is not None:
                 qc = c * lt_inv % p
@@ -439,11 +511,12 @@ class Polynomial:
                 return None
             else:
                 qc = c // lt_c
-            new = kernels.sub_scaled_terms(rem, diff, qc, q.terms, p or 0)
+            diff = e - lt
+            new = kernels.sub_scaled_terms(rem, diff, qc, dterms, p or 0)
             quot[diff] = qc
             for k in new:
-                heapq.heappush(heap, (_heap_key(k), k))
-        return Polynomial(ring, quot)
+                heapq.heappush(heap, -k)
+        return Polynomial(ring, quot, width)
 
     def exact_div_or_raise(self, divisor: "Polynomial") -> "Polynomial":
         out = self.exact_div(divisor)
@@ -462,7 +535,7 @@ class Polynomial:
             if i is None:
                 raise KeyError(f"unknown variable {name!r}")
             values[i] = v % ring.p if ring.p is not None else v
-        if not self.terms:
+        if not self.packed:
             return Fraction(0) if ring.rational else 0
         total = 0
         for e, c in self.terms.items():
@@ -498,38 +571,21 @@ class Polynomial:
     # -- formatting --------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         parts = []
         names = self.ring.names
         for e, c in self.sorted_terms():
-            if isinstance(c, Fraction):
-                negative = c < 0
-                mag = -c if negative else c
-                coeff_s = str(mag.numerator) if mag.denominator == 1 \
-                    else f"{mag.numerator}/{mag.denominator}"
-                is_one = mag == 1
-            else:
-                negative = c < 0
-                mag = -c if negative else c
-                coeff_s = str(mag)
-                is_one = mag == 1
-            factors = []
-            for i, exp in enumerate(e):
-                if exp == 1:
-                    factors.append(names[i])
-                elif exp > 1:
-                    factors.append(f"{names[i]}^{exp}")
-            if not factors:
-                body = coeff_s
-            elif is_one:
-                body = "*".join(factors)
-            else:
-                body = coeff_s + "*" + "*".join(factors)
-            if not parts:
-                parts.append(("-" if negative else "") + body)
-            else:
-                parts.append((" - " if negative else " + ") + body)
+            negative = c < 0
+            mag = -c if negative else c
+            factors = [names[i] if exp == 1 else f"{names[i]}^{exp}"
+                       for i, exp in enumerate(e) if exp]
+            if mag != 1 or not factors:
+                factors.insert(0, str(mag))  # a Fraction prints as n or n/d
+            sign = "-" if negative else ""
+            if parts:
+                sign = " - " if negative else " + "
+            parts.append(sign + "*".join(factors))
         return "".join(parts)
 
     def __repr__(self):
@@ -539,3 +595,39 @@ class Polynomial:
 class ExactDivisionError(ArithmeticError):
     """An exact division that a verified identity guarantees has failed."""
 
+
+class TermsView(Mapping):
+    """Read-only {exponent tuple: coefficient} view of a polynomial: O(1)
+    length, keys unpacked one at a time as it iterates, never a copy."""
+
+    __slots__ = ("_terms", "_layout")
+
+    def __init__(self, poly: Polynomial):
+        self._terms = poly.packed
+        self._layout = poly._layout
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __iter__(self):
+        return map(self._layout.unpack, self._terms)
+
+    def __getitem__(self, exps):
+        key = self._layout.pack(exps)
+        if self._layout.unpack(key) != tuple(exps):
+            raise KeyError(exps)  # not an exponent vector of this ring
+        return self._terms[key]
+
+    def items(self):
+        return _TermItems(self)
+
+    def __repr__(self):
+        return f"TermsView({dict(self.items())!r})"
+
+
+class _TermItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        view = self._mapping
+        return zip(view, view._terms.values())

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .domains import GF, QQ, ZZ, PolynomialDomain, PrimeFieldDomain, RationalDomain
 from .factor import FactorizationCertificate, GenericContext
-from .matrix import Matrix, _row_reduce
-from .polyring import PolyRing, Polynomial
+from .matrix import Matrix, _row_reduce, _t_ring
+from .polyring import Polynomial
 
 
 class MultiplicityError(ValueError):
@@ -63,15 +63,11 @@ class SpecPoint:
 
 
 def _check_t_free(m: Matrix):
-    ring = m.domain.ring
-    ti = ring.t_index
-    if ti is None:
+    if m.domain.ring.t_index is None:
         return
-    for e in m.entries:
-        for exps in e.terms:
-            if exps[ti]:
-                raise ValueError("matrix involves the variable t; "
-                                 "specialization is defined on x variables only")
+    if any(e.degree_in(("t",)) for e in m.entries):
+        raise ValueError("matrix involves the variable t; "
+                         "specialization is defined on x variables only")
 
 
 def _scalar_into(dom):
@@ -107,14 +103,7 @@ def psi_apply(m: Matrix, pt: SpecPoint) -> Matrix:
     if not isinstance(m.domain, PolynomialDomain):
         raise TypeError("psi_apply expects a polynomial matrix")
     _check_t_free(m)
-    ring = m.domain.ring
-    dom = pt.matrix.domain
-    if isinstance(dom, PrimeFieldDomain):
-        tring = PolyRing(("t",), p=dom.p)
-    elif isinstance(dom, RationalDomain):
-        tring = PolyRing(("t",), rational=True)
-    else:
-        tring = PolyRing(("t",))
+    tring = _t_ring(pt.matrix.domain)
     t = tring.var("t")
     n = pt.n
     mapping = {}

@@ -1,11 +1,14 @@
 """End-to-end CLI contract: outputs, determinism, exit codes 0/1/2."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
 from adjkit import cli
 from adjkit.cli import main
+from adjkit.factor import random_unimodular
 
 
 def run(capsys, *argv):
@@ -341,9 +344,63 @@ def test_arguments_are_checked_before_the_context(capsys, monkeypatch):
         assert out == "" and "error:" in err
 
 
+def test_bound_below_one_is_a_usage_error(capsys, monkeypatch):
+    def no_context(*args, **kwargs):
+        raise AssertionError("built the generic context before the checks")
+
+    monkeypatch.setattr(cli, "GenericContext", no_context)
+    for argv in (("factor", "--n", "4", "--A", "random", "--seed", "1",
+                  "--bound", "0"),
+                 ("refine", "--n", "4", "--A", "random", "--seed", "1",
+                  "--bound", "-1"),
+                 ("refine", "--n", "4", "--Aprime", "random", "--seed", "1",
+                  "--bound", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "error: bound must be at least 1" in err
+
+
+def test_random_unimodular_rejects_bound_below_one():
+    for n in (1, 4):
+        with pytest.raises(ValueError, match="bound"):
+            random_unimodular(n, random.Random(1), bound=0)
+
+
 # ---------------------------------------------------------------------------
 # global determinism
 # ---------------------------------------------------------------------------
+
+# sha256 of stdout and the exit code of each command, recorded before the
+# term dicts were keyed by packed ints: the output must stay byte-identical
+GOLDEN = (
+    (("gen", "--n", "3"),
+     0, "ccf16ad608a3294a941edc6e1d75426f098cc2319cc9cd242c5438ca9749197c"),
+    (("gen", "--n", "3", "--format", "json"),
+     0, "47d82da0a28f72ae7ae5c24d7097e537c36299b9ee7e942b172e389882de7f07"),
+    (("verify", "--n", "3", "--format", "json"),
+     0, "7099ea1297c49437c450b5704edde7a3178f08373d1bb61ce2b2c04499a01cfe"),
+    (("factor", "--n", "4", "--side", "right"),
+     0, "e10df87d0d66f286f2b461457c7a604d2313d08dffd7f2c4eed29450a8aaf0db"),
+    (("factor", "--n", "4", "--side", "left"),
+     0, "4dd31108fdebc12296a72ffd8ce8d018f9edbf5c3cd59dec09e086f6aaae75da"),
+    (("factor", "--n", "4", "--side", "right", "--A", "random", "--seed", "7"),
+     0, "4e40b93e3f65721167ec011c66e73865b635b7453b3ff94935275dd09053cf9e"),
+    (("factor", "--n", "4", "--side", "left", "--A", "random", "--seed", "7"),
+     0, "a6df1c6f425ddaabf84f71d1b11574bf595430ae2a4f4d40a87c3093b9217562"),
+    (("refine", "--n", "4", "--format", "json"),
+     0, "d2efd750d5d4bfb2241f9002ebdbf7316624af6d6e9c9ce667cb86def4cc142f"),
+    (("compound", "--n", "4", "--m", "2", "--format", "json"),
+     0, "e5242727605770d1d36f6b03cff012d59f646d55b8eff703959156704ca02e0b"),
+)
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=["-".join(g[0]) for g in GOLDEN])
+def test_golden_output(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 def test_verify_json_deterministic(capsys):
     args = ("verify", "--n", "4", "--prime", "101", "--trials", "5",
