@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .domains import ZZ, PolynomialDomain
 from .matrix import Matrix, lift_int_matrix
@@ -403,75 +404,57 @@ class RefinementWitness:
         )
 
 
-def _sparse_solve(columns: list[dict], target: dict, ncols: int):
-    """Exact sparse Gauss-Jordan elimination over the rationals.
+def _sparse_solve(equations: list, ncols: int):
+    """Exact sparse elimination over the rationals.
 
-    columns[j] maps row-key -> coefficient of unknown j; target maps
-    row-key -> right-hand side.  Returns (solution list, free-variable
-    count) or None when inconsistent.  Incoming equations are reduced
-    against a fully inter-reduced pivot basis in sorted row-key order, so
-    the result is deterministic; free unknowns are fixed to zero.
+    equations is a list of (row, rhs) pairs, a row mapping unknown index ->
+    coefficient.  Returns (solution list, free-unknown count), or None when
+    the system is inconsistent.  The equations are reduced sparsest first
+    into an echelon basis whose pivot is the lowest unknown of each row;
+    fill-in that lands on a pivot column waits on a heap.  Back-substitution
+    sets every free unknown to zero, which gives the particular solution of
+    the reduced row echelon form, whatever the equation order.  Integral
+    values are kept as ints, which multiply far faster than Fractions.
     """
-    rows: dict = {}
-    for j, col in enumerate(columns):
-        for key, c in col.items():
-            if c:
-                rows.setdefault(key, {})[j] = Fraction(c)
-    for key, c in target.items():
-        if c:
-            rows.setdefault(key, {})
-    pivots: dict = {}   # col -> (row dict, rhs); rows normalized, inter-reduced
-    for key in sorted(rows):
-        row = dict(rows[key])
-        r = Fraction(target.get(key, 0))
-        # reduce against the pivot basis; repeat while fill-in re-introduces
-        # pivot columns
-        while True:
-            hit = [c for c in row if c in pivots]
-            if not hit:
-                break
-            for c in sorted(hit):
-                factor = row.pop(c, None)
-                if not factor:
+    basis: dict = {}   # pivot -> (row without the pivot, rhs), pivot coeff 1
+    for row, rhs in sorted(equations, key=lambda eq: len(eq[0])):
+        row = {j: v for j, v in row.items() if v}
+        heap = [c for c in row if c in basis]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            f = row.pop(c, 0)
+            if not f:
+                continue
+            prow, prhs = basis[c]
+            for j, v in prow.items():
+                nv = row.get(j, 0) - f * v
+                if not nv:
+                    del row[j]
                     continue
-                prow, prhs = pivots[c]
-                for jj, v in prow.items():
-                    if jj == c:
-                        continue
-                    nv = row.get(jj, 0) - factor * v
-                    if nv:
-                        row[jj] = nv
-                    else:
-                        row.pop(jj, None)
-                r -= factor * prhs
+                if j not in row and j in basis:
+                    heappush(heap, j)
+                row[j] = nv
+            rhs -= f * prhs
         if not row:
-            if r:
+            if rhs:
                 return None
             continue
-        c = min(row)
-        inv = 1 / row[c]
-        new_row = {jj: v * inv for jj, v in row.items()}
-        new_rhs = r * inv
-        # keep the basis inter-reduced
-        for pc, (prow, prhs) in list(pivots.items()):
-            factor = prow.get(c)
-            if factor:
-                for jj, v in new_row.items():
-                    if jj == c:
-                        continue
-                    nv = prow.get(jj, 0) - factor * v
-                    if nv:
-                        prow[jj] = nv
-                    else:
-                        prow.pop(jj, None)
-                prow.pop(c, None)
-                pivots[pc] = (prow, prhs - factor * new_rhs)
-        pivots[c] = (new_row, new_rhs)
+        p = min(row)
+        inv = Fraction(1, row.pop(p))
+        basis[p] = ({j: _integral(v * inv) for j, v in row.items()},
+                    _integral(rhs * inv))
     solution = [Fraction(0)] * ncols
-    for c, (_, prhs) in pivots.items():
-        solution[c] = prhs
-    free = ncols - len(pivots)
-    return solution, free
+    for p in sorted(basis, reverse=True):
+        prow, prhs = basis[p]
+        solution[p] = Fraction(prhs - sum(v * solution[j]
+                                          for j, v in prow.items()))
+    return solution, ncols - len(basis)
+
+
+def _integral(q: Fraction):
+    """q, as an int when its denominator is 1."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def solve_common_refinement(ctx: GenericContext, alt: AlternatingMatrix,
@@ -505,44 +488,43 @@ def solve_common_refinement(ctx: GenericContext, alt: AlternatingMatrix,
     nr = len(r_monos)
     nw = len(w_monos)
     ncols = nr + n * n * nw
-    uvs = [(u, v) for u in range(n) for v in range(n)]
     # (A X^T)[u,a] * (X^T A')[b,v], at index (a * n + b) * n * n + u * n + v
-    prods = [a_x_t[u, a] * x_t_a2[b, v]
-             for a in range(n) for b in range(n) for u, v in uvs]
-    # every column entry is a monomial x^mu times a term of the same total
-    # degree n - 1: at one key width, the key of their product is the sum
-    width, terms = aligned(r_monos + w_monos + base.entries + prods, n - 1)
+    prods = [a_x_t[u, a] * x_t_a2[b, v] for a in range(n) for b in range(n)
+             for u in range(n) for v in range(n)]
+    # every unknown's coefficient is a monomial x^mu times a term of the
+    # same total degree n - 1: at one key width, the key of their product
+    # is the sum
+    width, terms = aligned(r_monos + w_monos + base.entries + prods
+                           + ctx.adjX.entries, n - 1)
     mu_keys = [next(iter(t)) for t in terms[:nr + nw]]
     base_terms = terms[nr + nw:nr + nw + nx]
-    prod_terms = terms[nr + nw + nx:]
+    prod_terms = terms[nr + nw + nx:-nx]
 
-    columns: list[dict] = [dict() for _ in range(ncols)]
+    # one equation per (entry index u * n + v, key) of the matched products
+    rows: dict = {}
 
-    def fill(col, mk, entries):
-        # the keys (u, v, mu + k) of one column are all distinct
-        for uv, entry in zip(uvs, entries):
+    def fill(j, mk, entries):
+        # the keys mu + k of one unknown are distinct within an entry
+        for e, entry in enumerate(entries):
             for k, c in entry.items():
-                col[(*uv, mk + k)] = c
+                rows.setdefault((e, mk + k), {})[j] = c
 
-    # r columns: coefficient of monomial mu in r contributes
+    # r unknowns: coefficient of monomial mu in r contributes
     # x^mu * (A X^T A')[u,v]
     for mi, mk in enumerate(mu_keys[:nr]):
-        fill(columns[mi], mk, base_terms)
-    # W columns: coefficient of x^mu in W[a][b] contributes
+        fill(mi, mk, base_terms)
+    # W unknowns: coefficient of x^mu in W[a][b] contributes
     # x^mu * (A X^T)[u,a] * (X^T A')[b,v]
     for ab in range(nx):
         for mi, mk in enumerate(mu_keys[nr:]):
-            fill(columns[nr + ab * nw + mi], mk, prod_terms[ab * nx:(ab + 1) * nx])
+            fill(nr + ab * nw + mi, mk, prod_terms[ab * nx:(ab + 1) * nx])
+    target = {(e, k): c for e, entry in enumerate(terms[-nx:])
+              for k, c in entry.items()}
+    for key in target:
+        rows.setdefault(key, {})
 
-    # the solver eliminates its rows in the order of (u, v, exponent tuple)
-    unpack = ring.unpacker(width)
-    exps = {k: unpack(k) for k in {k for col in columns for _, _, k in col}}
-    columns = [{(u, v, exps[k]): c for (u, v, k), c in col.items()}
-               for col in columns]
-    target = {(*uv, e): c for uv, entry in zip(uvs, ctx.adjX.entries)
-              for e, c in entry.terms.items()}
-
-    solved = _sparse_solve(columns, target, ncols)
+    solved = _sparse_solve([(row, target.get(key, 0))
+                            for key, row in rows.items()], ncols)
     if solved is None:
         return None
     solution, free = solved

@@ -169,7 +169,8 @@ class PolyRing:
             return Fraction(c)
         if isinstance(c, Fraction):
             if c.denominator != 1:
-                raise ValueError(f"non-integral coefficient {c} in an integer ring")
+                field = "an integer" if self.p is None else f"a GF({self.p})"
+                raise ValueError(f"non-integral coefficient {c} in {field} ring")
             c = c.numerator
         if not isinstance(c, int):
             raise TypeError(f"bad coefficient {c!r}")
@@ -192,10 +193,6 @@ class PolyRing:
         ``count`` variables, in combinations-with-replacement order."""
         return [self.from_terms({tuple(map(combo.count, range(self.nvars))): 1})
                 for combo in combinations_with_replacement(range(count), degree)]
-
-    def unpacker(self, width: int):
-        """The map from a key at ``width`` to its exponent tuple."""
-        return _Layout(self.nvars, width).unpack
 
     def from_terms(self, terms: Mapping[Sequence[int], object]) -> "Polynomial":
         return self._from_pairs(terms.items())
@@ -340,6 +337,8 @@ class Polynomial:
             _, a, b = self._with(other)
             return a == b
         if isinstance(other, (int, Fraction)):
+            if other.denominator != 1 and not self.ring.rational:
+                return False    # integer and GF(p) rings hold no 1/2
             return self == self.ring.const(other)
         return NotImplemented
 

@@ -238,17 +238,14 @@ def _column_space_basis(m: Matrix) -> list[list]:
 
 
 def _in_span(vectors: list[list], target: list) -> bool:
-    """Is target an exact rational combination of the given vectors?"""
-    if not vectors:
-        return all(x == 0 for x in target)
-    n = len(target)
-    cols = len(vectors)
-    aug = Matrix.from_rows(
-        QQ, [[vectors[j][i] for j in range(cols)] + [target[i]]
-             for i in range(n)])
-    plain = Matrix.from_rows(QQ, [[vectors[j][i] for j in range(cols)]
-                                  for i in range(n)])
-    return aug.rank() == plain.rank()
+    """Is target an exact rational combination of the given vectors?
+
+    One reduction of [V | target]: target is in the column span of V
+    exactly when the last column gets no pivot.
+    """
+    work = [[v[i] for v in vectors] + [x] for i, x in enumerate(target)]
+    pivots, _ = _row_reduce(work, len(vectors) + 1, QQ)
+    return len(vectors) not in pivots
 
 
 def grassmann_map_sample(cert: FactorizationCertificate,

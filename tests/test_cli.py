@@ -204,6 +204,16 @@ def test_refine_n4(capsys):
     assert payload["solution_space_dim"] == 0
 
 
+def test_refine_no_solution(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_common_refinement", lambda *args: None)
+    code, out, _ = run(capsys, "refine", "--n", "2")
+    assert code == 1
+    assert out == "no solution: the coefficient-matching system is inconsistent\n"
+    code, out, _ = run(capsys, "refine", "--n", "2", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"n": 2, "result": "no_solution"}
+
+
 def test_refine_malformed_matrix(capsys, tmp_path):
     path = tmp_path / "nope.json"
     path.write_text("[1, 2, 3]")
@@ -389,6 +399,8 @@ GOLDEN = (
      0, "a6df1c6f425ddaabf84f71d1b11574bf595430ae2a4f4d40a87c3093b9217562"),
     (("refine", "--n", "4", "--format", "json"),
      0, "d2efd750d5d4bfb2241f9002ebdbf7316624af6d6e9c9ce667cb86def4cc142f"),
+    (("refine", "--n", "4", "--A", "random", "--seed", "7", "--format", "json"),
+     0, "3019c6764220d5fca112d69d1816182fcf6f8f30b376114cd886d83e72c5824f"),
     (("compound", "--n", "4", "--m", "2", "--format", "json"),
      0, "e5242727605770d1d36f6b03cff012d59f646d55b8eff703959156704ca02e0b"),
 )

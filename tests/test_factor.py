@@ -5,6 +5,7 @@ factorization, and the common-refinement solver."""
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,9 @@ from adjkit import (AlternatingMatrix, ExactDivisionError,
                     reverify_certificate, sandwich, solve_common_refinement,
                     standard_symplectic, theorem_main_guard,
                     verify_fundamental, zero_alternating)
-from adjkit.factor import FEASIBLE, INFEASIBLE_EXPONENT, INFEASIBLE_ODD
+from adjkit.factor import (FEASIBLE, INFEASIBLE_EXPONENT, INFEASIBLE_ODD,
+                           _sparse_solve)
+from adjkit.matrix import _row_reduce
 from adjkit.polyring import PolyRing
 
 
@@ -396,6 +399,96 @@ def test_refinement_witness_json_round_trip(ctx4):
     assert loaded.r == w.r
     assert loaded.W == w.W
     assert loaded.solution_space_dim == w.solution_space_dim
+
+
+# The sparse solver against the dense reduced echelon form of [M | b].
+
+def _random_system(rng, ncols, rank, kind):
+    """Sparse integer equations of rank ``rank`` in ``ncols`` unknowns.
+
+    Every equation is a small combination of ``rank`` echelon base rows, so
+    elimination meets fill-in, and b = M x for a random rational x.  The
+    ``kind`` "inconsistent" appends the sum of two equations with its
+    right-hand side off by one.
+    """
+    order = rng.sample(range(ncols), ncols)
+    base = []
+    for i in range(rank):
+        row = {order[i]: rng.choice([-3, -2, -1, 1, 2, 3])}
+        for c in rng.sample(order[i + 1:], min(2, ncols - i - 1)):
+            row[c] = rng.randint(-3, 3)
+        base.append(row)
+
+    def combine(pairs):
+        row = {}
+        for k, b in pairs:
+            for c, v in b.items():
+                row[c] = row.get(c, 0) + k * v
+        return {c: v for c, v in row.items() if v}
+
+    rows = [combine([(rng.choice([-2, -1, 1, 2]), b)]) for b in base]
+    for _ in range(2 * ncols):
+        picks = rng.sample(base, min(len(base), rng.randint(2, 3)))
+        rows.append(combine([(rng.randint(-2, 2) or 1, b) for b in picks]))
+    x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
+    equations = [(row, sum(v * x[c] for c, v in row.items())) for row in rows]
+    if kind == "inconsistent":
+        (r1, b1), (r2, b2) = rng.sample(equations, 2)
+        equations.append((combine([(1, r1), (1, r2)]), b1 + b2 + 1))
+    return equations
+
+
+def _dense_solve(equations, ncols):
+    """(particular solution, free count) from the reduced row echelon form
+    of the dense [M | b], or None when a zero row of M meets b != 0."""
+    work = [[Fraction(row.get(c, 0)) for c in range(ncols)] + [Fraction(rhs)]
+            for row, rhs in equations]
+    pivots, _ = _row_reduce(work, ncols, QQ, reduced=True)
+    if any(row[ncols] for row in work[len(pivots):]):
+        return None
+    solution = [Fraction(0)] * ncols
+    for row, c in zip(work, pivots):
+        solution[c] = row[ncols]
+    return solution, ncols - len(pivots)
+
+
+@pytest.mark.parametrize("kind,seed", [(kind, seed) for kind in
+                                       ("full", "deficient", "inconsistent")
+                                       for seed in range(8)])
+def test_sparse_solve_matches_the_dense_echelon_form(kind, seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(4, 14)
+    rank = ncols if kind == "full" else rng.randint(1, ncols - 1)
+    equations = _random_system(rng, ncols, rank, kind)
+    expected = _dense_solve(equations, ncols)
+    if kind == "inconsistent":
+        assert expected is None
+    else:
+        assert expected[1] == ncols - rank
+        solution = expected[0]
+        assert all(sum(v * solution[c] for c, v in row.items()) == rhs
+                   for row, rhs in equations)
+    for _ in range(3):
+        rng.shuffle(equations)
+        got = _sparse_solve(equations, ncols)
+        assert got == expected
+        if got is not None:
+            assert all(type(v) is Fraction for v in got[0])
+
+
+def test_sparse_solve_edge_equations():
+    # 0 = 0 is dropped, 0 = 1 is inconsistent, zero coefficients are ignored
+    assert _sparse_solve([({}, 0), ({0: 2, 1: 0}, 1)], 3) == (
+        [Fraction(1, 2), Fraction(0), Fraction(0)], 2)
+    assert _sparse_solve([({0: 1}, 1), ({}, 1)], 1) is None
+    assert _sparse_solve([], 2) == ([Fraction(0)] * 2, 2)
+
+
+def test_sparse_solve_eliminates_fill_in_on_a_pivot_column():
+    # x0 + x2 meets pivot 0 (x0 + x1) and picks up x1, whose pivot row
+    # x1 + x2 must still be eliminated: x = (1, 0, 2)
+    equations = [({0: 1, 1: 1}, 1), ({1: 1, 2: 1}, 2), ({0: 1, 2: 1}, 3)]
+    assert _sparse_solve(equations, 3) == ([1, 0, 2], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ degrees, valuations, and the canonical string format."""
 
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +84,18 @@ def test_mode_mismatch_rejected():
     Rp = PolyRing.generic(2, p=31)
     with pytest.raises(ValueError):
         R.var("x_1_1") + Rp.var("x_1_1")
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_equality_with_a_scalar_the_ring_cannot_hold(p):
+    ring = PolyRing(("x", "y"), p=p)
+    assert not ring.one == Fraction(1, 2)
+    assert ring.one != Fraction(1, 2)
+    assert ring.one == Fraction(2, 2) and ring.const(3) == 3
+    label = "an integer" if p is None else "a GF(7)"
+    with pytest.raises(ValueError, match=f"1/2 in {re.escape(label)} ring"):
+        ring.const(Fraction(1, 2))
+    assert PolyRing(("x",), rational=True).const(Fraction(1, 2)) == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------

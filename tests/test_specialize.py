@@ -14,6 +14,7 @@ from adjkit import (GF, QQ, ZZ, Matrix, MultiplicityError, PolyRing,
                     factor_right, grassmann_map_sample, lemma_rk_check,
                     phi_apply, psi_apply, standard_symplectic, sz_check,
                     verify_dvr_bound, verify_ufd_bound)
+from adjkit.specialize import _in_span
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +292,17 @@ def test_grassmann_basis_is_the_pivot_columns():
     rep = grassmann_map_sample(cert, pp)
     assert rep["basis"] == [["0", "1", "0", "3"], ["0", "0", "1", "1"]]
     assert rep["dimension"] == 2 and rep["holds"]
+
+
+def test_in_span():
+    half = Fraction(1, 2)
+    v1, v2 = [1, 0, 2], [0, half, 1]
+    assert _in_span([], [0, 0, 0])
+    assert not _in_span([], [0, 1, 0])
+    assert _in_span([v1, v2], [2, -1, 2])          # 2*v1 - 2*v2
+    assert _in_span([v1, v2, [1, 1, 4]], [1, 1, 4])
+    assert not _in_span([v1, v2], [0, 0, 1])
+    assert not _in_span([v1], [1, 0, 3])
 
 
 def test_grassmann_random_samples(certs):
