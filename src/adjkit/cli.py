@@ -54,7 +54,7 @@ def _load_alternating(source: str, n: int, seed, bound: int) -> AlternatingMatri
         return standard_symplectic(n)
     if source == "random":
         if seed is None:
-            raise UsageError("--seed is required with --A random")
+            raise UsageError("--seed is required with a random matrix")
         return random_alternating(n, seed, bound=bound)
     try:
         with open(source) as fh:
@@ -147,7 +147,9 @@ def cmd_refine(args) -> int:
     if args.n % 2:
         raise UsageError("refinement needs even n")
     alt = _load_alternating(args.A, args.n, args.seed, args.bound)
-    alt2 = _load_alternating(args.Aprime, args.n, args.seed, args.bound)
+    # A' draws from the next seed, so two random matrices differ
+    seed2 = None if args.seed is None else args.seed + 1
+    alt2 = _load_alternating(args.Aprime, args.n, seed2, args.bound)
     if not (alt.invertible and alt2.invertible):
         raise UsageError("both alternating matrices must be invertible")
     ctx = GenericContext(args.n, allow_large=args.allow_large)
@@ -256,8 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refine", help="solve adj(X) = A (r X^T + X^T W X^T) A'")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--A", default="symplectic")
-    p.add_argument("--Aprime", default="symplectic")
+    p.add_argument("--A", default="symplectic",
+                   help="symplectic | random | path to a matrix JSON file; "
+                        "random draws from --seed")
+    p.add_argument("--Aprime", default="symplectic",
+                   help="as --A; random draws from --seed + 1, so "
+                        "--A random --Aprime random gives two matrices")
     common(p, seeded=True)
     p.set_defaults(func=cmd_refine)
 

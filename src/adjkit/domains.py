@@ -128,7 +128,7 @@ class PrimeFieldDomain:
         a %= self.p
         if not a:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def exact_div(self, a, b):
         return a * self.inv(b) % self.p

@@ -8,6 +8,7 @@ the term kernels; numeric domains use plain scalar loops.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -36,35 +37,51 @@ def _row_reduce(work: list[list], ncols: int, dom,
     reduced row echelon form.  Returns the pivot columns and the product of
     the pivots, negated once per row swap: the determinant of a square A
     whose every column has a pivot.
+
+    The loops use Python's own operators, with one ``% p`` per updated
+    entry over GF(p) and none over QQ; the only domain call is one inverse
+    per pivot.  Over GF(p) every entry is first reduced into [0, p), so
+    callers may pass any int representative.
     """
-    is_zero, mul, sub = dom.is_zero, dom.mul, dom.sub
+    p = getattr(dom, "p", None)
+    if p is not None:
+        for row in work:
+            row[:] = [a % p for a in row]
     nrows = len(work)
     pivots: list[int] = []
     det = dom.one
     for col in range(ncols):
         r = len(pivots)
         for i in range(r, nrows):
-            if not is_zero(work[i][col]):
+            if work[i][col]:
                 break
         else:
             continue
         if i != r:
             work[r], work[i] = work[i], work[r]
-            det = dom.neg(det)
+            det = -det
         pval = work[r][col]
-        det = mul(det, pval)
+        det *= pval
         inv = dom.inv(pval)
+        if p is not None:
+            det %= p
         # left of col the pivot row is zero, so updates start at col
         prow = work[r][col:]
         if reduced:
-            prow = [mul(v, inv) for v in prow]
+            prow = ([v * inv for v in prow] if p is None
+                    else [v * inv % p for v in prow])
             work[r][col:] = prow
         for i in range(0 if reduced else r + 1, nrows):
             row = work[i]
-            if i != r and not is_zero(row[col]):
-                f = row[col] if reduced else mul(row[col], inv)
-                row[col:] = [sub(a, mul(f, b))
-                             for a, b in zip(row[col:], prow)]
+            f = row[col]
+            if i == r or not f:
+                continue
+            if not reduced:
+                f = f * inv if p is None else f * inv % p
+            if p is None:
+                row[col:] = [a - f * b for a, b in zip(row[col:], prow)]
+            else:
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], prow)]
         pivots.append(col)
     return pivots, det
 
@@ -144,8 +161,14 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and \
-            all(a == b for a, b in zip(self.entries, other.entries))
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        # GF(p) entries may be any int representative of their residue
+        p = getattr(self.domain, "p", None)
+        if p is not None and p == getattr(other.domain, "p", None):
+            return all((a - b) % p == 0
+                       for a, b in zip(self.entries, other.entries))
+        return all(a == b for a, b in zip(self.entries, other.entries))
 
     __hash__ = None
 
@@ -192,15 +215,15 @@ class Matrix:
         if isinstance(self.domain, PolynomialDomain):
             return self._mul_poly(other)
         dom = self.domain
+        p = getattr(dom, "p", None)
         n, k, m = self.rows, self.cols, other.cols
+        cols = [other.entries[j::m] for j in range(m)]
+        zero = dom.zero
         out = []
         for i in range(n):
-            arow = self.entries[i * k:(i + 1) * k]
-            for j in range(m):
-                acc = dom.zero
-                for l in range(k):
-                    acc = dom.add(acc, dom.mul(arow[l], other.entries[l * m + j]))
-                out.append(acc)
+            row = self.entries[i * k:(i + 1) * k]
+            sums = [sum(map(operator.mul, row, col), zero) for col in cols]
+            out.extend(sums if p is None else [v % p for v in sums])
         return Matrix(dom, n, m, out)
 
     def _mul_poly(self, other: "Matrix") -> "Matrix":
@@ -307,6 +330,10 @@ class Matrix:
         if n == 0:
             return self.domain.one
         dom = self.domain
+        if n == 1:
+            # no step below touches a lone entry; the product with one
+            # gives its canonical form (a residue in [0, p) over GF(p))
+            return dom.mul(self.entries[0], dom.one)
         m = [row[:] for row in self.to_rows()]
         sign = 1
         prev = dom.one
@@ -451,15 +478,18 @@ class Matrix:
         subs = self._order_subsets(m)
         full = set(range(self.rows))
         dom = self.domain
+        rows = self.to_rows()
+        k = self.rows - m
+        comps = [sorted(full - set(S)) for S in subs]
+        # 1-based index sums: the 0-based sum plus m
+        signs = [sum(S) + m for S in subs]
         out = []
-        for S in subs:
-            Sc = sorted(full - set(S))
-            sig_s = sum(S) + m  # 1-based sum = 0-based sum + m
-            for T in subs:
-                Tc = sorted(full - set(T))
-                minor = self.submatrix(Sc, Tc).det() if Sc else dom.one
-                sig = sig_s + sum(T) + m
-                out.append(dom.neg(minor) if sig % 2 else minor)
+        for Sc, sig_s in zip(comps, signs):
+            kept = [rows[i] for i in Sc]
+            for Tc, sig_t in zip(comps, signs):
+                entries = [row[j] for row in kept for j in Tc]
+                minor = Matrix(dom, k, k, entries).det() if k else dom.one
+                out.append(dom.neg(minor) if (sig_s + sig_t) % 2 else minor)
         return Matrix(dom, len(subs), len(subs), out)
 
     # -- rank and characteristic polynomial ----------------------------------

@@ -8,7 +8,8 @@ import pytest
 
 from adjkit import cli
 from adjkit.cli import main
-from adjkit.factor import random_unimodular
+from adjkit.factor import (random_alternating, random_unimodular,
+                           standard_symplectic)
 
 
 def run(capsys, *argv):
@@ -212,6 +213,27 @@ def test_refine_no_solution(capsys, monkeypatch):
     code, out, _ = run(capsys, "refine", "--n", "2", "--format", "json")
     assert code == 1
     assert json.loads(out) == {"n": 2, "result": "no_solution"}
+
+
+def test_refine_draws_a_prime_from_the_next_seed(capsys, monkeypatch):
+    seen = []
+
+    def record(ctx, alt, alt2):
+        seen.append((alt.matrix, alt2.matrix))
+
+    monkeypatch.setattr(cli, "solve_common_refinement", record)
+    for seed in (1, 2, 7, 40):
+        run(capsys, "refine", "--n", "4", "--A", "random", "--Aprime",
+            "random", "--seed", str(seed))
+        a, a_prime = seen.pop()
+        assert a != a_prime, seed
+        assert a == random_alternating(4, seed).matrix
+        assert a_prime == random_alternating(4, seed + 1).matrix
+    # the one-sided requests of the golden corpus keep their matrices
+    run(capsys, "refine", "--n", "4", "--A", "random", "--seed", "7")
+    a, a_prime = seen.pop()
+    assert a == random_alternating(4, 7).matrix
+    assert a_prime == standard_symplectic(4).matrix
 
 
 def test_refine_malformed_matrix(capsys, tmp_path):

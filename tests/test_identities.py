@@ -8,7 +8,7 @@ import pytest
 from adjkit.identities import (REGISTRY, SUITE, compound_det_check,
                                complement_reindexing, rand_gfp_singular,
                                run_modp_suite, run_symbolic_suite)
-from adjkit.matrix import index_subsets
+from adjkit.matrix import Matrix, index_subsets
 
 
 def test_registry_covers_the_required_identities():
@@ -89,3 +89,25 @@ def test_suite_is_deterministic():
     a = run_symbolic_suite(3, seed=5)
     b = run_symbolic_suite(3, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_modp_suite_runs_every_field_method(monkeypatch, seed):
+    # the traced benchmark run expects a span from each of these on its
+    # mod-p workload; a suite that bypassed one would fail only there
+    names = ("_det_gauss", "inverse", "rank", "adjugate")
+    calls = {}
+    for name in names:
+        method = getattr(Matrix, name)
+
+        def counting(self, *args, _name=name, _method=method, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(Matrix, name, counting)
+    report = run_modp_suite(4, 101, 1, seed, include_corrupted=True)
+    assert not report["passed"]     # the corrupted control fails
+    assert all(rep["passed"] != rep["expected_failure"]
+               for rep in report["reports"])
+    # a method enters the counts on its first call
+    assert set(calls) == set(names), calls

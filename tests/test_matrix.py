@@ -445,3 +445,206 @@ def test_json_round_trip_polynomial(ctx2):
 def test_json_shape_validation():
     with pytest.raises(ValueError):
         Matrix.from_json({"rows": 2, "cols": 2, "entries": [[1, 2]]}, ZZ)
+
+
+# ---------------------------------------------------------------------------
+# the field elimination against independent oracles
+# ---------------------------------------------------------------------------
+
+FIELDS = (GF(2), GF(3), GF(101), GF(2_147_483_647), QQ)
+FIELD_IDS = ("GF2", "GF3", "GF101", "GF2^31-1", "QQ")
+
+
+def textbook_product(dom, a_rows, b_rows):
+    """The triple loop over the domain's own methods."""
+    k = len(b_rows)
+    m = len(b_rows[0]) if k else 0
+    out = []
+    for arow in a_rows:
+        for j in range(m):
+            acc = dom.zero
+            for l in range(k):
+                acc = dom.add(acc, dom.mul(arow[l], b_rows[l][j]))
+            out.append(acc)
+    return out
+
+
+def draw_entry(rng, dom):
+    if dom is QQ:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return rng.randrange(dom.p)
+
+
+def low_rank_rows(rng, dom, n, rank):
+    """An n-by-n product of n-by-rank and rank-by-n draws, as rows.
+
+    Its rank is at most ``rank``.  Over GF(p) every entry is then shifted
+    by a random multiple of p in [-2p, 2p], so the rows hold negative
+    entries, entries >= p and nonzero multiples of p.
+    """
+    u = [[draw_entry(rng, dom) for _ in range(rank)] for _ in range(n)]
+    v = [[draw_entry(rng, dom) for _ in range(n)] for _ in range(rank)]
+    flat = textbook_product(dom, u, v) if rank else [dom.zero] * (n * n)
+    if dom is not QQ:
+        flat = [e + dom.p * rng.randint(-2, 2) for e in flat]
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def brute_force_rank(a):
+    """The largest m with a nonzero m-by-m minor, by Laplace expansion."""
+    for m in range(a.rows, 0, -1):
+        subs = matrix.index_subsets(a.rows, m)
+        if any(not a.domain.is_zero(a.submatrix(s, t).det_laplace())
+               for s in subs for t in subs):
+            return m
+    return 0
+
+
+def laplace_cofactor_adjugate(a):
+    n, dom = a.rows, a.domain
+    out = []
+    for i in range(n):
+        for j in range(n):
+            keep_r = [k for k in range(n) if k != j]
+            keep_c = [k for k in range(n) if k != i]
+            c = a.submatrix(keep_r, keep_c).det_laplace()
+            out.append(dom.neg(c) if (i + j) % 2 else c)
+    return Matrix(dom, n, n, out)
+
+
+def in_canonical_form(dom, values):
+    if dom is QQ:
+        return all(isinstance(v, Fraction) for v in values)
+    return all(0 <= v < dom.p for v in values)
+
+
+def field_cases(dom):
+    """Seeded square matrices of full rank, rank n-1 and rank n-2."""
+    rng = random.Random(f"elimination-{dom.name}")
+    for n in range(1, 9):
+        for rank in sorted({n, n - 1, max(n - 2, 0)}, reverse=True):
+            for _ in range(2 if n <= 5 else 1):
+                yield Matrix.from_rows(dom, low_rank_rows(rng, dom, n, rank))
+
+
+@pytest.mark.parametrize("dom", FIELDS, ids=FIELD_IDS)
+def test_elimination_agrees_with_independent_oracles(dom):
+    ranks = set()
+    for a in field_cases(dom):
+        n = a.rows
+        laplace = a.det_laplace()
+        assert a.det_bareiss() == laplace
+        for det in (a.det(), a._det_gauss()):
+            assert det == laplace
+            assert in_canonical_form(dom, [det])
+        rank = a.rank()
+        assert rank == brute_force_rank(a)
+        ranks.add(n - rank)
+        adj = a.adjugate()
+        assert adj == laplace_cofactor_adjugate(a)
+        assert in_canonical_form(dom, adj.entries)
+        if rank == n:
+            inv = a.inverse()
+            assert in_canonical_form(dom, inv.entries)
+            assert a * inv == Matrix.identity(dom, n)
+            assert inv * a == Matrix.identity(dom, n)
+        else:
+            with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+                a.inverse()
+    # every case kind was met: nonsingular, corank one and corank two
+    assert {0, 1, 2} <= ranks
+
+
+@pytest.mark.parametrize("dom", FIELDS, ids=FIELD_IDS)
+def test_reduction_of_a_with_identity_is_rref_and_records_the_ops(dom):
+    for a in field_cases(dom):
+        n = a.rows
+        work, pivots = a._reduce_with_identity()
+        r_part = [row[:n] for row in work]
+        e_part = [row[n:] for row in work]
+        for r, c in enumerate(pivots):
+            # a leading one, zeros left of it and above and below it
+            assert not any(r_part[r][:c])
+            assert [row[c] for row in r_part] == [int(i == r) for i in range(n)]
+        assert not any(v for row in r_part[len(pivots):] for v in row)
+        assert in_canonical_form(dom, [v for row in work for v in row])
+        # E * A = R, by the textbook product
+        assert textbook_product(dom, e_part, a.to_rows()) == \
+            [v for row in r_part for v in row]
+
+
+def test_elimination_reduces_unnormalized_entries_once():
+    dom = GF(7)
+    raw = [[-1, 14, 3], [8, -7, 0], [7, 2, -15]]
+    a = Matrix.from_rows(dom, raw)
+    b = Matrix.from_rows(dom, [[v % 7 for v in row] for row in raw])
+    assert a.det() == b.det() == b.det_laplace()
+    assert a.rank() == b.rank() == 3
+    assert a.inverse().to_rows() == b.inverse().to_rows()
+    # the first column is 6, 1, 0: a stored 7 must not become a pivot
+    zero_col = Matrix.from_rows(dom, [[7, 1], [-14, 2]])
+    assert zero_col.rank() == 1
+    assert zero_col._det_gauss() == 0
+
+
+def test_gf_equality_compares_residues():
+    dom = GF(7)
+    a = Matrix.from_rows(dom, [[-1, 0], [0, 8]])
+    b = Matrix.from_rows(dom, [[6, 0], [0, 1]])
+    assert a.det() == b.det() and a.to_json() == b.to_json()
+    assert a == b and b == a
+    assert a != Matrix.from_rows(dom, [[5, 0], [0, 1]])
+    assert a != Matrix.from_rows(dom, [[6, 0, 0], [0, 1, 0]])
+    # integers still compare as integers
+    assert Matrix.from_rows(ZZ, [[-1]]) != Matrix.from_rows(ZZ, [[6]])
+
+
+# ---------------------------------------------------------------------------
+# the numeric product and the prime-field inverse
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dom", (ZZ, QQ, GF(2), GF(101), GF(2_147_483_647)),
+                         ids=("ZZ", "QQ", "GF2", "GF101", "GF2^31-1"))
+def test_product_matches_the_textbook_triple_loop(dom):
+    rng = random.Random(f"product-{dom.name}")
+
+    def draw():
+        if dom is ZZ:
+            return rng.randint(-50, 50)
+        if dom is QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        # any int representative, negative and >= p included
+        return rng.randint(-3 * dom.p, 3 * dom.p)
+
+    for n, k, m in ((1, 1, 1), (2, 3, 4), (4, 1, 3), (5, 5, 5), (3, 7, 2)):
+        a_rows = [[draw() for _ in range(k)] for _ in range(n)]
+        b_rows = [[draw() for _ in range(m)] for _ in range(k)]
+        got = Matrix.from_rows(dom, a_rows) * Matrix.from_rows(dom, b_rows)
+        want = textbook_product(dom, a_rows, b_rows)
+        assert (got.rows, got.cols) == (n, m)
+        assert got.entries == want
+        if dom is not ZZ:
+            assert in_canonical_form(dom, got.entries)
+
+
+@pytest.mark.parametrize("dom", (ZZ, QQ, GF(101)), ids=("ZZ", "QQ", "GF101"))
+def test_product_over_an_empty_inner_dimension_is_zero(dom):
+    a = Matrix(dom, 3, 0, [])
+    b = Matrix(dom, 0, 2, [])
+    got = a * b
+    assert (got.rows, got.cols) == (3, 2)
+    assert got.entries == [dom.zero] * 6
+    assert all(type(v) is type(dom.zero) for v in got.entries)
+
+
+@pytest.mark.parametrize("p", (2, 3, 101, 2_147_483_647))
+def test_prime_field_inverse(p):
+    dom = GF(p)
+    rng = random.Random(p)
+    for a in [1, p - 1] + [rng.randrange(1, p) for _ in range(50)]:
+        for rep in (a, a - p, a + 5 * p):
+            assert dom.inv(rep) * a % p == 1
+            assert 0 <= dom.inv(rep) < p
+    for zero in (0, p, -3 * p):
+        with pytest.raises(ZeroDivisionError):
+            dom.inv(zero)
