@@ -172,7 +172,7 @@ def cmd_rank_check(args) -> int:
     try:
         with open(args.cert) as fh:
             cert_obj = json.load(fh)
-        ctx = GenericContext(cert_obj["n"])
+        ctx = GenericContext(cert_obj["n"], allow_large=args.allow_large)
         cert = FactorizationCertificate.from_json(cert_obj, ctx)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot load certificate: {exc}")
@@ -191,7 +191,7 @@ def cmd_rank_check(args) -> int:
         return CHECK_FAILED
     pt = SpecPoint(point)
     try:
-        report = lemma_rk_check(cert, pt, ctx)
+        report = lemma_rk_check(cert, pt)
     except MultiplicityError as exc:
         raise UsageError(str(exc))
     lines = [f"rank {k} = {v} (expected {report['expected'][k]})"
@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--negative-control", action="store_true",
                    help="include the deliberately corrupted identity")
-    common(p, seeded=True)
+    p.add_argument("--seed", type=int, default=None)
+    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("factor", help="factor adj(X) through an alternating matrix")

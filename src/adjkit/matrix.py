@@ -2,8 +2,9 @@
 
 Determinants come in two independent flavors (subset-memoized Laplace and
 fraction-free Bareiss) so each can serve as an oracle for the other.
-Polynomial matrices route their determinant and product inner loops through
-the term kernels; numeric domains use plain scalar loops.
+Laplace runs on the term kernels for every domain, a numeric entry being
+a constant term; the numeric product and field elimination use plain
+Python operators.  Every matrix of minors comes from ``Matrix._minors``.
 """
 
 from __future__ import annotations
@@ -267,7 +268,8 @@ class Matrix:
     # -- determinants ------------------------------------------------------
 
     def det_laplace(self):
-        """Determinant by column-subset-memoized Laplace expansion."""
+        """Determinant by column-subset-memoized Laplace expansion, on the
+        kernels' engine; a numeric entry is a term at key 0, the monomial 1."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
@@ -276,24 +278,14 @@ class Matrix:
         if isinstance(self.domain, PolynomialDomain):
             return self._det_laplace_poly()
         dom = self.domain
-        level = {0: dom.one}
-        for k in range(1, n + 1):
-            row = self.row_list(k - 1)
-            nxt = {}
-            for subset in combinations(range(n), k):
-                mask = 0
-                for j in subset:
-                    mask |= 1 << j
-                acc = dom.zero
-                for pos in range(k):
-                    j = subset[pos]
-                    e = row[j]
-                    if not dom.is_zero(e):
-                        term = dom.mul(e, level[mask & ~(1 << j)])
-                        acc = dom.sub(acc, term) if (k - 1 + pos) % 2 else dom.add(acc, term)
-                nxt[mask] = acc
-            level = nxt
-        return level[(1 << n) - 1]
+        p = getattr(dom, "p", 0)
+        entries = [e % p for e in self.entries] if p else self.entries
+        terms = [{0: e} if e else {} for e in entries]
+        rows = [terms[i * n:(i + 1) * n] for i in range(n)]
+        det = kernels.det_laplace_terms(rows, p).get(0, 0)
+        # the product with one gives the domain's type: a Fraction over QQ
+        # even for int entries, a residue in [0, p) over GF(p)
+        return dom.mul(det, dom.one)
 
     def _det_laplace_poly(self):
         ring = self.domain.ring
@@ -368,16 +360,13 @@ class Matrix:
             return self.det_laplace()
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
+        # below 3x3 Bareiss is faster: 2x2 minors through _row_reduce made
+        # compound(2) of a 10x10 GF(p) matrix about twice as slow
         if getattr(self.domain, "is_field", False) and self.rows >= 3:
             return self._det_gauss()
         return self.det_bareiss()
 
     # -- adjugate and compounds ---------------------------------------------
-
-    def minor(self, drop_row: int, drop_col: int):
-        keep_r = [i for i in range(self.rows) if i != drop_row]
-        keep_c = [j for j in range(self.cols) if j != drop_col]
-        return self.submatrix(keep_r, keep_c).det()
 
     def inverse(self) -> "Matrix":
         """Exact inverse by Gauss-Jordan; field domains only."""
@@ -408,9 +397,11 @@ class Matrix:
     def adjugate(self) -> "Matrix":
         """Transposed cofactor matrix; adj(A)*A = A*adj(A) = det(A)*I.
 
-        The 1x1 adjugate is [[1]] so the identity holds at n = 1.  Field
-        domains get O(n^3) paths (inverse when nonsingular, kernel outer
-        product at rank n-1); other domains use the cofactor minors.
+        The 1x1 adjugate is [[1]], the empty minor, so the identity holds
+        at n = 1.  Field domains from n = 3 get O(n^3) paths (inverse when
+        nonsingular, kernel outer product at rank n-1); otherwise
+        adj(A)[i, j] is the (j, i) cofactor, so adj(A) is the transposed
+        complementary compound of order one.
         """
         if not self.is_square:
             raise ValueError("adjugate of a non-square matrix")
@@ -418,8 +409,6 @@ class Matrix:
         dom = self.domain
         if n == 0:
             raise ValueError("adjugate of an empty matrix")
-        if n == 1:
-            return Matrix(dom, 1, 1, [dom.one])
         if getattr(dom, "is_field", False) and n >= 3:
             det = self.det()
             if not dom.is_zero(det):
@@ -438,19 +427,15 @@ class Matrix:
                 u[c] = dom.neg(work[r][i])
             v = work[n - 1][n:]
             j = next(k for k in range(n) if not dom.is_zero(v[k]))
-            c = self.minor(j, i)
+            c = self.submatrix([k for k in range(n) if k != j],
+                               [k for k in range(n) if k != i]).det()
             if (i + j) % 2:
                 c = dom.neg(c)
             scale = dom.mul(c, dom.inv(v[j]))
             return Matrix(dom, n, n,
                           [dom.mul(scale, dom.mul(u[a], v[b]))
                            for a in range(n) for b in range(n)])
-        out = [dom.zero] * (n * n)
-        for i in range(n):
-            for j in range(n):
-                c = self.minor(j, i)
-                out[i * n + j] = dom.neg(c) if (i + j) % 2 else c
-        return Matrix(dom, n, n, out)
+        return self.complementary_compound(1).transpose()
 
     def _order_subsets(self, m: int) -> list[tuple[int, ...]]:
         """The m-subsets of the rows of a square matrix, for compounds."""
@@ -460,37 +445,38 @@ class Matrix:
             raise ValueError(f"compound order {m} out of range 1..{self.rows}")
         return index_subsets(self.rows, m)
 
+    def _minors(self, index_sets: list[Sequence[int]],
+                signed: bool) -> "Matrix":
+        """Entry (S, T) is the det() of rows S and columns T (the empty
+        minor is one), negated if ``signed`` and sum S + sum T is odd."""
+        dom = self.domain
+        rows = self.to_rows()
+        k = len(index_sets[0])
+        odd = [sum(s) % 2 if signed else 0 for s in index_sets]
+        out = []
+        for S, odd_s in zip(index_sets, odd):
+            kept = [rows[i] for i in S]
+            for T, odd_t in zip(index_sets, odd):
+                sub = [row[j] for row in kept for j in T]
+                minor = Matrix(dom, k, k, sub).det() if k else dom.one
+                out.append(dom.neg(minor) if odd_s != odd_t else minor)
+        return Matrix(dom, len(index_sets), len(index_sets), out)
+
     def compound(self, m: int) -> "Matrix":
         """The matrix of all m-by-m minors, subsets ordered lexicographically."""
-        subs = self._order_subsets(m)
-        out = []
-        for S in subs:
-            for T in subs:
-                out.append(self.submatrix(S, T).det())
-        return Matrix(self.domain, len(subs), len(subs), out)
+        return self._minors(self._order_subsets(m), signed=False)
 
     def complementary_compound(self, m: int) -> "Matrix":
         """(S,T) entry: (-1)^(sum S + sum T) times the complementary minor.
 
         Signs use 1-based index sums; with this convention
-        compound(A, m) * complementary_compound(A, m)^T = det(A) * I.
+        compound(A, m) * complementary_compound(A, m)^T = det(A) * I.  The
+        0-based sums of the complements, which ``_minors`` takes, have the
+        same parity.
         """
-        subs = self._order_subsets(m)
-        full = set(range(self.rows))
-        dom = self.domain
-        rows = self.to_rows()
-        k = self.rows - m
-        comps = [sorted(full - set(S)) for S in subs]
-        # 1-based index sums: the 0-based sum plus m
-        signs = [sum(S) + m for S in subs]
-        out = []
-        for Sc, sig_s in zip(comps, signs):
-            kept = [rows[i] for i in Sc]
-            for Tc, sig_t in zip(comps, signs):
-                entries = [row[j] for row in kept for j in Tc]
-                minor = Matrix(dom, k, k, entries).det() if k else dom.one
-                out.append(dom.neg(minor) if (sig_s + sig_t) % 2 else minor)
-        return Matrix(dom, len(subs), len(subs), out)
+        full = range(self.rows)
+        return self._minors([[i for i in full if i not in S]
+                             for S in self._order_subsets(m)], signed=True)
 
     # -- rank and characteristic polynomial ----------------------------------
 

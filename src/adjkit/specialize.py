@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 
 from .domains import GF, QQ, ZZ, PolynomialDomain, PrimeFieldDomain, RationalDomain
-from .factor import FactorizationCertificate, GenericContext
+from .factor import FactorizationCertificate
 from .matrix import Matrix, _row_reduce, _t_ring
 from .polyring import Polynomial
 
@@ -161,8 +161,7 @@ def verify_ufd_bound(m: Matrix) -> dict:
     }
 
 
-def lemma_rk_check(cert: FactorizationCertificate, pt: SpecPoint,
-                   ctx: GenericContext | None = None) -> dict:
+def lemma_rk_check(cert: FactorizationCertificate, pt: SpecPoint) -> dict:
     """The four exact rank equalities at a multiplicity-one point.
 
     rank Y = n-d, rank Z = d+1, rank XY = n-1-d, rank ZX = d.
@@ -212,10 +211,11 @@ class ProjectorPoint:
         cols = [list(map(Fraction, v))] + [list(map(Fraction, w)) for w in basis]
         b = Matrix.from_rows(QQ, [[cols[j][i] for j in range(n)]
                                   for i in range(n)])
-        det = b.det_bareiss()
-        if det == 0:
-            raise ValueError("kernel vector and basis are linearly dependent")
-        b_inv = b.adjugate().scale(Fraction(1, 1) / det)
+        try:
+            b_inv = b.inverse()
+        except ZeroDivisionError:
+            raise ValueError(
+                "kernel vector and basis are linearly dependent") from None
         c = Matrix.from_rows(QQ, [[Fraction(0) if j == 0 else cols[j][i]
                                    for j in range(n)] for i in range(n)])
         e = c * b_inv

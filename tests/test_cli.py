@@ -1,8 +1,11 @@
 """End-to-end CLI contract: outputs, determinism, exit codes 0/1/2."""
 
+import argparse
 import hashlib
+import inspect
 import json
 import random
+import re
 
 import pytest
 
@@ -112,6 +115,15 @@ def test_verify_bad_prime(capsys):
     code, _, err = run(capsys, "verify", "--n", "5", "--prime", "32",
                        "--trials", "5", "--seed", "7")
     assert code == 2
+
+
+def test_verify_takes_a_seed_but_no_bound(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "2", "--seed", "3")
+    assert code == 0 and "suite: PASS" in out
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", "--n", "2", "--bound", "7")
+    assert exc.value.code == 2
+    assert "--bound" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +355,26 @@ def test_rank_check_missing_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_rank_check_passes_allow_large_to_the_context(capsys, tmp_path,
+                                                      monkeypatch):
+    cert = tmp_path / "n7.json"
+    cert.write_text(json.dumps({"n": 7}))
+    code, _, err = run(capsys, "rank-check", "--cert", str(cert),
+                       "--point", "/none")
+    assert code == 2 and "allow_large=True" in err
+    seen = []
+
+    def recording(n, allow_large=False):
+        seen.append((n, allow_large))
+        raise ValueError("stopped before building the context")
+
+    monkeypatch.setattr(cli, "GenericContext", recording)
+    code, _, err = run(capsys, "rank-check", "--cert", str(cert),
+                       "--point", "/none", "--allow-large")
+    assert code == 2 and "stopped before" in err
+    assert seen == [(7, True)]
+
+
 # ---------------------------------------------------------------------------
 # compound
 # ---------------------------------------------------------------------------
@@ -396,6 +428,27 @@ def test_random_unimodular_rejects_bound_below_one():
     for n in (1, 4):
         with pytest.raises(ValueError, match="bound"):
             random_unimodular(n, random.Random(1), bound=0)
+
+
+def test_every_option_is_read_by_its_handler():
+    # an option the handler never reads is accepted and silently ignored
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    emits_format = "args.format" in inspect.getsource(cli._emit)
+    unread = []
+    for name, sub in subparsers.choices.items():
+        handler = inspect.getsource(sub.get_default("func"))
+        for action in sub._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            if re.search(rf"\bargs\.{action.dest}\b", handler):
+                continue
+            if (action.dest == "format" and emits_format
+                    and "_emit(args" in handler):
+                continue
+            unread.append(f"{name} {action.option_strings[0]}")
+    assert unread == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Matrix layer: products, determinants (both routes), adjugates,
 compounds, rank, characteristic polynomials, JSON round trips."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -648,3 +649,105 @@ def test_prime_field_inverse(p):
     for zero in (0, p, -3 * p):
         with pytest.raises(ZeroDivisionError):
             dom.inv(zero)
+
+
+# ---------------------------------------------------------------------------
+# matrices of minors and the numeric Laplace expansion against textbook
+# oracles
+# ---------------------------------------------------------------------------
+
+def textbook_minor(a, rows, cols):
+    return a.submatrix(rows, cols).det_bareiss() if rows else a.domain.one
+
+
+def textbook_compound(a, m):
+    subs = list(itertools.combinations(range(a.rows), m))
+    return Matrix(a.domain, len(subs), len(subs),
+                  [textbook_minor(a, s, t) for s in subs for t in subs])
+
+
+def textbook_complementary_compound(a, m):
+    """(S, T) entry: (-1)^(1-based sum S + sum T) det A(S^c | T^c)."""
+    n, dom = a.rows, a.domain
+    subs = list(itertools.combinations(range(n), m))
+    out = []
+    for s in subs:
+        for t in subs:
+            c = textbook_minor(a, [i for i in range(n) if i not in s],
+                               [j for j in range(n) if j not in t])
+            sign = sum(i + 1 for i in s) + sum(j + 1 for j in t)
+            out.append(dom.neg(c) if sign % 2 else c)
+    return Matrix(dom, len(subs), len(subs), out)
+
+
+def minor_cases(dom):
+    rng = random.Random(f"minors-{dom.name}")
+    for n in range(1, 6):
+        if dom is ZZ:
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        elif dom is QQ:
+            rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                     for _ in range(n)] for _ in range(n)]
+        else:
+            # representatives outside [0, p), negative ones included
+            rows = [[rng.randint(-3 * dom.p, 3 * dom.p) for _ in range(n)]
+                    for _ in range(n)]
+        yield Matrix.from_rows(dom, rows)
+
+
+def check_minor_matrices(a):
+    dom = a.domain
+    for m in range(1, a.rows + 1):
+        cmp_m = a.compound(m)
+        assert cmp_m == textbook_compound(a, m)
+        d = a.complementary_compound(m)
+        assert d == textbook_complementary_compound(a, m)
+        for got in (cmp_m, d):
+            if dom is QQ:
+                assert all(isinstance(v, Fraction) for v in got.entries)
+            elif getattr(dom, "p", None):
+                assert all(0 <= v < dom.p for v in got.entries)
+    adj = a.adjugate()
+    assert adj == cofactor_adjugate(a)
+    if dom is QQ:
+        assert all(isinstance(v, Fraction) for v in adj.entries)
+
+
+@pytest.mark.parametrize("dom", (ZZ, QQ, GF(7)), ids=("ZZ", "QQ", "GF7"))
+def test_minor_matrices_match_the_textbook_oracle(dom):
+    for a in minor_cases(dom):
+        check_minor_matrices(a)
+
+
+def test_minor_matrices_of_the_generic_matrix_match_the_textbook_oracle(ctx3):
+    check_minor_matrices(ctx3.X)
+
+
+@pytest.mark.parametrize("dom", (ZZ, QQ, GF(7), GF(2_147_483_647)),
+                         ids=("ZZ", "QQ", "GF7", "GF2^31-1"))
+def test_numeric_laplace_matches_bareiss_in_the_domain_type(dom):
+    rng = random.Random(f"laplace-{dom.name}")
+    for n in range(7):
+        for _ in range(3):
+            if dom is ZZ:
+                rows = [[rng.randint(-20, 20) for _ in range(n)]
+                        for _ in range(n)]
+            elif dom is QQ:
+                # int entries: the result is still a Fraction
+                rows = [[rng.randint(-3, 3) for _ in range(n)]
+                        for _ in range(n)]
+            else:
+                rows = [[rng.randint(-3 * dom.p, 3 * dom.p) for _ in range(n)]
+                        for _ in range(n)]
+            a = Matrix(dom, n, n, [v for row in rows for v in row])
+            det = a.det_laplace()
+            assert det == a.det_bareiss()
+            if dom is ZZ:
+                assert type(det) is int
+            elif dom is QQ:
+                assert isinstance(det, Fraction)
+            else:
+                assert type(det) is int and 0 <= det < dom.p
+    singular = Matrix.from_rows(GF(7), [[7, 14], [1, 3]])
+    assert singular.det_laplace() == 0
+    assert Matrix.from_rows(QQ, [[2, 0], [0, 3]]).det_laplace() == Fraction(6)

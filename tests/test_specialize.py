@@ -14,6 +14,7 @@ from adjkit import (GF, QQ, ZZ, Matrix, MultiplicityError, PolyRing,
                     factor_right, grassmann_map_sample, lemma_rk_check,
                     phi_apply, psi_apply, standard_symplectic, sz_check,
                     verify_dvr_bound, verify_ufd_bound)
+from adjkit import matrix
 from adjkit.specialize import _in_span
 
 
@@ -260,6 +261,26 @@ def test_projector_oblique_case():
 def test_projector_rejects_dependent_inputs():
     with pytest.raises(ValueError):
         ProjectorPoint(unit(3, 0), [unit(3, 0), unit(3, 1)])
+
+
+def test_projector_inverts_its_basis_with_one_reduction(monkeypatch):
+    calls = []
+    reduce = matrix._row_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(matrix, "_row_reduce", counting)
+    v = [Fraction(1), Fraction(2), Fraction(0), Fraction(-1)]
+    pp = ProjectorPoint(v, [unit(4, 1), unit(4, 2), unit(4, 3)])
+    assert calls == [4]
+    calls.clear()
+    with pytest.raises(ValueError, match="linearly dependent"):
+        ProjectorPoint(unit(3, 0), [unit(3, 0), unit(3, 1)])
+    assert calls == [3]
+    monkeypatch.undo()
+    assert pp.E * pp.E == pp.E and pp.E.rank() == 3
 
 
 def rand_projector(rng, n):
