@@ -4,7 +4,9 @@ Determinants come in two independent flavors (subset-memoized Laplace and
 fraction-free Bareiss) so each can serve as an oracle for the other.
 Laplace runs on the term kernels for every domain, a numeric entry being
 a constant term; the numeric product and field elimination use plain
-Python operators.  Every matrix of minors comes from ``Matrix._minors``.
+Python operators.  Every matrix of minors comes from ``Matrix._minors``,
+which over a field reduces each row set once and reads all the minors on
+it from the reduced form.
 """
 
 from __future__ import annotations
@@ -85,6 +87,48 @@ def _row_reduce(work: list[list], ncols: int, dom,
                 row[col:] = [(a - f * b) % p for a, b in zip(row[col:], prow)]
         pivots.append(col)
     return pivots, det
+
+
+def _row_set_minors(work: list[list], ncols: int,
+                    col_sets: list[Sequence[int]], dom) -> list:
+    """The minors det work[:, T] for every sorted column set T of
+    k = len(work) columns, over the field ``dom``, from one reduction of
+    ``work`` in place.
+
+    The reduced form R has the identity on its pivot columns P (pivot rows
+    rise with pivot columns), and d = det work[:, P].  So det work[:, T] =
+    d * (-1)^e * det R[rows(P - T), T - P], where e sums row(c) + pos_T(c)
+    over c in T & P; e has the parity of the positions in T of T - P plus
+    the rows of P - T.  That j-by-j minor of R, j <= min(k, ncols - k), is
+    read directly for j <= 2.  Below rank k every minor is zero.
+    """
+    k = len(work)
+    pivots, d = _row_reduce(work, ncols, dom, reduced=True)
+    if len(pivots) < k:
+        return [dom.zero] * len(col_sets)
+    p = getattr(dom, "p", None)
+    pivot_row = {c: r for r, c in enumerate(pivots)}
+    out = []
+    for T in col_sets:
+        free = [(pos, c) for pos, c in enumerate(T) if c not in pivot_row]
+        if not free:
+            out.append(d)
+            continue
+        gone = [r for r, c in enumerate(pivots) if c not in T]
+        odd = (sum(pos for pos, _ in free) + sum(gone)) % 2
+        if len(free) == 1:
+            minor = work[gone[0]][free[0][1]]
+        elif len(free) == 2:
+            (_, c1), (_, c2) = free
+            r1, r2 = work[gone[0]], work[gone[1]]
+            minor = r1[c1] * r2[c2] - r1[c2] * r2[c1]
+        else:
+            cols = [c for _, c in free]
+            minor = Matrix(dom, len(cols), len(cols),
+                           [work[r][c] for r in gone for c in cols]).det()
+        value = -d * minor if odd else d * minor
+        out.append(value if p is None else value % p)
+    return out
 
 
 def _t_ring(dom) -> PolyRing:
@@ -355,14 +399,12 @@ class Matrix:
 
     def det(self):
         """Default determinant: Laplace for polynomial entries, Gaussian
-        for fields, fraction-free Bareiss for the integers."""
+        for fields at every size, fraction-free Bareiss for the integers."""
         if isinstance(self.domain, PolynomialDomain):
             return self.det_laplace()
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        # below 3x3 Bareiss is faster: 2x2 minors through _row_reduce made
-        # compound(2) of a 10x10 GF(p) matrix about twice as slow
-        if getattr(self.domain, "is_field", False) and self.rows >= 3:
+        if getattr(self.domain, "is_field", False):
             return self._det_gauss()
         return self.det_bareiss()
 
@@ -398,10 +440,10 @@ class Matrix:
         """Transposed cofactor matrix; adj(A)*A = A*adj(A) = det(A)*I.
 
         The 1x1 adjugate is [[1]], the empty minor, so the identity holds
-        at n = 1.  Field domains from n = 3 get O(n^3) paths (inverse when
-        nonsingular, kernel outer product at rank n-1); otherwise
-        adj(A)[i, j] is the (j, i) cofactor, so adj(A) is the transposed
-        complementary compound of order one.
+        at n = 1.  Field domains get O(n^3) paths at every size (inverse
+        when nonsingular, kernel outer product at rank n-1); over ZZ and
+        polynomial rings adj(A)[i, j] is the (j, i) cofactor, so adj(A) is
+        the transposed complementary compound of order one.
         """
         if not self.is_square:
             raise ValueError("adjugate of a non-square matrix")
@@ -409,7 +451,7 @@ class Matrix:
         dom = self.domain
         if n == 0:
             raise ValueError("adjugate of an empty matrix")
-        if getattr(dom, "is_field", False) and n >= 3:
+        if getattr(dom, "is_field", False):
             det = self.det()
             if not dom.is_zero(det):
                 return self.inverse().scale(det)
@@ -447,19 +489,33 @@ class Matrix:
 
     def _minors(self, index_sets: list[Sequence[int]],
                 signed: bool) -> "Matrix":
-        """Entry (S, T) is the det() of rows S and columns T (the empty
-        minor is one), negated if ``signed`` and sum S + sum T is odd."""
+        """Entry (S, T) is the minor on rows S and columns T (the empty
+        minor is one), negated if ``signed`` and sum S + sum T is odd.
+
+        Over a field each row set is reduced once and every minor on it is
+        read from the reduced form (``_row_set_minors``); over ZZ and
+        polynomial rings, which have no division, each minor is its own
+        ``det()``.  Every entry depends on the rows of its S alone.
+        """
         dom = self.domain
         rows = self.to_rows()
         k = len(index_sets[0])
+        field = getattr(dom, "is_field", False)
         odd = [sum(s) % 2 if signed else 0 for s in index_sets]
         out = []
         for S, odd_s in zip(index_sets, odd):
-            kept = [rows[i] for i in S]
-            for T, odd_t in zip(index_sets, odd):
-                sub = [row[j] for row in kept for j in T]
-                minor = Matrix(dom, k, k, sub).det() if k else dom.one
-                out.append(dom.neg(minor) if odd_s != odd_t else minor)
+            if field:
+                # to_rows() lists are shared across row sets, and the
+                # reduction works in place
+                minors = _row_set_minors([rows[i][:] for i in S], self.cols,
+                                         index_sets, dom)
+            else:
+                kept = [rows[i] for i in S]
+                minors = [Matrix(dom, k, k, [row[j] for row in kept
+                                             for j in T]).det() if k
+                          else dom.one for T in index_sets]
+            out.extend(dom.neg(minor) if odd_s != odd_t else minor
+                       for minor, odd_t in zip(minors, odd))
         return Matrix(dom, len(index_sets), len(index_sets), out)
 
     def compound(self, m: int) -> "Matrix":

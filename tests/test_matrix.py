@@ -681,8 +681,12 @@ def textbook_complementary_compound(a, m):
 
 
 def minor_cases(dom):
+    """Seeded square matrices: n = 1..5 over ZZ, n = 1..7 over a field,
+    where the minors read from one reduction need j = 3 from n = 6 on.
+    Over a field also rank n-1 and n-2, so some row sets are deficient,
+    and over QQ int entries, whose minors must still be Fractions."""
     rng = random.Random(f"minors-{dom.name}")
-    for n in range(1, 6):
+    for n in range(1, 6 if dom is ZZ else 8):
         if dom is ZZ:
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         elif dom is QQ:
@@ -693,6 +697,15 @@ def minor_cases(dom):
             rows = [[rng.randint(-3 * dom.p, 3 * dom.p) for _ in range(n)]
                     for _ in range(n)]
         yield Matrix.from_rows(dom, rows)
+    if dom is ZZ:
+        return
+    for n in range(2, 8):
+        for rank in (n - 1, n - 2):
+            yield Matrix.from_rows(dom, low_rank_rows(rng, dom, n, rank))
+    if dom is QQ:
+        for n in range(1, 7):
+            yield Matrix.from_rows(dom, [[rng.randint(-5, 5) for _ in range(n)]
+                                         for _ in range(n)])
 
 
 def check_minor_matrices(a):
@@ -713,10 +726,34 @@ def check_minor_matrices(a):
         assert all(isinstance(v, Fraction) for v in adj.entries)
 
 
-@pytest.mark.parametrize("dom", (ZZ, QQ, GF(7)), ids=("ZZ", "QQ", "GF7"))
+@pytest.mark.parametrize("dom", (ZZ, QQ, GF(7), GF(2)),
+                         ids=("ZZ", "QQ", "GF7", "GF2"))
 def test_minor_matrices_match_the_textbook_oracle(dom):
     for a in minor_cases(dom):
         check_minor_matrices(a)
+
+
+def test_field_minor_matrices_reduce_each_row_set_once(monkeypatch):
+    # C(10, 2) = 45 row sets, each reduced once over its 10 columns
+    rng = random.Random(18)
+    dom = GF(2_147_483_647)
+    a = Matrix.from_rows(dom, [[rng.randrange(dom.p) for _ in range(10)]
+                               for _ in range(10)])
+    calls = []
+    reduce = matrix._row_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(matrix, "_row_reduce", counting)
+    c = a.compound(2)
+    assert calls == [10] * 45
+    calls.clear()
+    d = a.complementary_compound(2)
+    assert calls == [10] * 45
+    monkeypatch.undo()
+    assert c * d.transpose() == Matrix.identity(dom, 45).scale(a.det())
 
 
 def test_minor_matrices_of_the_generic_matrix_match_the_textbook_oracle(ctx3):
