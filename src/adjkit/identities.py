@@ -352,7 +352,7 @@ def _modp_factor_product(n, p, rng):
         raise ValueError("factor identities need even n")
     alt = standard_symplectic(n)
     a_p = _reduce_mod(alt.matrix, p)
-    a_inv = a_p.adjugate()  # det = 1
+    a_inv = a_p.inverse()
     b = rand_gfp_invertible(rng, n, p)
     adj = b.adjugate()
     det_inv = GF(p).inv(b.det())

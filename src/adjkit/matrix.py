@@ -418,30 +418,32 @@ class Matrix:
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        work, pivots = self._reduce_with_identity()
+        work, pivots, _ = self._reduce_with_identity()
         if len(pivots) < n:
             raise ZeroDivisionError("matrix is singular")
         return Matrix(dom, n, n, [v for row in work for v in row[n:]])
 
-    def _reduce_with_identity(self) -> tuple[list[list], list[int]]:
+    def _reduce_with_identity(self) -> tuple[list[list], list[int], object]:
         """Reduce [A | I] to [R | E], R the reduced row echelon form of A.
 
         E records the row operations, so E*A = R.  Returns the rows of
-        [R | E] and the pivot columns of R.
+        [R | E], the pivot columns of R and ``_row_reduce``'s signed pivot
+        product, which is det(A) when R has a pivot in every column.
         """
         dom = self.domain
         n = self.rows
         work = [row + [dom.one if j == i else dom.zero for j in range(n)]
                 for i, row in enumerate(self.to_rows())]
-        pivots, _ = _row_reduce(work, n, dom, reduced=True)
-        return work, pivots
+        pivots, det = _row_reduce(work, n, dom, reduced=True)
+        return work, pivots, det
 
     def adjugate(self) -> "Matrix":
         """Transposed cofactor matrix; adj(A)*A = A*adj(A) = det(A)*I.
 
         The 1x1 adjugate is [[1]], the empty minor, so the identity holds
-        at n = 1.  Field domains get O(n^3) paths at every size (inverse
-        when nonsingular, kernel outer product at rank n-1); over ZZ and
+        at n = 1.  Field domains get O(n^3) paths at every size from one
+        reduction of [A | I] (det(A)*A^-1 when nonsingular, a kernel outer
+        product at rank n-1, calibrated by one cofactor); over ZZ and
         polynomial rings adj(A)[i, j] is the (j, i) cofactor, so adj(A) is
         the transposed complementary compound of order one.
         """
@@ -452,10 +454,10 @@ class Matrix:
         if n == 0:
             raise ValueError("adjugate of an empty matrix")
         if getattr(dom, "is_field", False):
-            det = self.det()
-            if not dom.is_zero(det):
-                return self.inverse().scale(det)
-            work, pivots = self._reduce_with_identity()
+            work, pivots, det = self._reduce_with_identity()
+            if len(pivots) == n:
+                return Matrix(dom, n, n,
+                              [v for row in work for v in row[n:]]).scale(det)
             if len(pivots) < n - 1:
                 return Matrix.zeros(dom, n, n)
             # adj has rank one: columns span ker(A), rows span ker(A^T);

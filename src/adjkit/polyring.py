@@ -469,10 +469,27 @@ class Polynomial:
         """Quotient q with q*divisor == self, or None when none exists.
 
         Division by the zero polynomial raises; an indivisible input is a
-        regular None result, not an error.  Single-divisor long division by
-        the leading term: sound and complete for deciding exact divisibility
-        over ZZ, QQ and GF(p).  Every key it forms has a total degree at
-        most deg(self), so the wider of the two widths holds them all.
+        regular None result, not an error.
+
+        This is the division algorithm by the one polynomial d = divisor,
+        which keeps a remainder.  A step starts only on a term that LT(d)
+        divides: the largest such term c*m of the working polynomial adds
+        (c/LC(d))*m/LT(d) to the quotient and subtracts that times d.  A
+        max-heap holds the keys that LT(d) divides, the dividend's and
+        those a step creates.  Every other term stays in the remainder,
+        where a later step may still change or cancel it.  {d} is a
+        Groebner basis of (d), so the remainder left at the end is the
+        normal form of self modulo (d), and it is zero exactly when d
+        divides self: the result is None unless it is empty.
+
+        Two cheap exits return None before the loop ends.  LT(q*d) is
+        LT(q)*LT(d) over ZZ, QQ and GF(p), so a dividend whose leading term
+        LT(d) does not divide is refused before any subtraction.  Over ZZ
+        a step whose coefficient LC(d) does not divide is refused at once,
+        since every step's coefficient is one of the unique quotient's.
+
+        Every key a step forms has a total degree at most deg(self), so the
+        wider of the two widths holds them all.
         """
         q = self._coerce(divisor)
         if q is None:
@@ -490,18 +507,18 @@ class Polynomial:
         if p is not None:
             lt_inv = pow(lt_c, p - 2, p)
         rem = dict(rem)
+        # lt divides e when no field of e - lt borrows through its guard;
         # negated keys: heapq's min-heap pops the largest monomial first
-        heap = [-k for k in rem]
+        heap = [-e for e in rem if ((e | guards) - lt) & guards == guards]
         heapq.heapify(heap)
+        if not heap or -heap[0] != max(rem):
+            return None  # LT(d) does not divide LT(self)
         quot: dict = {}
         while heap:
             e = -heapq.heappop(heap)
             c = rem.get(e)
             if c is None:
-                continue  # stale heap entry
-            # lt divides e when no field of e - lt borrows through its guard
-            if ((e | guards) - lt) & guards != guards:
-                return None
+                continue  # cancelled by an earlier step
             if p is not None:
                 qc = c * lt_inv % p
             elif ring.rational:
@@ -511,11 +528,11 @@ class Polynomial:
             else:
                 qc = c // lt_c
             diff = e - lt
-            new = kernels.sub_scaled_terms(rem, diff, qc, dterms, p or 0)
             quot[diff] = qc
-            for k in new:
-                heapq.heappush(heap, -k)
-        return Polynomial(ring, quot, width)
+            for k in kernels.sub_scaled_terms(rem, diff, qc, dterms, p or 0):
+                if ((k | guards) - lt) & guards == guards:
+                    heapq.heappush(heap, -k)
+        return None if rem else Polynomial(ring, quot, width)
 
     def exact_div_or_raise(self, divisor: "Polynomial") -> "Polynomial":
         out = self.exact_div(divisor)

@@ -260,9 +260,8 @@ def test_inverse_rejects_bad_input():
         Matrix.zeros(QQ, 2, 3).inverse()
 
 
-def test_field_adjugate_at_corank_one_reduces_three_times(monkeypatch):
-    # det(A), one reduction of [A | I] for both kernels, and one minor
-    a = rand_field_matrix(random.Random(17), GF(2_147_483_647), 10, 9)
+def count_adjugate_reductions(monkeypatch, a):
+    """(adj(A), the column counts of the _row_reduce calls it made)."""
     calls = []
     reduce = matrix._row_reduce
 
@@ -273,8 +272,25 @@ def test_field_adjugate_at_corank_one_reduces_three_times(monkeypatch):
     monkeypatch.setattr(matrix, "_row_reduce", counting)
     adj = a.adjugate()
     monkeypatch.undo()
-    assert calls == [10, 10, 9]
+    return adj, calls
+
+
+def test_field_adjugate_at_corank_one_reduces_twice(monkeypatch):
+    # one reduction of [A | I] for both kernels, and one minor
+    a = rand_field_matrix(random.Random(17), GF(2_147_483_647), 10, 9)
+    adj, calls = count_adjugate_reductions(monkeypatch, a)
+    assert calls == [10, 9]
     assert adj == cofactor_adjugate(a)
+
+
+def test_field_adjugate_at_full_rank_reduces_once(monkeypatch):
+    # det(A) and A^-1 both come from the one reduction of [A | I]
+    for dom in (GF(2_147_483_647), QQ):
+        a = rand_field_matrix(random.Random(19), dom, 10, 10)
+        adj, calls = count_adjugate_reductions(monkeypatch, a)
+        assert calls == [10]
+        assert adj == cofactor_adjugate(a)
+        assert a * adj == Matrix.identity(dom, 10).scale(a.det())
 
 
 def test_field_adjugate_rank_deficient():
@@ -560,7 +576,9 @@ def test_elimination_agrees_with_independent_oracles(dom):
 def test_reduction_of_a_with_identity_is_rref_and_records_the_ops(dom):
     for a in field_cases(dom):
         n = a.rows
-        work, pivots = a._reduce_with_identity()
+        work, pivots, det = a._reduce_with_identity()
+        if len(pivots) == n:
+            assert det == a.det_bareiss()
         r_part = [row[:n] for row in work]
         e_part = [row[n:] for row in work]
         for r, c in enumerate(pivots):

@@ -7,8 +7,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adjkit import PolyRing, order_key
+from adjkit import PolyRing, kernels, order_key, random_alternating, sandwich
 
 
 def det2(ring):
@@ -135,6 +137,121 @@ def test_exact_div_integer_content():
     assert Rq.var("x_1_1").exact_div(Rq.const(2)) is not None
     Rp = PolyRing.generic(2, p=31)
     assert Rp.var("x_1_1").exact_div(Rp.const(2)) is not None
+
+
+# coefficient rings: ZZ, QQ, GF(101), GF(2^31 - 1)
+RINGS = [{}, {"rational": True}, {"p": 101}, {"p": 2_147_483_647}]
+RING_IDS = ["ZZ", "QQ", "GF101", "GF2^31-1"]
+
+
+def rand_xyz(rng, R, count, top):
+    """A random polynomial in x, y, z with count terms, exponents <= top."""
+    def coeff():
+        c = rng.randint(-9, 9) or 1
+        return Fraction(c, rng.randint(1, 4)) if R.rational else c
+    return R.from_terms({tuple(rng.randint(0, top) for _ in range(3)): coeff()
+                         for _ in range(count)})
+
+
+def count_division_steps(monkeypatch):
+    """The list of keys of every sub_scaled_terms call from now on."""
+    keys = []
+    step = kernels.sub_scaled_terms
+
+    def counting(rem, key, *args):
+        keys.append(key)
+        return step(rem, key, *args)
+
+    monkeypatch.setattr(kernels, "sub_scaled_terms", counting)
+    return keys
+
+
+@pytest.mark.parametrize("kw", RINGS, ids=RING_IDS)
+@pytest.mark.parametrize("top", [3, 300], ids=["width8", "above255"])
+def test_exact_div_recovers_the_quotient(kw, top):
+    R = PolyRing(("x", "y", "z"), **kw)
+    rng = random.Random(top)
+    for _ in range(12):
+        q = rand_xyz(rng, R, rng.randint(1, 6), top)
+        d = rand_xyz(rng, R, rng.randint(2, 5), top)
+        if q.is_zero() or len(d.packed) < 2:
+            continue
+        f = q * d
+        assert f.width == (8 if top == 3 else 16)
+        assert f.exact_div(d) == q
+        assert f.exact_div(q) == d
+
+
+@pytest.mark.parametrize("kw", RINGS, ids=RING_IDS)
+def test_exact_div_refuses_a_remainder_below_the_leading_term(kw):
+    # every step of q*d runs, and the monomial m, which LT(d) = x*y does
+    # not divide, is left over: only the final remainder check sees it
+    R = PolyRing(("x", "y", "z"), **kw)
+    x, y, z = (R.var(v) for v in "xyz")
+    d = 3 * x * y + x ** 2 - 2 * z
+    assert max(d.packed) == max((x * y).packed)
+    rng = random.Random(11)
+    for _ in range(8):
+        q = rand_xyz(rng, R, rng.randint(1, 5), 4)
+        if q.is_zero():
+            continue
+        f = q * d
+        m = z ** rng.randint(0, f.total_degree() - 2) * x ** rng.randint(0, 1)
+        assert max(m.packed) < max(f.packed)
+        assert f.exact_div(d) == q
+        assert (f + m).exact_div(d) is None
+
+
+@pytest.mark.parametrize("kw", RINGS, ids=RING_IDS)
+def test_exact_div_refuses_an_indivisible_leading_term_at_once(kw, monkeypatch):
+    R = PolyRing(("x", "y", "z"), **kw)
+    x, y, z = (R.var(v) for v in "xyz")
+    d = x * y - z
+    f = (x + y) * d + z ** 5  # LT(f) = z^5, which x*y does not divide
+    steps = count_division_steps(monkeypatch)
+    assert f.exact_div(d) is None
+    assert steps == []
+    assert ((x + y) * d).exact_div(d) == x + y
+    assert len(steps) == 2
+
+
+def test_exact_div_refuses_a_non_integral_integer_quotient():
+    R = PolyRing(("x", "y"))
+    Rq = PolyRing(("x", "y"), rational=True)
+    for num, den, quot in [
+            # the leading step already needs 1/2
+            ("x^2 + 3*x + 2", "2*x + 2", "1/2*x + 1"),
+            # the first step is integral, the second needs 1/2
+            ("2*x^2 + 3*x + 1", "2*x + 2", "x + 1/2"),
+            ("2*x*y + y", "2*x", None)]:
+        assert R.parse(num).exact_div(R.parse(den)) is None
+        got = Rq.parse(num).exact_div(Rq.parse(den))
+        assert got == (None if quot is None else Rq.parse(quot))
+
+
+@pytest.mark.parametrize("kw", RINGS, ids=RING_IDS)
+def test_exact_div_steps_on_keys_that_steps_create(kw, monkeypatch):
+    # LT(x - y) = y, and x^k is not divisible by y: every step after the
+    # first starts on a key that the step before it created
+    R = PolyRing(("x", "y"), **kw)
+    x, y = R.var("x"), R.var("y")
+    assert max((x - y).packed) == max(y.packed)
+    for k in (2, 6):
+        steps = count_division_steps(monkeypatch)
+        q = (x ** k - y ** k).exact_div(x - y)
+        assert q == sum((x ** i * y ** (k - 1 - i) for i in range(k)), R.zero)
+        assert len(steps) == k
+        monkeypatch.undo()
+
+
+def test_exact_div_takes_one_step_per_quotient_term(ctx4, monkeypatch):
+    entry = sandwich(ctx4, random_alternating(4, 5))[0, 1]
+    steps = count_division_steps(monkeypatch)
+    q = entry.exact_div(ctx4.detX)
+    monkeypatch.undo()
+    assert q * ctx4.detX == entry
+    assert len(steps) == len(q.packed) > 1
+    assert len(set(steps)) == len(steps)
 
 
 def test_division_soundness_random():
@@ -323,6 +440,26 @@ def test_string_round_trip_bit_exact():
         s = str(p)
         assert R.parse(s) == p
         assert str(R.parse(s)) == s
+
+
+# (exponent tuple, coefficient) lists of three-variable polynomials: exponents
+# up to 300, so widths 8 and 16 both occur, and coefficients that may be
+# non-integral fractions (rings without fractions take their numerators)
+TERM_LISTS = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 300)] * 3),
+              st.fractions(min_value=-1000, max_value=1000,
+                           max_denominator=60)),
+    max_size=8)
+
+
+@pytest.mark.parametrize("kw", RINGS, ids=RING_IDS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pairs=TERM_LISTS)
+def test_string_round_trip_property(kw, pairs):
+    R = PolyRing(("x", "y", "z"), **kw)
+    f = R.from_terms({e: c if R.rational else c.numerator for e, c in pairs})
+    assert R.parse(str(f)) == f
+    assert str(R.parse(str(f))) == str(f)
 
 
 def test_parser_accepts_whitespace():
