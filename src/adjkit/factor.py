@@ -14,6 +14,7 @@ adj(X) = A*(r*X^T + X^T*W*X^T)*A'.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -465,9 +466,18 @@ def solve_common_refinement(ctx: GenericContext, alt: AlternatingMatrix,
     Degree bookkeeping against the homogeneous degree-(n-1) adjugate forces
     the shape of the unknowns: r is a homogeneous scalar polynomial of
     degree n-2 and the entries of W are homogeneous of degree n-3 (W = 0
-    when n = 2).  The linear system over the rationals is solved by exact
-    sparse elimination; free variables are set to zero and their count
-    reported.
+    when n = 2).  The coefficients are matched in the basis
+    A^-1 adj(X) A'^-1 = r X^T + X^T W X^T, which mixes each monomial's n^2
+    equations by an invertible matrix: the reduced row echelon form of
+    [M | b], and so the particular solution with every free unknown at
+    zero, is that of the original basis.  There each unknown has
+    coefficient 1, x^mu of r at x^mu x_v_u in entry (u, v) and x^mu of
+    W[a][b] at x^mu x_a_u x_v_b.  Grading x_i_j by (e_i, f_j) and entry
+    (u, v) by -(e_v + f_u) gives every unknown one grade, so the system
+    splits into small blocks that the sparse elimination never mixes.  The
+    product checks run over the integers: with d the lcm of the solution's
+    denominators, each bracketing of A (d r X^T + X^T (d W) X^T) A' is
+    compared with d adj(X), which is exactly the identity over QQ.
     """
     n = ctx.n
     if n % 2:
@@ -475,51 +485,42 @@ def solve_common_refinement(ctx: GenericContext, alt: AlternatingMatrix,
     if not (alt.invertible and alt_prime.invertible):
         raise ValueError("both alternating matrices must be invertible")
     ring = ctx.ring
+    if ring.p is not None:
+        raise ValueError(f"refinement solves over the rationals, "
+                         f"not over GF({ring.p})")
     qring = PolyRing.generic(n, rational=True)
-    qd = PolynomialDomain(qring)
-
-    a_x_t = ctx.lift(alt.matrix) * ctx.X.transpose()          # A X^T
-    x_t_a2 = ctx.X.transpose() * ctx.lift(alt_prime.matrix)   # X^T A'
-    base = a_x_t * ctx.lift(alt_prime.matrix)                 # A X^T A'
+    # det(A) det(A') * A^-1 adj(X) A'^-1
+    rhs = (ctx.lift(alt.matrix.adjugate()) * ctx.adjX
+           * ctx.lift(alt_prime.matrix.adjugate()))
+    denom = alt.det * alt_prime.det
 
     nx = n * n  # the x variables; t is never involved
     r_monos = ring.monomials(n - 2, nx)
     w_monos = ring.monomials(n - 3, nx) if n >= 3 else []
-    nr = len(r_monos)
-    nw = len(w_monos)
+    nr, nw = len(r_monos), len(w_monos)
     ncols = nr + n * n * nw
-    # (A X^T)[u,a] * (X^T A')[b,v], at index (a * n + b) * n * n + u * n + v
-    prods = [a_x_t[u, a] * x_t_a2[b, v] for a in range(n) for b in range(n)
-             for u in range(n) for v in range(n)]
-    # every unknown's coefficient is a monomial x^mu times a term of the
-    # same total degree n - 1: at one key width, the key of their product
-    # is the sum
-    width, terms = aligned(r_monos + w_monos + base.entries + prods
-                           + ctx.adjX.entries, n - 1)
+    # every equation's monomial has total degree n - 1: at one key width,
+    # the key of a product of monomials is the sum of their keys
+    width, terms = aligned(r_monos + w_monos + ctx.X.entries + rhs.entries,
+                           n - 1)
     mu_keys = [next(iter(t)) for t in terms[:nr + nw]]
-    base_terms = terms[nr + nw:nr + nw + nx]
-    prod_terms = terms[nr + nw + nx:-nx]
+    x_keys = [next(iter(t)) for t in terms[nr + nw:nr + nw + nx]]
 
-    # one equation per (entry index u * n + v, key) of the matched products
+    # one equation per (entry index u * n + v, key)
     rows: dict = {}
-
-    def fill(j, mk, entries):
-        # the keys mu + k of one unknown are distinct within an entry
-        for e, entry in enumerate(entries):
-            for k, c in entry.items():
-                rows.setdefault((e, mk + k), {})[j] = c
-
-    # r unknowns: coefficient of monomial mu in r contributes
-    # x^mu * (A X^T A')[u,v]
-    for mi, mk in enumerate(mu_keys[:nr]):
-        fill(mi, mk, base_terms)
-    # W unknowns: coefficient of x^mu in W[a][b] contributes
-    # x^mu * (A X^T)[u,a] * (X^T A')[b,v]
-    for ab in range(nx):
-        for mi, mk in enumerate(mu_keys[nr:]):
-            fill(nr + ab * nw + mi, mk, prod_terms[ab * nx:(ab + 1) * nx])
-    target = {(e, k): c for e, entry in enumerate(terms[-nx:])
-              for k, c in entry.items()}
+    for u in range(n):
+        for v in range(n):
+            e = u * n + v
+            k = x_keys[v * n + u]
+            for mi, mk in enumerate(mu_keys[:nr]):
+                rows.setdefault((e, mk + k), {})[mi] = 1
+            for ab in range(nx):
+                a, b = divmod(ab, n)
+                k = x_keys[a * n + u] + x_keys[v * n + b]
+                for mi, mk in enumerate(mu_keys[nr:], nr + ab * nw):
+                    rows.setdefault((e, mk + k), {})[mi] = 1
+    target = {(e, k): _integral(Fraction(c, denom))
+              for e, entry in enumerate(terms[-nx:]) for k, c in entry.items()}
     for key in target:
         rows.setdefault(key, {})
 
@@ -528,36 +529,34 @@ def solve_common_refinement(ctx: GenericContext, alt: AlternatingMatrix,
     if solved is None:
         return None
     solution, free = solved
+    d = math.lcm(*(s.denominator for s in solution))
 
     def combination(keys, start):
-        return Polynomial(qring, {k: solution[start + i]
-                                  for i, k in enumerate(keys)
-                                  if solution[start + i]}, width)
+        """The polynomial d * sum of solution[start + i] x^keys[i]."""
+        return Polynomial(ring, {k: (solution[start + i] * d).numerator
+                                 for i, k in enumerate(keys)
+                                 if solution[start + i]}, width)
 
-    r = combination(mu_keys[:nr], 0)
-    W = Matrix(qd, n, n, [combination(mu_keys[nr:], nr + ab * nw)
-                          for ab in range(nx)])
+    r_d = combination(mu_keys[:nr], 0)
+    w_d = Matrix(ctx.domain, n, n, [combination(mu_keys[nr:], nr + ab * nw)
+                                    for ab in range(nx)])
+    a, a2 = ctx.lift(alt.matrix), ctx.lift(alt_prime.matrix)
+    xt, r_i = ctx.X.transpose(), ctx.identity.scale(r_d)
+    adj_d = ctx.adjX.scale(d)
 
-    # verify over the rational-coefficient ring
-    conv = qring.convert
-    Xq = ctx.X.map_entries(conv, qd)
-    adjXq = ctx.adjX.map_entries(conv, qd)
-    Aq = lift_int_matrix(alt.matrix, qring)
-    A2q = lift_int_matrix(alt_prime.matrix, qring)
-    inner = Xq.transpose().scale(r) + Xq.transpose() * W * Xq.transpose()
-    rebuilt = Aq * inner * A2q
-    core_l = Xq.transpose() * (Matrix.identity(qd, n).scale(r)
-                               + W * Xq.transpose())
-    core_r = (Matrix.identity(qd, n).scale(r)
-              + Xq.transpose() * W) * Xq.transpose()
+    def rational(f):
+        return qring.convert(f)._scaled(Fraction(1, d))
+
+    r, W = rational(r_d), w_d.map_entries(rational, PolynomialDomain(qring))
     checks = {
-        "back_multiplication": rebuilt == adjXq,
-        "left_divisible_by_a_xt": (Aq * core_l) * A2q == adjXq,
-        "right_divisible_by_xt_aprime": Aq * (core_r * A2q) == adjXq,
+        "back_multiplication": a * (xt.scale(r_d) + xt * w_d * xt) * a2
+        == adj_d,
+        "left_divisible_by_a_xt": (a * (xt * (r_i + w_d * xt))) * a2 == adj_d,
+        "right_divisible_by_xt_aprime": a * ((r_i + xt * w_d) * xt * a2)
+        == adj_d,
         "r_homogeneous": r.is_homogeneous(n - 2),
         "w_homogeneous": all(e.is_homogeneous(n - 3) or e.is_zero()
                              for e in W.entries),
     }
-    witness = RefinementWitness(n=n, r=r, W=W, alt=alt, alt_prime=alt_prime,
-                                solution_space_dim=free, checks=checks)
-    return witness
+    return RefinementWitness(n=n, r=r, W=W, alt=alt, alt_prime=alt_prime,
+                             solution_space_dim=free, checks=checks)

@@ -46,11 +46,12 @@ def rand_gfp_matrix(rng: random.Random, n: int, p: int) -> Matrix:
                                   for _ in range(n)])
 
 
-def rand_gfp_invertible(rng: random.Random, n: int, p: int) -> Matrix:
+def rand_gfp_invertible(rng: random.Random, n: int, p: int):
+    """(random invertible matrix over GF(p), its determinant)."""
     while True:
         m = rand_gfp_matrix(rng, n, p)
-        if m.det() != 0:
-            return m
+        if (det := m.det()) != 0:
+            return m, det
 
 
 def rand_gfp_singular(rng: random.Random, n: int, p: int) -> Matrix:
@@ -353,9 +354,9 @@ def _modp_factor_product(n, p, rng):
     alt = standard_symplectic(n)
     a_p = _reduce_mod(alt.matrix, p)
     a_inv = a_p.inverse()
-    b = rand_gfp_invertible(rng, n, p)
+    b, det_b = rand_gfp_invertible(rng, n, p)
     adj = b.adjugate()
-    det_inv = GF(p).inv(b.det())
+    det_inv = GF(p).inv(det_b)
     y = (adj * a_inv * adj.transpose()).scale(det_inv)
     ok = y * (b.transpose() * a_p) == adj
     return ok, None

@@ -4,6 +4,7 @@ factorization, and the common-refinement solver."""
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,10 +17,12 @@ from adjkit import (AlternatingMatrix, ExactDivisionError,
                     reverify_certificate, sandwich, solve_common_refinement,
                     standard_symplectic, theorem_main_guard,
                     verify_fundamental, zero_alternating)
+from adjkit import factor
+from adjkit.domains import PolynomialDomain
 from adjkit.factor import (FEASIBLE, INFEASIBLE_EXPONENT, INFEASIBLE_ODD,
-                           _sparse_solve)
-from adjkit.matrix import _row_reduce
-from adjkit.polyring import PolyRing
+                           RefinementWitness, _sparse_solve)
+from adjkit.matrix import _row_reduce, lift_int_matrix
+from adjkit.polyring import PolyRing, Polynomial, aligned
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +402,197 @@ def test_refinement_witness_json_round_trip(ctx4):
     assert loaded.r == w.r
     assert loaded.W == w.W
     assert loaded.solution_space_dim == w.solution_space_dim
+
+
+def test_refinement_rejects_a_mod_p_context():
+    # the residues of GF(p) are no rationals: an answer there would be wrong
+    ctx = GenericContext(4, p=31)
+    with pytest.raises(ValueError, match=r"GF\(31\)"):
+        solve_common_refinement(ctx, standard_symplectic(4),
+                                random_alternating(4, 3))
+
+
+def _original_basis_refinement(ctx, alt, alt_prime):
+    """The refinement witness from the original basis, kept as the oracle.
+
+    Matches the coefficients of A (r X^T + X^T W X^T) A' against adj(X)
+    itself: r multiplies A X^T A' and the coefficient of x^mu in W[a][b]
+    multiplies (A X^T)[u,a] (X^T A')[b,v].  The system goes to the same
+    sparse solver, and the checks multiply over the rationals.
+    """
+    n = ctx.n
+    ring = ctx.ring
+    qring = PolyRing.generic(n, rational=True)
+    qd = PolynomialDomain(qring)
+    a_x_t = ctx.lift(alt.matrix) * ctx.X.transpose()
+    x_t_a2 = ctx.X.transpose() * ctx.lift(alt_prime.matrix)
+    base = a_x_t * ctx.lift(alt_prime.matrix)
+    nx = n * n
+    r_monos = ring.monomials(n - 2, nx)
+    w_monos = ring.monomials(n - 3, nx) if n >= 3 else []
+    nr, nw = len(r_monos), len(w_monos)
+    prods = [a_x_t[u, a] * x_t_a2[b, v] for a in range(n) for b in range(n)
+             for u in range(n) for v in range(n)]
+    width, terms = aligned(r_monos + w_monos + base.entries + prods
+                           + ctx.adjX.entries, n - 1)
+    mu_keys = [next(iter(t)) for t in terms[:nr + nw]]
+    base_terms = terms[nr + nw:nr + nw + nx]
+    prod_terms = terms[nr + nw + nx:-nx]
+    rows = {}
+
+    def fill(j, mk, entries):
+        for e, entry in enumerate(entries):
+            for k, c in entry.items():
+                rows.setdefault((e, mk + k), {})[j] = c
+
+    for mi, mk in enumerate(mu_keys[:nr]):
+        fill(mi, mk, base_terms)
+    for ab in range(nx):
+        for mi, mk in enumerate(mu_keys[nr:]):
+            fill(nr + ab * nw + mi, mk, prod_terms[ab * nx:(ab + 1) * nx])
+    target = {(e, k): c for e, entry in enumerate(terms[-nx:])
+              for k, c in entry.items()}
+    for key in target:
+        rows.setdefault(key, {})
+    solved = _sparse_solve([(row, target.get(key, 0))
+                            for key, row in rows.items()], nr + nx * nw)
+    if solved is None:
+        return None
+    solution, free = solved
+
+    def combination(keys, start):
+        return Polynomial(qring, {k: solution[start + i]
+                                  for i, k in enumerate(keys)
+                                  if solution[start + i]}, width)
+
+    r = combination(mu_keys[:nr], 0)
+    W = Matrix(qd, n, n, [combination(mu_keys[nr:], nr + ab * nw)
+                          for ab in range(nx)])
+    xq = ctx.X.map_entries(qring.convert, qd)
+    adjq = ctx.adjX.map_entries(qring.convert, qd)
+    aq = lift_int_matrix(alt.matrix, qring)
+    a2q = lift_int_matrix(alt_prime.matrix, qring)
+    xt, r_i = xq.transpose(), Matrix.identity(qd, n).scale(r)
+    checks = {
+        "back_multiplication": aq * (xt.scale(r) + xt * W * xt) * a2q
+        == adjq,
+        "left_divisible_by_a_xt": (aq * (xt * (r_i + W * xt))) * a2q == adjq,
+        "right_divisible_by_xt_aprime": aq * ((r_i + xt * W) * xt * a2q)
+        == adjq,
+        "r_homogeneous": r.is_homogeneous(n - 2),
+        "w_homogeneous": all(e.is_homogeneous(n - 3) or e.is_zero()
+                             for e in W.entries),
+    }
+    return RefinementWitness(n=n, r=r, W=W, alt=alt, alt_prime=alt_prime,
+                             solution_space_dim=free, checks=checks)
+
+
+def _block_alternating(c1, c2):
+    """diag(c1 J, c2 J) at n = 4, with determinant (c1 c2)^2."""
+    return AlternatingMatrix.from_rows([[0, c1, 0, 0], [-c1, 0, 0, 0],
+                                        [0, 0, 0, c2], [0, 0, -c2, 0]])
+
+
+def _scaled_j(n, c):
+    return AlternatingMatrix(standard_symplectic(n).matrix.scale(c))
+
+
+def _witness_denominator(w):
+    """The largest denominator in r and W: above 1 exactly when d is."""
+    return max(c.denominator for f in [w.r, *w.W.entries]
+               for c in f.packed.values())
+
+
+REFINEMENT_PAIRS = [
+    (2, _scaled_j(2, 1), _scaled_j(2, 1)),
+    (2, _scaled_j(2, -1), _scaled_j(2, 1)),
+    (2, _scaled_j(2, 2), _scaled_j(2, 3)),
+    (4, _scaled_j(4, 1), _scaled_j(4, 1)),
+    (4, _scaled_j(4, -1), random_alternating(4, 5)),
+    (4, random_alternating(4, 11), random_alternating(4, 12)),
+    (4, random_alternating(4, 13), random_alternating(4, 14)),
+    (4, random_alternating(4, 15, bound=3),
+     random_alternating(4, 16, bound=3)),
+    (4, _scaled_j(4, 1), random_alternating(4, 17, bound=3)),
+    (4, _block_alternating(2, 3), _scaled_j(4, 1)),
+    (4, _block_alternating(2, 3), _block_alternating(3, 2)),
+    (4, AlternatingMatrix.from_rows([[0, 2, 0, 1], [-2, 0, 3, 0],
+                                     [0, -3, 0, 1], [-1, 0, -1, 0]]),
+     random_alternating(4, 18)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REFINEMENT_PAIRS)))
+def test_refinement_matches_the_original_basis(request, case):
+    n, alt, alt_prime = REFINEMENT_PAIRS[case]
+    ctx = request.getfixturevalue(f"ctx{n}")
+    got = solve_common_refinement(ctx, alt, alt_prime)
+    expected = _original_basis_refinement(ctx, alt, alt_prime)
+    assert got.passed and expected.passed
+    assert got.r == expected.r and got.W == expected.W
+    assert got.solution_space_dim == expected.solution_space_dim
+    assert got.to_json() == expected.to_json()
+    if alt.det * alt_prime.det != 1:
+        assert _witness_denominator(got) > 1
+
+
+def test_refinement_system_splits_into_bidegree_blocks(monkeypatch, ctx4):
+    systems = []
+    solve = factor._sparse_solve
+
+    def capturing(equations, ncols):
+        systems.append((equations, ncols))
+        return solve(equations, ncols)
+
+    monkeypatch.setattr(factor, "_sparse_solve", capturing)
+    w = solve_common_refinement(ctx4, random_alternating(4, 1),
+                                random_alternating(4, 2))
+    assert w.passed
+    [(equations, ncols)] = systems
+    assert ncols == 392
+    assert len(equations) == 4048
+    assert sum(len(row) for row, _ in equations) == 6272
+    assert all(v == 1 for row, _ in equations for v in row.values())
+    assert max(len(row) for row, _ in equations) == 4
+    # connected components of the unknowns that share an equation
+    root = list(range(ncols))
+
+    def find(j):
+        while root[j] != j:
+            root[j] = root[root[j]]
+            j = root[j]
+        return j
+
+    for row, _ in equations:
+        first, *rest = row
+        for j in rest:
+            root[find(j)] = find(first)
+    sizes = Counter(find(j) for j in range(ncols))
+    assert len(sizes) == 100
+    assert max(sizes.values()) <= 6
+
+
+@pytest.mark.parametrize("part", ["r", "W"])
+def test_refinement_checks_catch_a_perturbed_solution(monkeypatch, ctx4,
+                                                      part):
+    # one coefficient of r (the first unknown) or of W (the last) is off
+    # by one; the pair has det(A) det(A') = 36, so d > 1 clears fractions
+    solve = factor._sparse_solve
+
+    def perturbed(equations, ncols):
+        solution, free = solve(equations, ncols)
+        solution[0 if part == "r" else ncols - 1] += 1
+        return solution, free
+
+    alt, alt_prime = _block_alternating(2, 3), _scaled_j(4, 1)
+    assert _witness_denominator(
+        solve_common_refinement(ctx4, alt, alt_prime)) > 1
+    monkeypatch.setattr(factor, "_sparse_solve", perturbed)
+    w = solve_common_refinement(ctx4, alt, alt_prime)
+    assert not w.checks["back_multiplication"]
+    assert not w.checks["left_divisible_by_a_xt"]
+    assert not w.checks["right_divisible_by_xt_aprime"]
+    assert w.checks["r_homogeneous"] and w.checks["w_homogeneous"]
 
 
 # The sparse solver against the dense reduced echelon form of [M | b].

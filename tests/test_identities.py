@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from adjkit import matrix
 from adjkit.identities import (REGISTRY, SUITE, compound_det_check,
                                complement_reindexing, rand_gfp_singular,
                                run_modp_suite, run_symbolic_suite)
@@ -111,3 +112,20 @@ def test_modp_suite_runs_every_field_method(monkeypatch, seed):
                for rep in report["reports"])
     # a method enters the counts on its first call
     assert set(calls) == set(names), calls
+
+
+def test_modp_factor_product_reduces_three_times(monkeypatch):
+    # J^-1, the invertibility test of the draw, which also gives det(B),
+    # and the adjugate
+    calls = []
+    reduce = matrix._row_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(matrix, "_row_reduce", counting)
+    ok, _ = REGISTRY["factor_product"].modp(10, 2_147_483_647,
+                                            random.Random(3))
+    assert ok
+    assert calls == [10, 10, 10]
