@@ -49,9 +49,6 @@ class GenericContext:
         self.adjX = self.X.adjugate()
         self.identity = Matrix.identity(self.domain, n)
         self._det_powers = {0: self.ring.one, 1: self.detX}
-        # m -> outcome of the expanded law det(compound(X, m)) = det(X)^e,
-        # filled by identities.compound_det_check
-        self.compound_verified: dict = {}
         det_i = self.identity.scale(self.detX)
         if self.X * self.adjX != det_i or self.adjX * self.X != det_i:
             raise AssertionError("fundamental adjugate identity failed")

@@ -389,6 +389,17 @@ def test_compound_command(capsys):
     assert payload["det_check"]["route"] == "direct"
 
 
+def test_compound_derived_route(capsys):
+    # det(X)^6 at (5, 3) is out of reach, so the law is derived
+    code, out, _ = run(capsys, "compound", "--n", "5", "--m", "3",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["det_check"]["route"] == "derived"
+    code, out, _ = run(capsys, "compound", "--n", "5", "--m", "3")
+    assert code == 0
+    assert "det check route=derived: PASS" in out
+
+
 def test_compound_out_of_range(capsys):
     code, _, err = run(capsys, "compound", "--n", "3", "--m", "4")
     assert code == 2

@@ -5,11 +5,31 @@ import random
 
 import pytest
 
-from adjkit import matrix
+from adjkit import GenericContext, identities, matrix
 from adjkit.identities import (REGISTRY, SUITE, compound_det_check,
-                               complement_reindexing, rand_gfp_singular,
-                               run_modp_suite, run_symbolic_suite)
+                               rand_gfp_singular, run_modp_suite,
+                               run_symbolic_suite)
 from adjkit.matrix import Matrix, index_subsets
+
+DERIVED_CHECKS = ["complement_product", "entries_homogeneous",
+                  "exponent_arithmetic", "value_at_identity"]
+
+
+def complement_reindexing(n: int, m: int):
+    """Position map and signs tying D_m to compound(X, n-m).
+
+    D_m[S, T] = sign(S)*sign(T) * compound(X, n-m)[pos(comp S), pos(comp T)]
+    with sign(S) = (-1)^(1-based index sum of S).
+    """
+    subs_c = index_subsets(n, n - m)
+    pos_c = {s: i for i, s in enumerate(subs_c)}
+    full = set(range(n))
+    perm = []
+    signs = []
+    for s in index_subsets(n, m):
+        perm.append(pos_c[tuple(sorted(full - set(s)))])
+        signs.append(-1 if (sum(s) + m) % 2 else 1)
+    return perm, signs
 
 
 def test_registry_covers_the_required_identities():
@@ -44,9 +64,19 @@ def test_modp_suite_odd_n_skips_factor():
     assert "factor_product" not in names
 
 
-def test_compound_routes(ctx4):
+@pytest.fixture
+def no_random(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compound_det_check drew a random number")
+
+    monkeypatch.setattr(identities.random, "Random", refuse)
+
+
+def test_compound_routes(ctx4, no_random):
     rep = compound_det_check(ctx4, 2)
     assert rep["route"] == "direct" and rep["passed"]
+    assert list(rep["checks"]) == ["det_equals_power"]
+    assert "theorem" not in rep
 
 
 def test_compound_route_selection():
@@ -56,6 +86,72 @@ def test_compound_route_selection():
     assert _compound_direct_feasible(5, 4)
     assert not _compound_direct_feasible(5, 3)  # det^6 is ~1.6e8 terms
     assert not _compound_direct_feasible(6, 2)
+
+
+@pytest.fixture(scope="module")
+def ctx6():
+    return GenericContext(6)
+
+
+@pytest.mark.parametrize("n,m,p", [(5, 3, None), (6, 2, None), (6, 3, None),
+                                   (6, 4, None), (6, 5, None), (5, 3, 2)])
+def test_derived_route(request, no_random, n, m, p):
+    if p is not None:
+        ctx = GenericContext(n, p=p)
+    else:
+        ctx = request.getfixturevalue(f"ctx{n}")
+    rep = compound_det_check(ctx, m)
+    assert rep["route"] == "derived"
+    assert rep["theorem"] == "det(X) is irreducible"
+    assert list(rep["checks"]) == DERIVED_CHECKS
+    assert rep["passed"], rep
+
+
+def _swap_first_rows(a: Matrix) -> Matrix:
+    rows = a.to_rows()
+    rows[0], rows[1] = rows[1], rows[0]
+    return Matrix.from_rows(a.domain, rows)
+
+
+def _planted_complement(monkeypatch, plant):
+    complementary = Matrix.complementary_compound
+
+    def planted(self, m):
+        return plant(complementary(self, m))
+
+    monkeypatch.setattr(Matrix, "complementary_compound", planted)
+
+
+def test_negated_complement_entry_fails_the_product(ctx5, monkeypatch):
+    def negate_one(d):
+        d.entries[7] = -d.entries[7]
+        return d
+
+    _planted_complement(monkeypatch, negate_one)
+    rep = compound_det_check(ctx5, 3)
+    assert not rep["passed"]
+    assert not rep["checks"]["complement_product"]
+
+
+def test_entry_of_higher_degree_fails_homogeneity(ctx5):
+    cmp_m = ctx5.X.compound(3)
+    cmp_m.entries[4] = cmp_m.entries[4] * ctx5.ring.var("x_1_1")
+    rep = compound_det_check(ctx5, 3, cmp_m=cmp_m)
+    assert not rep["passed"]
+    assert not rep["checks"]["entries_homogeneous"]
+
+
+def test_wrong_value_at_identity_fails(ctx5, monkeypatch):
+    # the same row swap in C and D keeps C * D^T = det(X) * I and every
+    # degree, but flips the sign of det(C): only the value at X = I sees it
+    _planted_complement(monkeypatch, _swap_first_rows)
+    rep = compound_det_check(ctx5, 3, cmp_m=_swap_first_rows(
+        ctx5.X.compound(3)))
+    assert not rep["passed"]
+    assert rep["checks"] == {"complement_product": True,
+                             "entries_homogeneous": True,
+                             "exponent_arithmetic": True,
+                             "value_at_identity": False}
 
 
 def test_complement_reindexing_is_a_signed_permutation():
