@@ -5,11 +5,10 @@ generic matrix (exactly, at small n) and how to run one randomized GF(p)
 trial (for dimensions far beyond symbolic reach).  A deliberately corrupted
 identity is registered as a negative control; it must fail.
 
-Compound determinant checks are route-aware: the Sylvester-Franke
-determinant law det(compound(X, m)) = det(X)^C(n-1, m-1) is expanded
-directly when both sides fit in memory, and otherwise derived from exact
-checks on compound(X, m) alone: the complementary-compound product, the
-degree of its entries and its value at X = I, with the irreducibility of
+The Sylvester-Franke determinant law det(compound(X, m)) =
+det(X)^C(n-1, m-1) is derived at every (n, m), never expanded: from exact
+checks on compound(X, m) alone (the complementary-compound product, the
+degree of its entries and its value at X = I), with the irreducibility of
 det(X) as the one theorem the derivation names.
 """
 
@@ -90,30 +89,19 @@ def _reduce_mod(m: Matrix, p: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# compound determinant routes
+# compound determinant law
 # ---------------------------------------------------------------------------
-
-def _compound_direct_feasible(n: int, m: int) -> bool:
-    # determined by the expanded size of det(X)^C(n-1, m-1); the n = 5
-    # exponent-6 case has ~1.6e8 terms and is out of reach anywhere
-    if m in (1, n):
-        return True
-    if n <= 4:
-        return True
-    if n == 5:
-        return comb(4, m - 1) <= 4
-    return False
-
 
 def compound_det_check(ctx: GenericContext, m: int,
                        cmp_m: Matrix | None = None) -> dict:
-    """Verify det(compound(X, m)) = det(X)^e, e = C(n-1, m-1), route-aware.
+    """Prove det(compound(X, m)) = det(X)^e, e = C(n-1, m-1), exactly.
 
     ``cmp_m`` is compound(X, m) when the caller has already built it.
 
-    The ``direct`` route expands both sides.  Where that is out of reach
-    the ``derived`` route proves the law from four exact checks on
-    C = compound(X, m), with D = complementary_compound(m) and N = C(n, m):
+    The law is derived, never expanded: det(X)^e has about 2.2 million
+    terms at (5, 2) and 1.6e8 at (5, 3).  Four exact checks on
+    C = compound(X, m), with D = complementary_compound(m) and
+    N = C(n, m), prove it:
 
     1. ``complement_product``: C * D^T = det(X) * I, so det(C) * det(D) =
        det(X)^N.
@@ -132,27 +120,21 @@ def compound_det_check(ctx: GenericContext, m: int,
     big_n = comb(n, m)
     if cmp_m is None:
         cmp_m = ctx.X.compound(m)
-    checks: dict = {}
-    report = {"identity": "compound_det", "n": n, "m": m, "exponent": e}
-    if _compound_direct_feasible(n, m):
-        report["route"] = "direct"
-        checks["det_equals_power"] = cmp_m.det_equals(ctx.det_power(e))
-    else:
-        report["route"] = "derived"
-        report["theorem"] = "det(X) is irreducible"
-        d = ctx.X.complementary_compound(m)
-        ident = Matrix.identity(ctx.domain, big_n).scale(ctx.detX)
-        checks["complement_product"] = cmp_m * d.transpose() == ident
-        checks["entries_homogeneous"] = all(
-            c.is_homogeneous(m) for c in cmp_m.entries)
-        checks["exponent_arithmetic"] = n * e == m * big_n
-        point = {f"x_{i}_{j}": int(i == j)
-                 for i in range(1, n + 1) for j in range(1, n + 1)}
-        at_eye = cmp_m.map_entries(lambda c: c.evaluate(point), ZZ)
-        checks["value_at_identity"] = at_eye == Matrix.identity(ZZ, big_n)
-    report["checks"] = checks
-    report["passed"] = all(checks.values())
-    return report
+    d = ctx.X.complementary_compound(m)
+    ident = Matrix.identity(ctx.domain, big_n).scale(ctx.detX)
+    point = {f"x_{i}_{j}": int(i == j)
+             for i in range(1, n + 1) for j in range(1, n + 1)}
+    at_eye = cmp_m.map_entries(lambda c: c.evaluate(point), ZZ)
+    checks = {
+        "complement_product": cmp_m * d.transpose() == ident,
+        "entries_homogeneous": all(c.is_homogeneous(m)
+                                   for c in cmp_m.entries),
+        "exponent_arithmetic": n * e == m * big_n,
+        "value_at_identity": at_eye == Matrix.identity(ZZ, big_n),
+    }
+    return {"identity": "compound_det", "n": n, "m": m, "exponent": e,
+            "route": "derived", "theorem": "det(X) is irreducible",
+            "checks": checks, "passed": all(checks.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +223,15 @@ def _sym_diagonal(ctx: GenericContext, seed: int) -> dict:
 
 def _sym_compound(ctx: GenericContext, seed: int) -> dict:
     reports = [compound_det_check(ctx, m) for m in range(1, ctx.n + 1)]
-    checks = {f"m_{rep['m']}_{rep['route']}": rep["passed"] for rep in reports}
+    checks = {f"m_{rep['m']}": rep["passed"] for rep in reports}
     return {"identity": "compound_det", "n": ctx.n, "checks": checks,
             "reports": reports, "passed": all(checks.values())}
 
 
 def _sym_complementary(ctx: GenericContext, seed: int) -> dict:
-    checks = {}
-    for m in range(1, ctx.n + 1):
-        cmp_m = ctx.X.compound(m)
-        d = ctx.X.complementary_compound(m)
-        big_n = cmp_m.rows
-        ident = Matrix.identity(ctx.domain, big_n).scale(ctx.detX)
-        checks[f"m_{m}"] = cmp_m * d.transpose() == ident
+    reports = [compound_det_check(ctx, m) for m in range(1, ctx.n + 1)]
+    checks = {f"m_{rep['m']}": rep["checks"]["complement_product"]
+              for rep in reports}
     return {"identity": "complementary_compound", "n": ctx.n,
             "checks": checks, "passed": all(checks.values())}
 
@@ -338,9 +316,13 @@ def _modp_complementary(n, p, rng):
 
 
 def _modp_corrupted(n, p, rng):
-    b = rand_gfp_matrix(rng, n, p)
-    adj = b.adjugate()
-    ok = adj.det_bareiss() == pow(b.det_bareiss(), n, p)
+    # det(B)^(n-1) * (det(B) - 1) is nonzero for det(B) outside {0, 1},
+    # so every trial must fail; over GF(2) no such B exists
+    while True:
+        b, det_b = rand_gfp_invertible(rng, n, p)
+        if det_b != 1:
+            break
+    ok = b.adjugate().det_bareiss() == pow(det_b, n, p)
     return ok, None
 
 

@@ -1,6 +1,20 @@
+import os
+
 import pytest
 
 from adjkit import GenericContext
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "stress: opt-in heavy test, run only when ADJKIT_STRESS "
+        "is set to a value other than 0")
+
+
+def pytest_runtest_setup(item):
+    if (item.get_closest_marker("stress")
+            and os.environ.get("ADJKIT_STRESS", "") in ("", "0")):
+        pytest.skip("opt-in stress test (set ADJKIT_STRESS=1)")
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ The n = 6 stress factorization is opt-in: set ADJKIT_STRESS=1.
 
 import json
 import math
-import os
 import random
 import time
 from fractions import Fraction
@@ -242,8 +241,8 @@ def test_criterion_09_compound_identities(actx, actx5):
         for m in range(1, n + 1):
             rep = compound_det_check(ctx, m)
             assert rep["passed"], rep
-            # the complementary product is part of the direct route's
-            # criterion as well
+            # the criterion names the complementary product; assert it
+            # here as well as through the report's complement_product
             cmp_m = ctx.X.compound(m)
             d = ctx.X.complementary_compound(m)
             ident = Matrix.identity(ctx.domain, comb(n, m)).scale(ctx.detX)
@@ -320,9 +319,7 @@ def test_criterion_11_modp_corroboration():
            budget=60)
 
 
-@pytest.mark.skipif(os.environ.get("ADJKIT_STRESS", "") in ("", "0"),
-                    reason="n=6 stress factorization is opt-in "
-                           "(set ADJKIT_STRESS=1)")
+@pytest.mark.stress
 def test_stress_n6_factorization():
     """Opt-in n=6 certificate: exact product and det(Z) checks, with the
     det(Y) exponent law corroborated by the t-valuation law and mod-p

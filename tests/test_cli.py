@@ -99,6 +99,19 @@ def test_verify_modp_refuses_runs_without_trials(capsys):
         assert out == "" and "trial" in err
 
 
+def test_verify_modp_negative_control_fails_over_gf3(capsys):
+    # B is drawn with det(B) = 2, where det^(n-1) * (det - 1) is nonzero, so
+    # each trial must fail; at these seeds the first draw has det(B) in
+    # {0, 1}, which the corrupted identity satisfies
+    for seed in ("1", "2", "6"):
+        code, out, _ = run(capsys, "verify", "--n", "3", "--prime", "3",
+                           "--trials", "3", "--seed", seed,
+                           "--negative-control")
+        assert code == 1
+        assert "corrupted_adj_det: FAIL (negative control)" in out
+        assert "suite: FAIL" in out
+
+
 def test_verify_modp_refuses_negative_control_over_gf2(capsys):
     # det^(n-1) * (det - 1) vanishes on GF(2): the control cannot fail
     code, out, err = run(capsys, "verify", "--n", "4", "--prime", "2",
@@ -386,11 +399,11 @@ def test_compound_command(capsys):
     payload = json.loads(out)
     assert payload["compound"]["rows"] == 3
     assert payload["det_check"]["passed"]
-    assert payload["det_check"]["route"] == "direct"
+    assert payload["det_check"]["route"] == "derived"
 
 
 def test_compound_derived_route(capsys):
-    # det(X)^6 at (5, 3) is out of reach, so the law is derived
+    # det(X)^6 at (5, 3) has about 1.6e8 terms; the derivation never builds it
     code, out, _ = run(capsys, "compound", "--n", "5", "--m", "3",
                        "--format", "json")
     assert code == 0
@@ -467,14 +480,17 @@ def test_every_option_is_read_by_its_handler():
 # ---------------------------------------------------------------------------
 
 # sha256 of stdout and the exit code of each command, recorded before the
-# term dicts were keyed by packed ints: the output must stay byte-identical
+# term dicts were keyed by packed ints: the output must stay byte-identical.
+# The two compound_det reports (verify --n 3, compound --n 4 --m 2) were
+# re-recorded when every order took the derived route; only their route,
+# theorem and check keys changed.
 GOLDEN = (
     (("gen", "--n", "3"),
      0, "ccf16ad608a3294a941edc6e1d75426f098cc2319cc9cd242c5438ca9749197c"),
     (("gen", "--n", "3", "--format", "json"),
      0, "47d82da0a28f72ae7ae5c24d7097e537c36299b9ee7e942b172e389882de7f07"),
     (("verify", "--n", "3", "--format", "json"),
-     0, "7099ea1297c49437c450b5704edde7a3178f08373d1bb61ce2b2c04499a01cfe"),
+     0, "8649c89d4af1a5d2f372e88914e0c0bb45d52d17537e804fb4bced633ac523da"),
     (("factor", "--n", "4", "--side", "right"),
      0, "e10df87d0d66f286f2b461457c7a604d2313d08dffd7f2c4eed29450a8aaf0db"),
     (("factor", "--n", "4", "--side", "left"),
@@ -488,7 +504,7 @@ GOLDEN = (
     (("refine", "--n", "4", "--A", "random", "--seed", "7", "--format", "json"),
      0, "3019c6764220d5fca112d69d1816182fcf6f8f30b376114cd886d83e72c5824f"),
     (("compound", "--n", "4", "--m", "2", "--format", "json"),
-     0, "e5242727605770d1d36f6b03cff012d59f646d55b8eff703959156704ca02e0b"),
+     0, "b0f55cb3a64849181ec232d6904e4b5d9803340f4fc37fceb3b947ca908e2631"),
 )
 
 

@@ -1,7 +1,8 @@
-"""Identity registry, the route-aware compound determinant checks, and the
-verification suites that back the CLI."""
+"""Identity registry, the derived compound determinant law with the Laplace
+expansion as its oracle, and the verification suites that back the CLI."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -10,6 +11,7 @@ from adjkit.identities import (REGISTRY, SUITE, compound_det_check,
                                rand_gfp_singular, run_modp_suite,
                                run_symbolic_suite)
 from adjkit.matrix import Matrix, index_subsets
+from adjkit.specialize import sz_check
 
 DERIVED_CHECKS = ["complement_product", "entries_homogeneous",
                   "exponent_arithmetic", "value_at_identity"]
@@ -73,19 +75,11 @@ def no_random(monkeypatch):
 
 
 def test_compound_routes(ctx4, no_random):
-    rep = compound_det_check(ctx4, 2)
-    assert rep["route"] == "direct" and rep["passed"]
-    assert list(rep["checks"]) == ["det_equals_power"]
-    assert "theorem" not in rep
-
-
-def test_compound_route_selection():
-    from adjkit.identities import _compound_direct_feasible
-    assert _compound_direct_feasible(4, 2)
-    assert _compound_direct_feasible(5, 2)
-    assert _compound_direct_feasible(5, 4)
-    assert not _compound_direct_feasible(5, 3)  # det^6 is ~1.6e8 terms
-    assert not _compound_direct_feasible(6, 2)
+    # the suite keys its checks by order alone: every order has one route
+    rep = REGISTRY["compound_det"].symbolic(ctx4, 0)
+    assert list(rep["checks"]) == ["m_1", "m_2", "m_3", "m_4"]
+    assert [r["route"] for r in rep["reports"]] == ["derived"] * 4
+    assert rep["passed"]
 
 
 @pytest.fixture(scope="module")
@@ -93,18 +87,44 @@ def ctx6():
     return GenericContext(6)
 
 
-@pytest.mark.parametrize("n,m,p", [(5, 3, None), (6, 2, None), (6, 3, None),
-                                   (6, 4, None), (6, 5, None), (5, 3, 2)])
+@pytest.mark.parametrize(
+    "n,m,p",
+    [(n, m, None) for n in range(1, 5) for m in range(1, n + 1)]
+    + [(4, m, p) for p in (2, 3) for m in range(1, 5)]
+    + [(5, 3, None), (6, 2, None), (6, 3, None), (6, 4, None), (6, 5, None),
+       (5, 3, 2)])
 def test_derived_route(request, no_random, n, m, p):
-    if p is not None:
-        ctx = GenericContext(n, p=p)
-    else:
+    if p is None and n > 1:
         ctx = request.getfixturevalue(f"ctx{n}")
+    else:
+        ctx = GenericContext(n, p=p)
     rep = compound_det_check(ctx, m)
     assert rep["route"] == "derived"
     assert rep["theorem"] == "det(X) is irreducible"
     assert list(rep["checks"]) == DERIVED_CHECKS
     assert rep["passed"], rep
+
+
+def _expansion_matches_the_law(ctx, m):
+    # the Laplace expansion of det(C) against det(X)^C(n-1, m-1): an oracle
+    # independent of the derivation, which must pass on the same (n, m)
+    e = comb(ctx.n - 1, m - 1)
+    assert ctx.X.compound(m).det_laplace() == ctx.det_power(e), (ctx.n, m)
+    assert compound_det_check(ctx, m)["passed"], (ctx.n, m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expansion_oracle_agrees_with_the_derived_route(n):
+    ctx = GenericContext(n)
+    for m in range(1, n + 1):
+        _expansion_matches_the_law(ctx, m)
+
+
+@pytest.mark.stress
+@pytest.mark.parametrize("m", [2, 4])
+def test_expansion_oracle_n5(ctx5, m):
+    # det(X)^4 has 2,224,955 terms: about 60 s and 1.2 GB at m = 2
+    _expansion_matches_the_law(ctx5, m)
 
 
 def _swap_first_rows(a: Matrix) -> Matrix:
@@ -122,36 +142,40 @@ def _planted_complement(monkeypatch, plant):
     monkeypatch.setattr(Matrix, "complementary_compound", planted)
 
 
-def test_negated_complement_entry_fails_the_product(ctx5, monkeypatch):
+def test_negated_complement_entry_fails_the_product(ctx4, ctx5,
+                                                   monkeypatch):
     def negate_one(d):
         d.entries[7] = -d.entries[7]
         return d
 
     _planted_complement(monkeypatch, negate_one)
-    rep = compound_det_check(ctx5, 3)
-    assert not rep["passed"]
-    assert not rep["checks"]["complement_product"]
+    for ctx, m in ((ctx4, 2), (ctx5, 3)):
+        rep = compound_det_check(ctx, m)
+        assert not rep["passed"]
+        assert not rep["checks"]["complement_product"]
 
 
-def test_entry_of_higher_degree_fails_homogeneity(ctx5):
-    cmp_m = ctx5.X.compound(3)
-    cmp_m.entries[4] = cmp_m.entries[4] * ctx5.ring.var("x_1_1")
-    rep = compound_det_check(ctx5, 3, cmp_m=cmp_m)
-    assert not rep["passed"]
-    assert not rep["checks"]["entries_homogeneous"]
+def test_entry_of_higher_degree_fails_homogeneity(ctx4, ctx5):
+    for ctx, m in ((ctx4, 2), (ctx5, 3)):
+        cmp_m = ctx.X.compound(m)
+        cmp_m.entries[4] = cmp_m.entries[4] * ctx.ring.var("x_1_1")
+        rep = compound_det_check(ctx, m, cmp_m=cmp_m)
+        assert not rep["passed"]
+        assert not rep["checks"]["entries_homogeneous"]
 
 
-def test_wrong_value_at_identity_fails(ctx5, monkeypatch):
+def test_wrong_value_at_identity_fails(ctx4, ctx5, monkeypatch):
     # the same row swap in C and D keeps C * D^T = det(X) * I and every
     # degree, but flips the sign of det(C): only the value at X = I sees it
     _planted_complement(monkeypatch, _swap_first_rows)
-    rep = compound_det_check(ctx5, 3, cmp_m=_swap_first_rows(
-        ctx5.X.compound(3)))
-    assert not rep["passed"]
-    assert rep["checks"] == {"complement_product": True,
-                             "entries_homogeneous": True,
-                             "exponent_arithmetic": True,
-                             "value_at_identity": False}
+    for ctx, m in ((ctx4, 2), (ctx5, 3)):
+        rep = compound_det_check(ctx, m, cmp_m=_swap_first_rows(
+            ctx.X.compound(m)))
+        assert not rep["passed"]
+        assert rep["checks"] == {"complement_product": True,
+                                 "entries_homogeneous": True,
+                                 "exponent_arithmetic": True,
+                                 "value_at_identity": False}
 
 
 def test_complement_reindexing_is_a_signed_permutation():
@@ -225,3 +249,10 @@ def test_modp_factor_product_reduces_three_times(monkeypatch):
                                             random.Random(3))
     assert ok
     assert calls == [10, 10, 10]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_modp_negative_control_fails_every_trial(p):
+    # det(B) is drawn outside {0, 1}, where det^(n-1) * (det - 1) != 0
+    rep = sz_check("corrupted_adj_det", 3, p, trials=20, seed=1)
+    assert [f["trial"] for f in rep["failures"]] == list(range(20))
