@@ -33,8 +33,8 @@ class GenericContext:
     """The generic n-by-n matrix with its determinant and adjugate.
 
     The fundamental identity X*adj(X) = adj(X)*X = det(X)*I is verified on
-    construction; det powers are cached since several verifications share
-    them.
+    construction; det powers and the compound reports are cached since
+    several verifications share them.
     """
 
     def __init__(self, n: int, p: int | None = None, allow_large: bool = False):
@@ -49,6 +49,9 @@ class GenericContext:
         self.adjX = self.X.adjugate()
         self.identity = Matrix.identity(self.domain, n)
         self._det_powers = {0: self.ring.one, 1: self.detX}
+        # identities.compound_det_check for m = 1..n, built once for the
+        # two compound identities of the symbolic suite
+        self.compound_reports: list[dict] | None = None
         det_i = self.identity.scale(self.detX)
         if self.X * self.adjX != det_i or self.adjX * self.X != det_i:
             raise AssertionError("fundamental adjugate identity failed")

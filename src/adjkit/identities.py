@@ -221,15 +221,23 @@ def _sym_diagonal(ctx: GenericContext, seed: int) -> dict:
             "checks": checks, "passed": all(checks.values())}
 
 
+def _compound_reports(ctx: GenericContext) -> list[dict]:
+    """compound_det_check(ctx, m) for m = 1..n, built once per context."""
+    if ctx.compound_reports is None:
+        ctx.compound_reports = [compound_det_check(ctx, m)
+                                for m in range(1, ctx.n + 1)]
+    return ctx.compound_reports
+
+
 def _sym_compound(ctx: GenericContext, seed: int) -> dict:
-    reports = [compound_det_check(ctx, m) for m in range(1, ctx.n + 1)]
+    reports = _compound_reports(ctx)
     checks = {f"m_{rep['m']}": rep["passed"] for rep in reports}
     return {"identity": "compound_det", "n": ctx.n, "checks": checks,
             "reports": reports, "passed": all(checks.values())}
 
 
 def _sym_complementary(ctx: GenericContext, seed: int) -> dict:
-    reports = [compound_det_check(ctx, m) for m in range(1, ctx.n + 1)]
+    reports = _compound_reports(ctx)
     checks = {f"m_{rep['m']}": rep["checks"]["complement_product"]
               for rep in reports}
     return {"identity": "complementary_compound", "n": ctx.n,

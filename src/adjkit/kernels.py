@@ -10,14 +10,27 @@ coefficients; a prime ``p`` means int coefficients in ``[1, p)``.  Inputs
 are canonical and so are the results: no zero coefficient is ever stored.
 A kernel tests ``p`` once per call, never inside its loops over term pairs.
 
-The kernels are pure Python; ``IMPL`` names the implementation.
+Every kernel has a pure-Python body here.  The products, the fused
+multiply-add and the Laplace determinant (``mul_terms``, ``fma_terms``,
+``det_laplace_terms``, their ``packed_*`` twins and ``*_mod`` aliases) also
+have a compiled body in ``_termkernels_c.c``, which merges term pairs in
+descending key order with a heap on native multiword keys; it relies on the
+two key properties above and no other.  The first import builds it from
+source when needed (see ``_cbuild``) and binds those names to it.  A call
+the compiled body cannot do exactly (Fraction coefficients, an int64
+overflow, a key too wide, a modulus of 2^32 or more) runs in the
+pure-Python body.  ``IMPL`` is ``"c"`` or ``"py"``; ``IMPL_NOTE`` is empty
+with ``"c"`` and says why the compiled kernels were refused with ``"py"``:
+``ADJKIT_PURE`` set, no compiler, a build error or an import error.
+``PY_KERNELS`` keeps the pure-Python bodies of the names the compiled core
+takes, for differential tests.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-IMPL = "py"
+from . import _cbuild
 
 
 # The public kernels are the names a profiler may wrap.  Kernels call each
@@ -202,6 +215,19 @@ def packed_det_laplace(rows, p=0):
     """det_laplace_terms, under the span name of large determinants."""
     return _laplace(rows, p)
 
+
+PY_KERNELS = {"mul_terms": mul_terms, "packed_mul_terms": packed_mul_terms,
+              "fma_terms": fma_terms, "det_laplace_terms": det_laplace_terms,
+              "packed_det_laplace": packed_det_laplace}
+
+_compiled, IMPL_NOTE = _cbuild.load()
+IMPL = "py" if _compiled is None else "c"
+if _compiled is not None:
+    mul_terms = _compiled.mul_terms
+    packed_mul_terms = _compiled.packed_mul_terms
+    fma_terms = _compiled.fma_terms
+    det_laplace_terms = _compiled.det_laplace_terms
+    packed_det_laplace = _compiled.packed_det_laplace
 
 # perfbench/layers.py wraps every kernel by name, these old mod-p names too.
 add_terms_mod = add_terms

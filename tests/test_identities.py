@@ -48,6 +48,22 @@ def test_symbolic_suite_passes_n2_to_n4():
         assert report["passed"], report
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_builds_each_compound_report_once(monkeypatch, n):
+    # compound_det and complementary_compound read one report per order
+    from adjkit.cli import main
+    calls = []
+    check = identities.compound_det_check
+
+    def counting(ctx, m, **kwargs):
+        calls.append(m)
+        return check(ctx, m, **kwargs)
+
+    monkeypatch.setattr(identities, "compound_det_check", counting)
+    assert main(["verify", "--n", str(n)]) == 0
+    assert calls == list(range(1, n + 1))
+
+
 def test_symbolic_suite_detects_corruption():
     report = run_symbolic_suite(3, seed=0, include_corrupted=True)
     assert not report["passed"]
