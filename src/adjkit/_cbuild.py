@@ -10,6 +10,12 @@ result into place, so a concurrent import never sees a half-written file.
 An import that finds the shared object current reads two files and loads
 it; the build's modules are imported only to build.
 
+A tree the build cannot write to is not built ("read-only tree").  A build
+that runs and fails leaves a marker, ``<shared object>.failed-<digest>``,
+holding its reason, so later imports of the same source report that reason
+at once instead of compiling again; delete the marker to retry.  A missing
+compiler leaves no marker, so installing one is enough.
+
 Setting the environment variable ``ADJKIT_PURE`` to a value other than
 ``""`` or ``"0"`` skips the compiled kernels.
 """
@@ -33,6 +39,15 @@ def target() -> Path:
     return HERE / (NAME + importlib.machinery.EXTENSION_SUFFIXES[0])
 
 
+def failure_marker(digest: str) -> Path:
+    out = target()
+    return out.with_name(f"{out.name}.failed-{digest}")
+
+
+def writable() -> bool:
+    return os.access(HERE, os.W_OK)
+
+
 def compile_command(source: Path, out: Path, digest: str) -> list[str]:
     """The command that compiles and links ``source`` into ``out``."""
     import shlex
@@ -45,7 +60,11 @@ def compile_command(source: Path, out: Path, digest: str) -> list[str]:
 
 
 class BuildError(Exception):
-    pass
+    """A failed build; ``record`` when retrying the same source is futile."""
+
+    def __init__(self, reason: str, record: bool = True):
+        super().__init__(reason)
+        self.record = record
 
 
 def build(digest: str) -> None:
@@ -58,7 +77,7 @@ def build(digest: str) -> None:
                               capture_output=True, text=True,
                               timeout=BUILD_TIMEOUT_S)
     except OSError as e:
-        raise BuildError(f"no compiler: {e}") from None
+        raise BuildError(f"no compiler: {e}", record=False) from None
     except subprocess.TimeoutExpired:
         tmp.unlink(missing_ok=True)
         raise BuildError(f"build error: timed out after {BUILD_TIMEOUT_S} s")
@@ -87,9 +106,23 @@ def load():
     except OSError:
         current = False
     if not current:
+        marker = failure_marker(digest)
+        try:
+            return None, marker.read_text()
+        except OSError:
+            pass
+        if not writable():
+            return None, "read-only tree"
+        for stale in HERE.glob(f"{target().name}.failed-*"):
+            stale.unlink(missing_ok=True)
         try:
             build(digest)
         except BuildError as e:
+            if e.record:
+                try:
+                    marker.write_text(str(e))
+                except OSError:
+                    pass
             return None, str(e)
     try:
         return importlib.import_module(f"{__package__}.{NAME}"), ""

@@ -107,14 +107,15 @@ key_add(u64 *out, const u64 *a, const u64 *b, int w)
 }
 
 /* Largest key bit length in a term dict; FALLBACK for a key that is not a
-   nonnegative int. */
+   nonnegative int or a coefficient that is not an int (a Fraction), found
+   before anything is allocated. */
 static int
 scan_keys(PyObject *d, size_t *maxbits)
 {
     Py_ssize_t pos = 0;
     PyObject *k, *v;
     while (PyDict_Next(d, &pos, &k, &v)) {
-        if (!PyLong_Check(k) || _PyLong_Sign(k) < 0)
+        if (!PyLong_Check(v) || !PyLong_Check(k) || _PyLong_Sign(k) < 0)
             return FALLBACK;
         size_t bits = _PyLong_NumBits(k);
         if (bits == (size_t)-1)
@@ -179,11 +180,14 @@ coefficient(PyObject *v, const Mode *m, int64_t *out)
     return OK;
 }
 
-/* CPython 3.10 and 3.11 store an int as 30-bit digits, least significant
-   first; the keys move between those digits and words directly.  Other
-   versions go through the byte-string conversions. */
-#if PY_VERSION_HEX < 0x030C0000 && PyLong_SHIFT == 30
-#define DIGITS_30 1
+/* Keys wider than one word move as little-endian byte strings of w words;
+   CPython 3.13 added a last argument to the conversion to bytes. */
+#if PY_VERSION_HEX >= 0x030D0000
+#define AS_BYTE_ARRAY(v, buf, n) \
+    _PyLong_AsByteArray((PyLongObject *)(v), (buf), (n), 1, 0, 1)
+#else
+#define AS_BYTE_ARRAY(v, buf, n) \
+    _PyLong_AsByteArray((PyLongObject *)(v), (buf), (n), 1, 0)
 #endif
 
 static int
@@ -193,30 +197,8 @@ key_from_py(PyObject *k, u64 *key, int w)
         key[0] = PyLong_AsUnsignedLongLong(k);
         return key[0] == (u64)-1 && PyErr_Occurred() ? FAIL : OK;
     }
-#ifdef DIGITS_30
-    {
-        const digit *d = ((PyLongObject *)k)->ob_digit;
-        Py_ssize_t nd = Py_SIZE(k);
-        memset(key, 0, (size_t)w * sizeof(u64));
-        for (Py_ssize_t i = 0; i < nd; i++) {
-            size_t bit = (size_t)i * 30, wi = bit >> 6, off = bit & 63;
-            key[wi] |= (u64)d[i] << off;
-            if (off > 34 && wi + 1 < (size_t)w)
-                key[wi + 1] |= (u64)d[i] >> (64 - off);
-        }
-        return OK;
-    }
-#elif PY_VERSION_HEX >= 0x030D0000
-    if (_PyLong_AsByteArray((PyLongObject *)k, (unsigned char *)key,
-                            (size_t)w * 8, 1, 0, 1) < 0)
-        return FAIL;
-    return OK;
-#else
-    if (_PyLong_AsByteArray((PyLongObject *)k, (unsigned char *)key,
-                            (size_t)w * 8, 1, 0) < 0)
-        return FAIL;
-    return OK;
-#endif
+    return AS_BYTE_ARRAY(k, (unsigned char *)key, (size_t)w * 8) < 0
+           ? FAIL : OK;
 }
 
 static PyObject *
@@ -227,26 +209,8 @@ key_to_py(const u64 *key, int w)
         top--;
     if (top == 0)
         return PyLong_FromUnsignedLongLong(key[0]);
-#ifdef DIGITS_30
-    {
-        size_t bits = (size_t)top * 64 + 64 - __builtin_clzll(key[top]);
-        Py_ssize_t nd = (Py_ssize_t)((bits + 29) / 30);
-        PyLongObject *v = _PyLong_New(nd);
-        if (v == NULL)
-            return NULL;
-        for (Py_ssize_t i = 0; i < nd; i++) {
-            size_t bit = (size_t)i * 30, wi = bit >> 6, off = bit & 63;
-            u64 x = key[wi] >> off;
-            if (off > 34 && wi < (size_t)top)
-                x |= key[wi + 1] << (64 - off);
-            v->ob_digit[i] = (digit)(x & PyLong_MASK);
-        }
-        return (PyObject *)v;
-    }
-#else
     return _PyLong_FromByteArray((const unsigned char *)key,
                                  (size_t)(top + 1) * 8, 1, 0);
-#endif
 }
 
 /* One shared int object per small coefficient: a large result repeats a
@@ -655,27 +619,31 @@ merge(const Stream *st, int nst, Scratch *sc, Sink *sink)
  * the pure-Python kernels, for the calls this file does not take
  * ---------------------------------------------------------------------- */
 
+/* adjkit.kernels._fma and _laplace, looked up on the first call that
+   needs them */
+static PyObject *py_fma, *py_laplace;
+
 static PyObject *
-python_kernel(const char *name)
+python_kernel(PyObject **slot, const char *name)
 {
-    PyObject *mod = PyImport_ImportModule("adjkit.kernels"), *fn;
-    if (mod == NULL)
-        return NULL;
-    fn = PyObject_GetAttrString(mod, name);
-    Py_DECREF(mod);
-    return fn;
+    if (*slot == NULL) {
+        PyObject *mod = PyImport_ImportModule("adjkit.kernels");
+        if (mod == NULL)
+            return NULL;
+        *slot = PyObject_GetAttrString(mod, name);
+        Py_DECREF(mod);
+    }
+    return *slot;
 }
 
 static PyObject *
 python_fma(PyObject *acc, PyObject *a, PyObject *b, PyObject *negate,
            PyObject *p)
 {
-    PyObject *fn = python_kernel("_fma"), *r;
+    PyObject *fn = python_kernel(&py_fma, "_fma");
     if (fn == NULL)
         return NULL;
-    r = PyObject_CallFunctionObjArgs(fn, acc, a, b, negate, p, NULL);
-    Py_DECREF(fn);
-    return r;
+    return PyObject_CallFunctionObjArgs(fn, acc, a, b, negate, p, NULL);
 }
 
 /* ------------------------------------------------------------------------
@@ -959,7 +927,7 @@ static PyObject *
 det_laplace_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
                   PyObject *kwnames)
 {
-    PyObject *p, *rows = NULL, *out = NULL, **grid = NULL, *fn, *r;
+    PyObject *p, *rows = NULL, *out = NULL, **grid = NULL, *fn;
     Mode m = {0};
     Py_ssize_t n = 0, got = 0;
     int rc;
@@ -1001,11 +969,8 @@ det_laplace_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         goto done;
 python:
     Py_CLEAR(out);
-    if ((fn = python_kernel("_laplace")) == NULL)
-        goto done;
-    r = PyObject_CallFunctionObjArgs(fn, rows, p, NULL);
-    Py_DECREF(fn);
-    out = r;
+    if ((fn = python_kernel(&py_laplace, "_laplace")) != NULL)
+        out = PyObject_CallFunctionObjArgs(fn, rows, p, NULL);
 done:
     PyMem_RawFree(grid);
     return out;

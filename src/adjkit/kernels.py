@@ -21,9 +21,9 @@ the compiled body cannot do exactly (Fraction coefficients, an int64
 overflow, a key too wide, a modulus of 2^32 or more) runs in the
 pure-Python body.  ``IMPL`` is ``"c"`` or ``"py"``; ``IMPL_NOTE`` is empty
 with ``"c"`` and says why the compiled kernels were refused with ``"py"``:
-``ADJKIT_PURE`` set, no compiler, a build error or an import error.
-``PY_KERNELS`` keeps the pure-Python bodies of the names the compiled core
-takes, for differential tests.
+``ADJKIT_PURE`` set, a read-only tree, no compiler, a build error or an
+import error.  The private ``_fma`` and ``_laplace`` stay pure Python: they
+are the fallback and the tests' reference.
 """
 
 from __future__ import annotations
@@ -215,10 +215,6 @@ def packed_det_laplace(rows, p=0):
     """det_laplace_terms, under the span name of large determinants."""
     return _laplace(rows, p)
 
-
-PY_KERNELS = {"mul_terms": mul_terms, "packed_mul_terms": packed_mul_terms,
-              "fma_terms": fma_terms, "det_laplace_terms": det_laplace_terms,
-              "packed_det_laplace": packed_det_laplace}
 
 _compiled, IMPL_NOTE = _cbuild.load()
 IMPL = "py" if _compiled is None else "c"

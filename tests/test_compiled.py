@@ -1,7 +1,8 @@
 """The compiled term kernels against the pure-Python bodies they replace.
 
-``kernels.PY_KERNELS`` holds the pure-Python bodies; the public names run
-the compiled ones.  Every compiled kernel must return what the Python body
+``PY`` holds the pure-Python bodies, built on ``kernels._fma`` and
+``kernels._laplace`` as the Python kernels are; the public names run the
+compiled ones.  Every compiled kernel must return what the Python body
 returns, on seeded random inputs at several key widths and moduli, on the
 inputs it hands back to Python (Fraction coefficients, int64 overflow, keys
 too wide), and at the edges (empty operands, the key-0 scalar, a ring with
@@ -33,7 +34,24 @@ from test_kernels import *  # noqa: F401,F403  (rerun under kernel_impl)
 
 PACKAGE = Path(kernels.__file__).parent
 SRC = PACKAGE.parent
-PY = kernels.PY_KERNELS
+
+
+def py_mul(a, b, p=0):
+    out = {}
+    kernels._fma(out, a, b, False, p)
+    return out
+
+
+def py_fma(acc, a, b, negate, p=0):
+    kernels._fma(acc, a, b, negate, p)
+
+
+def py_laplace(rows, p=0):
+    return kernels._laplace(rows, p)
+
+
+PY = {"mul_terms": py_mul, "packed_mul_terms": py_mul, "fma_terms": py_fma,
+      "det_laplace_terms": py_laplace, "packed_det_laplace": py_laplace}
 PRIMES = (2, 3, 2_147_483_647)
 PURE_ASKED = os.environ.get("ADJKIT_PURE", "") not in ("", "0")
 
@@ -328,26 +346,55 @@ def test_an_edited_source_is_rebuilt(tmp_path):
     assert not list(pkg.glob("*.tmp"))
 
 
-def test_a_failed_build_leaves_pure_python(tmp_path):
-    pkg = copy_package(tmp_path, with_extension=False)
-    # load the build helper first and patch its command, then import
-    code = f"""
+def import_with_patched_build(pkg, patch):
+    """Code that loads the copy's build helper, applies ``patch`` to it as
+    ``cbuild``, then imports the kernels and prints IMPL and IMPL_NOTE."""
+    return f"""
         import importlib.util, sys
         spec = importlib.util.spec_from_file_location(
             "adjkit._cbuild", {str(pkg / "_cbuild.py")!r})
         cbuild = importlib.util.module_from_spec(spec)
         sys.modules["adjkit._cbuild"] = cbuild
         spec.loader.exec_module(cbuild)
-        cbuild.compile_command = lambda source, out, digest: [
-            sys.executable, "-c", "raise SystemExit('cc: simulated failure')"]
+        {patch}
         from adjkit import kernels
         print(kernels.IMPL)
         print(kernels.IMPL_NOTE)
         assert kernels.mul_terms({{1: 2}}, {{2: 3}}) == {{3: 6}}
         """
+
+
+def test_a_failed_build_leaves_pure_python_and_is_not_retried(tmp_path):
+    pkg = copy_package(tmp_path, with_extension=False)
+    runs = tmp_path / "compiler-runs"
+    # the compiler fails, and counts its runs
+    code = import_with_patched_build(pkg, f"""cbuild.compile_command = \
+            lambda source, out, digest: [sys.executable, "-c",
+            "open({str(runs)!r}, 'a').write('x');"
+            "raise SystemExit('cc: simulated failure')"]""")
+    for _ in range(2):
+        done = run_python(code, path=tmp_path, env=env_without_pure())
+        assert done.returncode == 0, done.stderr
+        impl, note = done.stdout.splitlines()
+        assert impl == "py"
+        assert note == "build error: exit 1: cc: simulated failure"
+    # the second import read the recorded failure and did not compile
+    assert runs.read_text() == "x"
+    (marker,) = pkg.glob("_termkernels_c*.failed-*")
+    assert not list(pkg.glob("*.so")) and not list(pkg.glob("*.tmp"))
+    # a new source retries, and its build replaces the old record
+    with open(pkg / "_termkernels_c.c", "a") as f:
+        f.write("\n/* edited */\n")
+    done = run_python(code, path=tmp_path, env=env_without_pure())
+    assert done.stdout.splitlines()[0] == "py" and runs.read_text() == "xx"
+    assert not marker.exists() and len(list(pkg.glob("*.failed-*"))) == 1
+
+
+def test_a_read_only_tree_is_not_built(tmp_path):
+    pkg = copy_package(tmp_path, with_extension=False)
+    code = import_with_patched_build(pkg, """cbuild.writable = lambda: False
+        cbuild.build = lambda digest: sys.exit("build attempted")""")
     done = run_python(code, path=tmp_path, env=env_without_pure())
     assert done.returncode == 0, done.stderr
-    impl, note = done.stdout.splitlines()
-    assert impl == "py"
-    assert note == "build error: exit 1: cc: simulated failure"
-    assert not list(pkg.glob("*.so")) and not list(pkg.glob("*.tmp"))
+    assert done.stdout.splitlines() == ["py", "read-only tree"]
+    assert not list(pkg.glob("*.so")) and not list(pkg.glob("*.failed-*"))
