@@ -289,14 +289,14 @@ fail:
  * output sinks: where the merge sends each finished monomial
  * ---------------------------------------------------------------------- */
 
-enum { SINK_ARRAY, SINK_DICT, SINK_FMA };
+enum { SINK_ARRAY, SINK_FMA };
 
 typedef struct {
     int kind;
     const Mode *mode;
     Terms out;              /* SINK_ARRAY */
     Py_ssize_t cap;
-    PyObject *dict;         /* SINK_DICT: the result; SINK_FMA: acc */
+    PyObject *dict;         /* SINK_FMA: acc, or a new dict for a result */
 } Sink;
 
 static int
@@ -323,25 +323,8 @@ sink_array(Sink *s, const u64 *key, i128 c)
     return OK;
 }
 
-static int
-sink_dict(Sink *s, const u64 *key, i128 c)
-{
-    PyObject *k = key_to_py(key, s->mode->w), *v;
-    int rc;
-    if (k == NULL)
-        return FAIL;
-    v = coef_to_py(c);
-    if (v == NULL) {
-        Py_DECREF(k);
-        return FAIL;
-    }
-    rc = PyDict_SetItem(s->dict, k, v);
-    Py_DECREF(k);
-    Py_DECREF(v);
-    return rc < 0 ? FAIL : OK;
-}
-
-/* acc[key] += c, deleting the key when the sum is zero (mod p) */
+/* acc[key] += c, deleting the key when the sum is zero (mod p).  The merge
+   emits each key once, so on an empty acc this only inserts. */
 static int
 sink_fma(Sink *s, const u64 *key, i128 c)
 {
@@ -398,14 +381,7 @@ done:
 static inline int
 emit(Sink *s, const u64 *key, i128 c)
 {
-    switch (s->kind) {
-    case SINK_ARRAY:
-        return sink_array(s, key, c);
-    case SINK_DICT:
-        return sink_dict(s, key, c);
-    default:
-        return sink_fma(s, key, c);
-    }
+    return s->kind == SINK_ARRAY ? sink_array(s, key, c) : sink_fma(s, key, c);
 }
 
 /* ------------------------------------------------------------------------
@@ -726,46 +702,31 @@ parse_p(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
     return 0;
 }
 
+/* acc += a*b (or -= when negate), in place; the one fallback path is
+   kernels._fma */
 static PyObject *
-mul_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
-          PyObject *kwnames)
+fma_into(PyObject *acc, PyObject *a, PyObject *b, PyObject *negate, PyObject *p)
 {
-    PyObject *p, *out;
     Mode m = {0};
-    Sink sink = {SINK_DICT, &m};
-    int rc;
+    Sink sink = {SINK_FMA, &m};
+    int rc, neg;
 
-    if (parse_p(args, nargs, kwnames, 2, "mul_terms", &p) < 0)
-        return NULL;
     if (p == NULL)
         p = zero_obj;
-    if (!PyDict_Check(args[0]) || !PyDict_Check(args[1])
+    if (!PyDict_Check(acc) || !PyDict_Check(a) || !PyDict_Check(b)
         || (rc = mode_from(p, &m)) == FALLBACK)
-        goto python;
-    if (rc == FAIL)
+        return python_fma(acc, a, b, negate, p);
+    if (rc == FAIL || (neg = PyObject_IsTrue(negate)) < 0)
         return NULL;
-    if ((out = sink.dict = PyDict_New()) == NULL)
-        return NULL;
-    if (PyDict_GET_SIZE(args[0]) == 0 || PyDict_GET_SIZE(args[1]) == 0)
-        return out;
-    rc = product(args[0], args[1], 0, &m, &sink);
-    if (rc == OK)
-        return out;
-    Py_DECREF(out);
-    if (rc == FAIL)
-        return NULL;
-python:
-    if ((out = PyDict_New()) == NULL)
-        return NULL;
-    {
-        PyObject *r = python_fma(out, args[0], args[1], Py_False, p);
-        if (r == NULL) {
-            Py_DECREF(out);
+    if (PyDict_GET_SIZE(a) && PyDict_GET_SIZE(b)) {
+        sink.dict = acc;
+        rc = product(a, b, neg, &m, &sink);
+        if (rc == FALLBACK)
+            return python_fma(acc, a, b, negate, p);
+        if (rc == FAIL)
             return NULL;
-        }
-        Py_DECREF(r);
     }
-    return out;
+    Py_RETURN_NONE;
 }
 
 static PyObject *
@@ -773,28 +734,26 @@ fma_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
           PyObject *kwnames)
 {
     PyObject *p;
-    Mode m = {0};
-    Sink sink = {SINK_FMA, &m};
-    int rc, negate;
 
     if (parse_p(args, nargs, kwnames, 4, "fma_terms", &p) < 0)
         return NULL;
-    if (p == NULL)
-        p = zero_obj;
-    if (!PyDict_Check(args[0]) || !PyDict_Check(args[1])
-        || !PyDict_Check(args[2]) || (rc = mode_from(p, &m)) == FALLBACK)
-        return python_fma(args[0], args[1], args[2], args[3], p);
-    if (rc == FAIL || (negate = PyObject_IsTrue(args[3])) < 0)
+    return fma_into(args[0], args[1], args[2], args[3], p);
+}
+
+/* a*b is the fma into a new dict */
+static PyObject *
+mul_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+          PyObject *kwnames)
+{
+    PyObject *p, *out, *r;
+
+    if (parse_p(args, nargs, kwnames, 2, "mul_terms", &p) < 0
+        || (out = PyDict_New()) == NULL)
         return NULL;
-    if (PyDict_GET_SIZE(args[1]) && PyDict_GET_SIZE(args[2])) {
-        sink.dict = args[0];
-        rc = product(args[1], args[2], negate, &m, &sink);
-        if (rc == FALLBACK)
-            return python_fma(args[0], args[1], args[2], args[3], p);
-        if (rc == FAIL)
-            return NULL;
-    }
-    Py_RETURN_NONE;
+    if ((r = fma_into(out, args[0], args[1], Py_False, p)) == NULL)
+        Py_CLEAR(out);
+    Py_XDECREF(r);
+    return out;
 }
 
 /* ------------------------------------------------------------------------
@@ -873,7 +832,7 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out)
             goto done;
         }
         for (Py_ssize_t idx = 0; idx < count; idx++) {
-            Sink sink = {k < n ? SINK_ARRAY : SINK_DICT, m};
+            Sink sink = {k < n ? SINK_ARRAY : SINK_FMA, m};
             int pos = 0, nst = 0;
             sink.dict = out;
             for (u64 rest = mask; rest; rest &= rest - 1, pos++) {

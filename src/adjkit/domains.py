@@ -1,15 +1,19 @@
 """Scalar domains pluggable into the exact matrix routines.
 
-Each domain bundles the ring operations the matrix code needs: integers,
-rationals, prime fields, and polynomial rings.  Everything is exact; there
-is no floating point anywhere in the package.
+Each domain names a scalar ring: integers, rationals, prime fields, or
+polynomial rings.  Matrix code does its arithmetic with Python's operators
+on the elements and brings a result into canonical form with the domain's
+``coerce`` (over GF(p), one ``% p``); a domain adds only what operators
+lack: ``zero`` and ``one``, inverse and checked exact division, and JSON
+conversion.  Everything is exact; there is no floating point anywhere in
+the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyring import PolyRing, _is_prime
+from .polyring import PolyRing, Polynomial, _is_prime, canonical_scalar
 
 
 class IntegerDomain:
@@ -21,20 +25,8 @@ class IntegerDomain:
     zero = 0
     one = 1
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
+    def coerce(self, x):
+        return canonical_scalar(x)
 
     def exact_div(self, a, b):
         q, r = divmod(a, b)
@@ -60,20 +52,8 @@ class RationalDomain:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
+    def coerce(self, x):
+        return canonical_scalar(x, rational=True)
 
     def inv(self, a):
         return 1 / Fraction(a)
@@ -109,20 +89,8 @@ class PrimeFieldDomain:
         self.zero = 0
         self.one = 1 % p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
+    def coerce(self, x):
+        return canonical_scalar(x, self.p)
 
     def inv(self, a):
         a %= self.p
@@ -153,20 +121,8 @@ class PolynomialDomain:
         self.zero = ring.zero
         self.one = ring.one
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a.is_zero()
+    def coerce(self, x):
+        return x if isinstance(x, Polynomial) else self.ring.const(x)
 
     def exact_div(self, a, b):
         return a.exact_div_or_raise(b)

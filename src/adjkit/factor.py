@@ -33,8 +33,9 @@ class GenericContext:
     """The generic n-by-n matrix with its determinant and adjugate.
 
     The fundamental identity X*adj(X) = adj(X)*X = det(X)*I is verified on
-    construction; det powers and the compound reports are cached since
-    several verifications share them.
+    construction, and ``products`` keeps its two results for
+    ``verify_fundamental``; det powers and the compound reports are cached
+    since several verifications share them.
     """
 
     def __init__(self, n: int, p: int | None = None, allow_large: bool = False):
@@ -53,7 +54,9 @@ class GenericContext:
         # two compound identities of the symbolic suite
         self.compound_reports: list[dict] | None = None
         det_i = self.identity.scale(self.detX)
-        if self.X * self.adjX != det_i or self.adjX * self.X != det_i:
+        self.products = {"right_product": self.X * self.adjX == det_i,
+                         "left_product": self.adjX * self.X == det_i}
+        if not all(self.products.values()):
             raise AssertionError("fundamental adjugate identity failed")
 
     def det_power(self, k: int) -> Polynomial:
@@ -69,11 +72,13 @@ class GenericContext:
 
 
 def verify_fundamental(ctx: GenericContext) -> dict:
-    """Check X*adj = adj*X = det*I and det(adj(X)) = det(X)^(n-1)."""
-    det_i = ctx.identity.scale(ctx.detX)
+    """Check X*adj = adj*X = det*I and det(adj(X)) = det(X)^(n-1).
+
+    The two products were checked when ``ctx`` was built; their results are
+    reported as they were recorded then.
+    """
     checks = {
-        "right_product": ctx.X * ctx.adjX == det_i,
-        "left_product": ctx.adjX * ctx.X == det_i,
+        **ctx.products,
         "adj_det_exponent": ctx.adjX.det_laplace() == ctx.det_power(ctx.n - 1),
     }
     return {"n": ctx.n, "checks": checks, "passed": all(checks.values())}
@@ -164,7 +169,11 @@ def random_unimodular(n: int, rng: random.Random, bound: int = 2) -> Matrix:
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
-        c = rng.choice([k for k in range(-bound, bound + 1) if k])
+        # a nonzero c in [-bound, bound], from the random stream that
+        # rng.choice takes on the list of those values, without the list
+        c = rng.randrange(2 * bound) - bound
+        if c >= 0:
+            c += 1
         # row_i += c * row_j
         for col in range(n):
             m.entries[i * n + col] += c * m.entries[j * n + col]

@@ -83,11 +83,6 @@ def rand_alternating_int(rng: random.Random, n: int, lo: int = -5,
     return AlternatingMatrix(m)
 
 
-def _reduce_mod(m: Matrix, p: int) -> Matrix:
-    dom = GF(p)
-    return m.map_entries(lambda v: int(v) % p, dom)
-
-
 # ---------------------------------------------------------------------------
 # compound determinant law
 # ---------------------------------------------------------------------------
@@ -276,7 +271,7 @@ def _modp_multiplicativity(n, p, rng):
 
 def _modp_conjugation(n, p, rng):
     a = rand_gfp_matrix(rng, n, p)
-    u = _reduce_mod(random_unimodular(n, rng), p)
+    u = random_unimodular(n, rng).map_entries(GF(p).coerce, GF(p))
     u_inv = u.adjugate()  # det = 1 mod p
     ok = (u * a * u_inv).adjugate() == u * a.adjugate() * u_inv
     return ok, None
@@ -297,7 +292,7 @@ def _modp_factor_product(n, p, rng):
     if n % 2:
         raise ValueError("factor identities need even n")
     alt = standard_symplectic(n)
-    a_p = _reduce_mod(alt.matrix, p)
+    a_p = alt.matrix.map_entries(GF(p).coerce, GF(p))
     a_inv = a_p.inverse()
     b, det_b = rand_gfp_invertible(rng, n, p)
     adj = b.adjugate()

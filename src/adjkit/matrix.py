@@ -3,10 +3,11 @@
 Determinants come in two independent flavors (subset-memoized Laplace and
 fraction-free Bareiss) so each can serve as an oracle for the other.
 Laplace runs on the term kernels for every domain, a numeric entry being
-a constant term; the numeric product and field elimination use plain
-Python operators.  Every matrix of minors comes from ``Matrix._minors``,
-which over a field reduces each row set once and reads all the minors on
-it from the reduced form.
+a constant term.  All other scalar arithmetic uses Python's operators,
+with one ``% p`` per result entry over GF(p) (``_residues``) and a
+domain's ``coerce`` for a lone scalar.  Every matrix of minors comes from
+``Matrix._minors``, which over a field reduces each row set once and reads
+all the minors on it from the reduced form.
 """
 
 from __future__ import annotations
@@ -131,6 +132,13 @@ def _row_set_minors(work: list[list], ncols: int,
     return out
 
 
+def _residues(dom, values: list) -> list:
+    """``values`` reduced into [0, p) over GF(p) and unchanged otherwise:
+    the one step that brings operator results into canonical form."""
+    p = getattr(dom, "p", None)
+    return values if p is None else [v % p for v in values]
+
+
 def _t_ring(dom) -> PolyRing:
     """The univariate ring in t over the numeric domain dom."""
     return PolyRing(("t",), p=getattr(dom, "p", None),
@@ -232,24 +240,24 @@ class Matrix:
         self._check_domain(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+        return self._like(list(map(op, self.entries, other.entries)))
+
+    def _like(self, entries: list) -> "Matrix":
+        """A matrix of this domain and shape from operator results."""
         return Matrix(self.domain, self.rows, self.cols,
-                      list(map(op, self.entries, other.entries)))
+                      _residues(self.domain, entries))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.domain.add, other)
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.domain.sub, other)
+        return self._entrywise(operator.sub, other)
 
     def __neg__(self) -> "Matrix":
-        neg = self.domain.neg
-        return Matrix(self.domain, self.rows, self.cols,
-                      [neg(a) for a in self.entries])
+        return self._like([-a for a in self.entries])
 
     def scale(self, c) -> "Matrix":
-        mul = self.domain.mul
-        return Matrix(self.domain, self.rows, self.cols,
-                      [mul(a, c) for a in self.entries])
+        return self._like([a * c for a in self.entries])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -260,16 +268,14 @@ class Matrix:
         if isinstance(self.domain, PolynomialDomain):
             return self._mul_poly(other)
         dom = self.domain
-        p = getattr(dom, "p", None)
         n, k, m = self.rows, self.cols, other.cols
         cols = [other.entries[j::m] for j in range(m)]
         zero = dom.zero
         out = []
         for i in range(n):
             row = self.entries[i * k:(i + 1) * k]
-            sums = [sum(map(operator.mul, row, col), zero) for col in cols]
-            out.extend(sums if p is None else [v % p for v in sums])
-        return Matrix(dom, n, m, out)
+            out.extend(sum(map(operator.mul, row, col), zero) for col in cols)
+        return Matrix(dom, n, m, _residues(dom, out))
 
     def _mul_poly(self, other: "Matrix") -> "Matrix":
         ring = self.domain.ring
@@ -323,13 +329,10 @@ class Matrix:
             return self._det_laplace_poly()
         dom = self.domain
         p = getattr(dom, "p", 0)
-        entries = [e % p for e in self.entries] if p else self.entries
-        terms = [{0: e} if e else {} for e in entries]
+        terms = [{0: e} if e else {} for e in _residues(dom, self.entries)]
         rows = [terms[i * n:(i + 1) * n] for i in range(n)]
-        det = kernels.det_laplace_terms(rows, p).get(0, 0)
-        # the product with one gives the domain's type: a Fraction over QQ
-        # even for int entries, a residue in [0, p) over GF(p)
-        return dom.mul(det, dom.one)
+        # a Fraction over QQ even for int entries
+        return dom.coerce(kernels.det_laplace_terms(rows, p).get(0, 0))
 
     def _det_laplace_poly(self):
         ring = self.domain.ring
@@ -367,16 +370,17 @@ class Matrix:
             return self.domain.one
         dom = self.domain
         if n == 1:
-            # no step below touches a lone entry; the product with one
-            # gives its canonical form (a residue in [0, p) over GF(p))
-            return dom.mul(self.entries[0], dom.one)
-        m = [row[:] for row in self.to_rows()]
+            # no step below touches a lone entry
+            return dom.coerce(self.entries[0])
+        # the zero tests need residues over GF(p); exact_div keeps them so
+        entries = _residues(dom, self.entries)
+        m = [entries[i * n:(i + 1) * n] for i in range(n)]
         sign = 1
         prev = dom.one
         for k in range(n - 1):
-            if dom.is_zero(m[k][k]):
+            if not m[k][k]:
                 for i in range(k + 1, n):
-                    if not dom.is_zero(m[i][k]):
+                    if m[i][k]:
                         m[k], m[i] = m[i], m[k]
                         sign = -sign
                         break
@@ -385,12 +389,11 @@ class Matrix:
             pivot = m[k][k]
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
-                    num = dom.sub(dom.mul(pivot, m[i][j]),
-                                  dom.mul(m[i][k], m[k][j]))
+                    num = pivot * m[i][j] - m[i][k] * m[k][j]
                     m[i][j] = dom.exact_div(num, prev)
             prev = pivot
         det = m[n - 1][n - 1]
-        return dom.neg(det) if sign < 0 else det
+        return dom.coerce(-det) if sign < 0 else det
 
     def _det_gauss(self):
         """Determinant by Gaussian elimination; field domains only."""
@@ -468,17 +471,15 @@ class Matrix:
             u = [dom.zero] * n
             u[i] = dom.one
             for r, c in enumerate(pivots):
-                u[c] = dom.neg(work[r][i])
+                u[c] = -work[r][i]
             v = work[n - 1][n:]
-            j = next(k for k in range(n) if not dom.is_zero(v[k]))
+            j = next(k for k in range(n) if v[k])
             c = self.submatrix([k for k in range(n) if k != j],
                                [k for k in range(n) if k != i]).det()
             if (i + j) % 2:
-                c = dom.neg(c)
-            scale = dom.mul(c, dom.inv(v[j]))
-            return Matrix(dom, n, n,
-                          [dom.mul(scale, dom.mul(u[a], v[b]))
-                           for a in range(n) for b in range(n)])
+                c = -c
+            scale = c * dom.inv(v[j])
+            return self._like([scale * (a * b) for a in u for b in v])
         return self.complementary_compound(1).transpose()
 
     def _order_subsets(self, m: int) -> list[tuple[int, ...]]:
@@ -516,9 +517,10 @@ class Matrix:
                 minors = [Matrix(dom, k, k, [row[j] for row in kept
                                              for j in T]).det() if k
                           else dom.one for T in index_sets]
-            out.extend(dom.neg(minor) if odd_s != odd_t else minor
+            out.extend(-minor if odd_s != odd_t else minor
                        for minor, odd_t in zip(minors, odd))
-        return Matrix(dom, len(index_sets), len(index_sets), out)
+        return Matrix(dom, len(index_sets), len(index_sets),
+                      _residues(dom, out))
 
     def compound(self, m: int) -> "Matrix":
         """The matrix of all m-by-m minors, subsets ordered lexicographically."""

@@ -115,6 +115,22 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def canonical_scalar(c, p: int | None = None, rational: bool = False):
+    """The canonical form of the int or Fraction ``c``: a Fraction over QQ
+    (``rational``), a residue in [0, p) over GF(p), an int over ZZ.  A
+    non-integral value has no image over ZZ or GF(p) and raises."""
+    if rational:
+        return Fraction(c)
+    if isinstance(c, Fraction):
+        if c.denominator != 1:
+            field = "an integer" if p is None else f"a GF({p})"
+            raise ValueError(f"non-integral coefficient {c} in {field} ring")
+        c = c.numerator
+    if not isinstance(c, int):
+        raise TypeError(f"bad coefficient {c!r}")
+    return c % p if p is not None else c
+
+
 class PolyRing:
     """An ordered variable table plus a coefficient mode (ZZ, QQ, or GF(p))."""
 
@@ -165,16 +181,7 @@ class PolyRing:
 
     def coeff(self, c):
         """Normalize a scalar into this ring's coefficient domain."""
-        if self.rational:
-            return Fraction(c)
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                field = "an integer" if self.p is None else f"a GF({self.p})"
-                raise ValueError(f"non-integral coefficient {c} in {field} ring")
-            c = c.numerator
-        if not isinstance(c, int):
-            raise TypeError(f"bad coefficient {c!r}")
-        return c % self.p if self.p is not None else c
+        return canonical_scalar(c, self.p, self.rational)
 
     def const(self, c) -> "Polynomial":
         c = self.coeff(c)

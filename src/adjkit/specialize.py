@@ -17,7 +17,7 @@ import math
 import random
 from fractions import Fraction
 
-from .domains import GF, QQ, ZZ, PolynomialDomain, PrimeFieldDomain, RationalDomain
+from .domains import GF, QQ, ZZ, PolynomialDomain, PrimeFieldDomain
 from .factor import FactorizationCertificate
 from .matrix import Matrix, _row_reduce, _t_ring
 from .polyring import Polynomial
@@ -36,7 +36,7 @@ class SpecPoint:
         if isinstance(matrix.domain, PolynomialDomain):
             raise TypeError("specialization point must be numeric")
         if matrix.domain is ZZ:
-            matrix = matrix.map_entries(Fraction, QQ)
+            matrix = matrix.map_entries(QQ.coerce, QQ)
         self.matrix = matrix
         self.n = matrix.rows
         self._char_poly: Polynomial | None = None
@@ -70,21 +70,6 @@ def _check_t_free(m: Matrix):
                          "specialization is defined on x variables only")
 
 
-def _scalar_into(dom):
-    """Normalize evaluate() output (int or Fraction) into the domain."""
-    if isinstance(dom, RationalDomain):
-        return Fraction
-    if isinstance(dom, PrimeFieldDomain):
-        return lambda v: int(v) % dom.p
-    def to_int(v):
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise ValueError(f"non-integral value {v} in an integral domain")
-            return v.numerator
-        return int(v)
-    return to_int
-
-
 def phi_apply(m: Matrix, pt: SpecPoint) -> Matrix:
     """Entrywise evaluation at x_i_j -> pt entry; ring homomorphism."""
     if not isinstance(m.domain, PolynomialDomain):
@@ -94,8 +79,7 @@ def phi_apply(m: Matrix, pt: SpecPoint) -> Matrix:
     dom = pt.matrix.domain
     if isinstance(dom, PrimeFieldDomain) and m.domain.ring.p not in (None, dom.p):
         raise ValueError("coefficient modulus does not match the point")
-    conv = _scalar_into(dom)
-    return m.map_entries(lambda e: conv(e.evaluate(assign)), dom)
+    return m.map_entries(lambda e: dom.coerce(e.evaluate(assign)), dom)
 
 
 def psi_apply(m: Matrix, pt: SpecPoint) -> Matrix:
@@ -124,8 +108,7 @@ def _mod_t(m: Matrix) -> Matrix:
         dom = GF(tring.p)
     else:
         dom = QQ  # rank needs a field; ZZ[t] constants embed in QQ
-    conv = _scalar_into(dom)
-    return m.map_entries(lambda e: conv(e.constant_term()), dom)
+    return m.map_entries(lambda e: dom.coerce(e.constant_term()), dom)
 
 
 def verify_dvr_bound(m: Matrix) -> dict:

@@ -318,6 +318,14 @@ def test_memory_error_under_an_address_space_limit():
     assert done.stdout.split() == ["MemoryError", "done"]
 
 
+def test_source_compiles_without_warnings_under_wall():
+    from adjkit import _cbuild
+    command = _cbuild.compile_command(_cbuild.SOURCE, Path(os.devnull), "0")
+    done = subprocess.run(command + ["-fsyntax-only", "-Wall", "-Werror"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def copy_package(tmp_path, with_extension):
     dst = tmp_path / "adjkit"
     shutil.copytree(PACKAGE, dst, ignore=shutil.ignore_patterns(

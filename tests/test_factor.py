@@ -60,6 +60,25 @@ def test_verify_fundamental(ctx2, ctx3, ctx4):
         assert report["passed"], report
 
 
+def test_verify_fundamental_reports_the_constructor_products(monkeypatch):
+    ctx = GenericContext(3)
+    assert ctx.products == {"right_product": True, "left_product": True}
+    calls = []
+    mul = Matrix.__mul__
+
+    def counting(self, other):
+        calls.append((self.rows, other.cols))
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    report = verify_fundamental(ctx)
+    # the two products were built and compared once, in the constructor
+    assert calls == []
+    assert list(report["checks"]) == ["right_product", "left_product",
+                                      "adj_det_exponent"]
+    assert report["passed"], report
+
+
 def test_entries_are_the_named_variables(ctx3):
     for i in range(3):
         for j in range(3):
@@ -127,6 +146,42 @@ def test_random_alternating_deterministic():
     assert a1.matrix.to_json() == a2.matrix.to_json()
     b = random_alternating(4, seed=8)
     assert b.matrix != a1.matrix
+
+
+def list_unimodular(n, rng, bound=2):
+    """random_unimodular as it drew its shears: rng.choice from the list of
+    nonzero integers in [-bound, bound]."""
+    m = Matrix.identity(ZZ, n)
+    if n == 1:
+        return m
+    for _ in range(3 * n):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        c = rng.choice([k for k in range(-bound, bound + 1) if k])
+        for col in range(n):
+            m.entries[i * n + col] += c * m.entries[j * n + col]
+    return m
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 1000])
+def test_random_unimodular_draws_as_the_list_choice_did(bound):
+    for seed in range(20):
+        for n in (1, 2, 4):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = factor.random_unimodular(n, got_rng, bound)
+            want = list_unimodular(n, want_rng, bound)
+            assert got.entries == want.entries
+            # the same stream is left for the next draw
+            assert got_rng.random() == want_rng.random()
+
+
+def test_random_unimodular_at_a_huge_bound_builds_no_list():
+    # a list of 2 * 10**12 candidates would not fit in memory
+    m = factor.random_unimodular(4, random.Random(1), bound=10**12)
+    assert m.det_bareiss() == 1
+    assert max(map(abs, m.entries)) > 10**6
 
 
 def test_random_alternating_properties():

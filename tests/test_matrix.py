@@ -43,7 +43,7 @@ def cofactor_adjugate(a):
             rows = [k for k in range(n) if k != j]
             cols = [k for k in range(n) if k != i]
             c = a.submatrix(rows, cols).det_bareiss()
-            out.append(dom.neg(c) if (i + j) % 2 else c)
+            out.append(dom.coerce(-c) if (i + j) % 2 else c)
     return Matrix(dom, n, n, out)
 
 
@@ -473,7 +473,7 @@ FIELD_IDS = ("GF2", "GF3", "GF101", "GF2^31-1", "QQ")
 
 
 def textbook_product(dom, a_rows, b_rows):
-    """The triple loop over the domain's own methods."""
+    """The triple loop, each partial sum brought into canonical form."""
     k = len(b_rows)
     m = len(b_rows[0]) if k else 0
     out = []
@@ -481,7 +481,7 @@ def textbook_product(dom, a_rows, b_rows):
         for j in range(m):
             acc = dom.zero
             for l in range(k):
-                acc = dom.add(acc, dom.mul(arow[l], b_rows[l][j]))
+                acc = dom.coerce(acc + arow[l] * b_rows[l][j])
             out.append(acc)
     return out
 
@@ -511,7 +511,7 @@ def brute_force_rank(a):
     """The largest m with a nonzero m-by-m minor, by Laplace expansion."""
     for m in range(a.rows, 0, -1):
         subs = matrix.index_subsets(a.rows, m)
-        if any(not a.domain.is_zero(a.submatrix(s, t).det_laplace())
+        if any(a.domain.coerce(a.submatrix(s, t).det_laplace())
                for s in subs for t in subs):
             return m
     return 0
@@ -525,7 +525,7 @@ def laplace_cofactor_adjugate(a):
             keep_r = [k for k in range(n) if k != j]
             keep_c = [k for k in range(n) if k != i]
             c = a.submatrix(keep_r, keep_c).det_laplace()
-            out.append(dom.neg(c) if (i + j) % 2 else c)
+            out.append(dom.coerce(-c) if (i + j) % 2 else c)
     return Matrix(dom, n, n, out)
 
 
@@ -694,7 +694,7 @@ def textbook_complementary_compound(a, m):
             c = textbook_minor(a, [i for i in range(n) if i not in s],
                                [j for j in range(n) if j not in t])
             sign = sum(i + 1 for i in s) + sum(j + 1 for j in t)
-            out.append(dom.neg(c) if sign % 2 else c)
+            out.append(dom.coerce(-c) if sign % 2 else c)
     return Matrix(dom, len(subs), len(subs), out)
 
 
@@ -806,3 +806,98 @@ def test_numeric_laplace_matches_bareiss_in_the_domain_type(dom):
     singular = Matrix.from_rows(GF(7), [[7, 14], [1, 3]])
     assert singular.det_laplace() == 0
     assert Matrix.from_rows(QQ, [[2, 0], [0, 3]]).det_laplace() == Fraction(6)
+
+
+# ---------------------------------------------------------------------------
+# operator arithmetic against the same computation over ZZ, reduced mod p
+# ---------------------------------------------------------------------------
+
+OPERATOR_DOMAINS = (GF(2), GF(7), GF(2_147_483_647), QQ)
+OPERATOR_IDS = ("GF2", "GF7", "GF2^31-1", "QQ")
+
+
+def draw_int(rng, dom):
+    """An int entry: over GF(p) any representative, outside [0, p) too."""
+    if dom is QQ:
+        return rng.randint(-9, 9)
+    return rng.randint(-3 * dom.p, 3 * dom.p)
+
+
+def zero_rep(rng, dom):
+    """A stored zero: over GF(p) a nonzero multiple of p."""
+    return 0 if dom is QQ else dom.p * rng.choice((-2, -1, 1, 2))
+
+
+def mod_p(dom, values):
+    """Integer results as the field holds them: residues over GF(p)."""
+    return list(values) if dom is QQ else [v % dom.p for v in values]
+
+
+@pytest.mark.parametrize("dom", OPERATOR_DOMAINS, ids=OPERATOR_IDS)
+def test_entrywise_operators_match_integer_arithmetic(dom):
+    rng = random.Random(f"operators-{dom.name}")
+    for rows, cols in ((1, 1), (2, 3), (4, 4), (3, 1)):
+        a = [draw_int(rng, dom) for _ in range(rows * cols)]
+        b = [draw_int(rng, dom) for _ in range(rows * cols)]
+        c = draw_int(rng, dom)
+        ma, mb = Matrix(dom, rows, cols, a), Matrix(dom, rows, cols, b)
+        for got, want in ((ma + mb, [x + y for x, y in zip(a, b)]),
+                          (ma - mb, [x - y for x, y in zip(a, b)]),
+                          (-ma, [-x for x in a]),
+                          (ma.scale(c), [x * c for x in a])):
+            assert got.domain is dom and (got.rows, got.cols) == (rows, cols)
+            assert got.entries == mod_p(dom, want)
+
+
+def bareiss_cases(rng, dom):
+    """n = 1..6 at random, and permutation matrices with stored zeros: the
+    anti-diagonal takes one row swap at n = 2 and n = 3 and two at n = 5,
+    and (0 1)(2 3) at n = 4 takes two."""
+    for n in range(1, 7):
+        for _ in range(4):
+            yield n, [draw_int(rng, dom) for _ in range(n * n)]
+    for n, perm in ((2, (1, 0)), (3, (2, 1, 0)), (5, (4, 3, 2, 1, 0)),
+                    (4, (1, 0, 3, 2))):
+        unit = [draw_int(rng, dom) or 1 for _ in range(n)]
+        if dom is not QQ:
+            unit = [u if u % dom.p else u + 1 for u in unit]
+        yield n, [unit[i] if perm[i] == j else zero_rep(rng, dom)
+                  for i in range(n) for j in range(n)]
+
+
+@pytest.mark.parametrize("dom", OPERATOR_DOMAINS, ids=OPERATOR_IDS)
+def test_bareiss_matches_the_integer_determinant_reduced(dom):
+    rng = random.Random(f"bareiss-{dom.name}")
+    for n, entries in bareiss_cases(rng, dom):
+        det = Matrix(dom, n, n, entries).det_bareiss()
+        assert [det] == mod_p(dom, [Matrix(ZZ, n, n, entries).det_bareiss()])
+        if dom is QQ:
+            # int entries, a Fraction determinant
+            assert isinstance(det, Fraction)
+
+
+@pytest.mark.parametrize("dom", OPERATOR_DOMAINS, ids=OPERATOR_IDS)
+def test_corank_one_adjugate_matches_integer_cofactors(dom):
+    rng = random.Random(f"corank-one-{dom.name}")
+    for n in range(2, 6):
+        for _ in range(2):
+            # u * v has rank at most n - 1; keep a draw of rank n - 1
+            while True:
+                u = [[rng.randint(-3, 3) for _ in range(n - 1)]
+                     for _ in range(n)]
+                v = [[rng.randint(-3, 3) for _ in range(n)]
+                     for _ in range(n - 1)]
+                entries = [sum(u[i][k] * v[k][j] for k in range(n - 1))
+                           for i in range(n) for j in range(n)]
+                if dom is not QQ:
+                    entries = [e + dom.p * rng.randint(-2, 2) for e in entries]
+                a = Matrix(dom, n, n, entries)
+                if a.rank() == n - 1:
+                    break
+            adj = a.adjugate()
+            want = laplace_cofactor_adjugate(Matrix(ZZ, n, n, entries))
+            assert adj.entries == mod_p(dom, want.entries)
+            # rank n - 1: the adjugate has rank one
+            assert any(adj.entries)
+            if dom is QQ:
+                assert all(isinstance(v, Fraction) for v in adj.entries)

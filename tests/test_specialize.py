@@ -83,6 +83,21 @@ def test_phi_det_identity(ctx3):
     assert phi_apply(det_i, pt) == Matrix.identity(QQ, 3).scale(Fraction(24))
 
 
+def test_phi_at_a_gfp_point_refuses_non_integral_coefficients():
+    ring = PolyRing.generic(2, rational=True)
+    pd = PolynomialDomain(ring)
+    pt = SpecPoint(Matrix.from_rows(GF(7), [[1, 2], [3, 4]]))
+    # x_1_1 / 2 at x_1_1 = 1 is 1/2, which has no image in GF(7)
+    half = Matrix.from_rows(pd, [[ring.parse("1/2*x_1_1")]])
+    with pytest.raises(ValueError,
+                       match=r"non-integral coefficient 1/2 in a GF\(7\) ring"):
+        phi_apply(half, pt)
+    # an integral value maps as its integer: 4/2 * 4 + 1/3 * 1 + 2/3 = 9
+    whole = Matrix.from_rows(pd, [[ring.parse("4/2*x_2_2 + 1/3*x_1_1 + 2/3")]])
+    got = phi_apply(whole, pt)
+    assert got.domain is GF(7) and got.entries == [2]
+
+
 def test_phi_rejects_t(ctx2):
     pd = ctx2.domain
     t_mat = Matrix.from_rows(pd, [[ctx2.ring.var("t"), ctx2.ring.zero],
