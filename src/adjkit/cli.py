@@ -122,9 +122,6 @@ def cmd_factor(args) -> int:
     if not alt.invertible:
         raise UsageError("the alternating matrix must be invertible")
     ctx = GenericContext(args.n, allow_large=args.allow_large)
-    if args.n >= 6:
-        print(f"building degree-{args.n - 2} cofactor quotients for n={args.n}; "
-              "this can take minutes", file=sys.stderr)
     try:
         if args.side == "right":
             cert = factor_right(ctx, alt)

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
+from . import kernels
 from .domains import ZZ, PolynomialDomain
-from .matrix import Matrix, lift_int_matrix
+from .matrix import Matrix, _max_degree, lift_int_matrix
 from .polyring import ExactDivisionError, PolyRing, Polynomial, aligned
 
 FEASIBLE = "feasible"
@@ -194,18 +195,66 @@ def random_alternating(n: int, seed: int, bound: int = 2) -> AlternatingMatrix:
 # sandwich divisibility and quotients
 # ---------------------------------------------------------------------------
 
+def _alternating_sandwich(left: Matrix, b: Matrix) -> Matrix:
+    """S = L * B * L^T for an alternating B, from its entries above the
+    diagonal.
+
+    S^T = L * B^T * L^T = -S, so S is alternating too: only S_ij with
+    i < j is computed, as the sum over k of (L*B)_ik * L_jk, and
+    S_ji = -S_ij and S_ii = 0 are exact.
+    """
+    lb = left * b
+    ring = left.domain.ring
+    p = ring.p or 0
+    n, k = lb.rows, lb.cols
+    degree = _max_degree(lb.entries) + _max_degree(left.entries)
+    width, terms = aligned(lb.entries + left.entries, degree)
+    lb_terms, l_terms = terms[:n * k], terms[n * k:]
+    entries = [ring.zero] * (n * n)
+    for i in range(n):
+        row = lb_terms[i * k:(i + 1) * k]
+        for j in range(i + 1, n):
+            acc: dict = {}
+            for a, c in zip(row, l_terms[j * k:(j + 1) * k]):
+                if a and c:
+                    kernels.fma_terms(acc, a, c, False, p)
+            s_ij = Polynomial(ring, acc, width)
+            entries[i * n + j], entries[j * n + i] = s_ij, -s_ij
+    return Matrix(left.domain, n, n, entries)
+
+
+def _alternating_quotient(s: Matrix, divisor: Polynomial) -> Matrix:
+    """Q with Q * divisor = S for an alternating S, entrywise exact division.
+
+    Only the entries above the diagonal are divided: Q_ji = -Q_ij and
+    Q_ii = 0, since S_ji = -S_ij and S_ii = 0.
+    """
+    n = s.rows
+    entries = [s.domain.ring.zero] * (n * n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            q_ij = s.entries[i * n + j].exact_div_or_raise(divisor)
+            entries[i * n + j], entries[j * n + i] = q_ij, -q_ij
+    return Matrix(s.domain, n, n, entries)
+
+
 def sandwich(ctx: GenericContext, alt: AlternatingMatrix) -> Matrix:
-    """adj(X) * A * adj(X)^T; every entry is divisible by det(X)."""
+    """adj(X) * A * adj(X)^T; every entry is divisible by det(X).
+
+    The result is alternating, as A is: the entries above the diagonal are
+    computed and the rest is their mirror (``_alternating_sandwich``).
+    """
     if alt.n != ctx.n:
         raise ValueError("dimension mismatch")
-    a_poly = ctx.lift(alt.matrix)
-    return ctx.adjX * a_poly * ctx.adjX.transpose()
+    return _alternating_sandwich(ctx.adjX, ctx.lift(alt.matrix))
 
 
 def quotient_matrix(ctx: GenericContext, alt: AlternatingMatrix) -> Matrix:
-    """Q with Q * det(X) = adj(X) * A * adj(X)^T, entrywise exact division."""
-    s = sandwich(ctx, alt)
-    return s.map_entries(lambda e: e.exact_div_or_raise(ctx.detX))
+    """Q with Q * det(X) = adj(X) * A * adj(X)^T, entrywise exact division.
+
+    Q is alternating: only its entries above the diagonal are divided.
+    """
+    return _alternating_quotient(sandwich(ctx, alt), ctx.detX)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +349,13 @@ def _factor(ctx: GenericContext, alt: AlternatingMatrix,
     """The verified certificate of adj(X) = Y * Z through ``alt``.
 
     The quotient factor, Y on the right and Z on the left, is
-    adj(X)*adj(A)*adj(X)^T (right) or adj(X)^T*adj(A)*adj(X) (left) divided
-    entrywise by det(A)*det(X); all arithmetic stays in the integer
-    polynomial ring.
+    L*adj(A)*L^T divided entrywise by det(A)*det(X), with L = adj(X)
+    (right) or L = adj(X)^T (left); all arithmetic stays in the integer
+    polynomial ring.  At even n, adj(A) is alternating:
+    adj(A)^T = adj(-A) = (-1)^(n-1)*adj(A), and its diagonal holds
+    determinants of odd-size alternating matrices, which vanish.  So the
+    sandwich and the quotient are alternating, and only their entries above
+    the diagonal are computed; the rest is their mirror.
     """
     n = ctx.n
     if n % 2:
@@ -311,12 +364,9 @@ def _factor(ctx: GenericContext, alt: AlternatingMatrix,
         raise ValueError("alternating matrix must be invertible")
     if alt.n != n:
         raise ValueError("dimension mismatch")
-    adj_x, adj_t = ctx.adjX, ctx.adjX.transpose()
-    if side == "left":
-        adj_x, adj_t = adj_t, adj_x
-    s = adj_x * ctx.lift(alt.matrix.adjugate()) * adj_t
-    divisor = ctx.detX._scaled(alt.det)
-    quotient = s.map_entries(lambda e: e.exact_div_or_raise(divisor))
+    left = ctx.adjX if side == "right" else ctx.adjX.transpose()
+    s = _alternating_sandwich(left, ctx.lift(alt.matrix.adjugate()))
+    quotient = _alternating_quotient(s, ctx.detX._scaled(alt.det))
     a = ctx.lift(alt.matrix)
     if side == "right":
         y, z, d = quotient, ctx.X.transpose() * a, n - 2

@@ -159,6 +159,13 @@ def test_factor_left_n4(capsys):
     assert json.loads(out)["d"] == 1
 
 
+def test_factor_n6_is_quiet(capsys):
+    code, out, err = run(capsys, "factor", "--n", "6", "--A", "symplectic")
+    assert code == 0
+    assert err == ""
+    assert "check product: ok" in out
+
+
 def test_factor_odd_n_rejected(capsys):
     code, _, err = run(capsys, "factor", "--n", "3", "--A", "symplectic")
     assert code == 2

@@ -219,18 +219,21 @@ def test_sandwich_zero_matrix(ctx4):
     assert quotient_matrix(ctx4, z) == Matrix.zeros(ctx4.domain, 4, 4)
 
 
+def random_alternating_rows(rng, n, bound=5):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = rng.randint(-bound, bound)
+            rows[i][j], rows[j][i] = c, -c
+    return rows
+
+
 def test_sandwich_divisibility_random_alternating(ctx3, ctx4):
     rng = random.Random(13)
     for ctx in (ctx3, ctx4):
-        n = ctx.n
         for _ in range(4):
-            m = Matrix.zeros(ZZ, n, n)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    c = rng.randint(-5, 5)
-                    m.entries[i * n + j] = c
-                    m.entries[j * n + i] = -c
-            quotient_matrix(ctx, AlternatingMatrix(m))
+            rows = random_alternating_rows(rng, ctx.n)
+            quotient_matrix(ctx, AlternatingMatrix.from_rows(rows))
 
 
 def test_quotient_n2_is_j(ctx2):
@@ -256,6 +259,126 @@ def test_quotient_specializes_to_scaled_inverse_sandwich(ctx4):
         binv = b.inverse()
         expect = (binv * jq * binv.transpose()).scale(det)
         assert phi_apply(q, SpecPoint(b)) == expect
+
+
+def full_sandwich(left, b):
+    """The oracle: the whole triple product L * B * L^T."""
+    return left * b * left.transpose()
+
+
+def divided(s, divisor):
+    """The oracle: every entry of s divided exactly by divisor."""
+    return s.map_entries(lambda e: e.exact_div_or_raise(divisor))
+
+
+def is_alternating(m):
+    return (m.transpose() == -m
+            and all(m[i, i].is_zero() for i in range(m.rows)))
+
+
+def oracle_cases(n):
+    """Seeded random alternating A, the zero A and a singular nonzero A."""
+    rng = random.Random(100 + n)
+    singular = [[0] * n for _ in range(n)]
+    singular[0][n - 1], singular[n - 1][0] = 3, -3
+    return [AlternatingMatrix.from_rows(random_alternating_rows(rng, n)),
+            zero_alternating(n), AlternatingMatrix.from_rows(singular)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sandwich_and_quotient_match_the_full_product(request, n):
+    ctx = request.getfixturevalue(f"ctx{n}")
+    for alt in oracle_cases(n):
+        full = full_sandwich(ctx.adjX, ctx.lift(alt.matrix))
+        s, q = sandwich(ctx, alt), quotient_matrix(ctx, alt)
+        assert s == full
+        assert q == divided(full, ctx.detX)
+        assert is_alternating(s) and is_alternating(q)
+
+
+def scaled_alternating_cases():
+    """2J (det 16) and 3 * S^T J S (det 81): det(A) is not a unit of ZZ."""
+    return [AlternatingMatrix(standard_symplectic(4).matrix.scale(2)),
+            AlternatingMatrix(random_alternating(4, seed=5).matrix.scale(3))]
+
+
+@pytest.mark.parametrize("p", [31, 2_147_483_647])
+def test_factor_quotients_match_the_division_oracle(p):
+    # over GF(p) det(A) is invertible, so both quotient factors exist and
+    # the division by det(A) * det(X) is exercised on both sides
+    ctx = GenericContext(4, p=p)
+    for alt in scaled_alternating_cases():
+        adj_a = ctx.lift(alt.matrix.adjugate())
+        divisor = ctx.detX._scaled(ctx.ring.coeff(alt.det))
+        right, left = factor_right(ctx, alt), factor_left(ctx, alt)
+        assert right.Y == divided(full_sandwich(ctx.adjX, adj_a), divisor)
+        assert left.Z == divided(
+            full_sandwich(ctx.adjX.transpose(), adj_a), divisor)
+        assert is_alternating(right.Y) and is_alternating(left.Z)
+
+
+def test_factor_over_zz_refuses_a_non_unit_det_a(ctx4):
+    # Y = adj(X) * A^-1 * adj(X)^T / det(X) has a non-integral coefficient
+    # when det(A) is not +-1: the oracle's division fails as the routine's
+    for alt in scaled_alternating_cases():
+        adj_a = ctx4.lift(alt.matrix.adjugate())
+        divisor = ctx4.detX._scaled(alt.det)
+        for left, side in ((ctx4.adjX, factor_right),
+                           (ctx4.adjX.transpose(), factor_left)):
+            with pytest.raises(ExactDivisionError):
+                divided(full_sandwich(left, adj_a), divisor)
+            with pytest.raises(ExactDivisionError):
+                side(ctx4, alt)
+
+
+def test_alternating_routines_read_the_upper_triangle(ctx3):
+    # a B that is not alternating and an S whose lower entries do not
+    # divide: the results are built from the entries above the diagonal
+    ring, n = ctx3.ring, 3
+    b = ctx3.lift(Matrix.from_rows(ZZ, [[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
+    s = factor._alternating_sandwich(ctx3.adjX, b)
+    full = full_sandwich(ctx3.adjX, b)
+    d = ctx3.detX
+    for i in range(n):
+        assert s[i, i].is_zero()
+        for j in range(i + 1, n):
+            assert s[i, j] == full[i, j] and s[j, i] == -full[i, j]
+    lower = Matrix(ctx3.domain, n, n, [
+        d._scaled(i * n + j + 1) if i < j else ring.one
+        for i in range(n) for j in range(n)])
+    q = factor._alternating_quotient(lower, d)
+    assert q.to_rows() == [[ring.zero, ring.const(2), ring.const(3)],
+                           [ring.const(-2), ring.zero, ring.const(6)],
+                           [ring.const(-3), ring.const(-6), ring.zero]]
+
+
+def count_exact_divisions(monkeypatch, compute):
+    """(compute(), the number of Polynomial.exact_div calls it made)."""
+    calls = []
+    exact_div = Polynomial.exact_div
+
+    def counting(self, divisor):
+        calls.append(divisor)
+        return exact_div(self, divisor)
+
+    monkeypatch.setattr(Polynomial, "exact_div", counting)
+    out = compute()
+    monkeypatch.undo()
+    return out, len(calls)
+
+
+def test_quotients_divide_only_above_the_diagonal(monkeypatch, ctx4):
+    # C(4, 2) = 6 divisions per quotient matrix, not 16
+    alt = random_alternating(4, seed=2)
+    q, calls = count_exact_divisions(
+        monkeypatch, lambda: quotient_matrix(ctx4, alt))
+    assert calls == 6
+    assert q == divided(sandwich(ctx4, alt), ctx4.detX)
+    for side in (factor_right, factor_left):
+        cert, calls = count_exact_divisions(monkeypatch,
+                                            lambda: side(ctx4, alt))
+        assert calls == 6
+        assert cert.passed
 
 
 # ---------------------------------------------------------------------------
