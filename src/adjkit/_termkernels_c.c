@@ -13,7 +13,17 @@
  * coefficient is final when its key leaves the heap, so it goes straight
  * to the output: no hash table of partial sums is ever built.  A sum of
  * signed products (one Laplace minor) is one merge over several heaps'
- * worth of cursors.
+ * worth of cursors.  A cursor whose key equals that of the cursor above
+ * its place in the heap joins that cursor's chain instead, so the pairs of
+ * one key mostly leave the heap in one step (the chained heap of the same
+ * paper).
+ *
+ * Each finished monomial goes to a sink: an array (a minor the next
+ * Laplace level reads), a term dict (acc += a*b, or a new result), or a
+ * comparison.  Given `expect`, the Laplace determinant's last level runs
+ * into the comparison sink, which walks expect (converted once, sorted by
+ * key descending) alongside the merge and stops it at the first term that
+ * differs: the determinant itself is never stored.
  *
  * Coefficients: over ZZ (p = 0) int64 inputs with an __int128 accumulator;
  * over GF(p) with p < 2^32, residues whose products fit in 64 bits.  A call
@@ -57,8 +67,9 @@ typedef unsigned __int128 u128;
 
 static PyObject *zero_obj;  /* the int 0, the default p */
 
-/* status of an internal step: done, Python error set, or run in Python */
-enum { OK = 0, FAIL = -1, FALLBACK = 1 };
+/* status of an internal step: done, Python error set, run in Python, or
+   (a comparison) a term differs */
+enum { OK = 0, FAIL = -1, FALLBACK = 1, DIFFER = 2 };
 
 /* ------------------------------------------------------------------------
  * term arrays
@@ -81,6 +92,16 @@ key_less(const u64 *a, const u64 *b, int w)
     for (int i = w - 1; i >= 0; i--)
         if (a[i] != b[i])
             return a[i] < b[i];
+    return 0;
+}
+
+/* -1, 0 or 1 as a is below, equal to or above b */
+static inline int
+key_cmp(const u64 *a, const u64 *b, int w)
+{
+    for (int i = w - 1; i >= 0; i--)
+        if (a[i] != b[i])
+            return a[i] < b[i] ? -1 : 1;
     return 0;
 }
 
@@ -151,8 +172,9 @@ mode_from(PyObject *pobj, Mode *m)
     return OK;
 }
 
+/* *reduced is set when v was not a residue in [0, p) */
 static int
-coefficient(PyObject *v, const Mode *m, int64_t *out)
+coefficient(PyObject *v, const Mode *m, int64_t *out, int *reduced)
 {
     int overflow;
     long long c;
@@ -169,6 +191,7 @@ coefficient(PyObject *v, const Mode *m, int64_t *out)
     }
     if (overflow || c < 0 || (u64)c >= m->p) {
         PyObject *r = PyNumber_Remainder(v, m->pobj);
+        *reduced = 1;
         if (r == NULL)
             return FAIL;
         c = PyLong_AsLongLong(r);
@@ -242,14 +265,16 @@ cmp_desc(const void *x, const void *y, void *arg)
 }
 
 /* The term dict d as an array sorted by key descending; zero coefficients
-   (mod p) are dropped.  t->rec is NULL for an empty result. */
+   (mod p) are dropped.  t->rec is NULL for an empty result.  A canonical
+   flag, when given, is cleared if d held a zero or, over GF(p), a
+   coefficient outside [1, p): then no canonical dict equals d. */
 static int
-terms_from_dict(PyObject *d, const Mode *m, Terms *t)
+terms_from_dict(PyObject *d, const Mode *m, Terms *t, int *canonical)
 {
     const int w = m->w, stride = w + 1;
     Py_ssize_t n = PyDict_GET_SIZE(d), i = 0, pos = 0;
     PyObject *k, *v;
-    int sorted = 1, st;
+    int sorted = 1, reduced = 0, st;
 
     t->n = 0;
     t->rec = NULL;
@@ -263,10 +288,12 @@ terms_from_dict(PyObject *d, const Mode *m, Terms *t)
     while (PyDict_Next(d, &pos, &k, &v)) {
         u64 *r = t->rec + (size_t)i * stride;
         int64_t c;
-        if ((st = coefficient(v, m, &c)) != OK)
+        if ((st = coefficient(v, m, &c, &reduced)) != OK)
             goto fail;
-        if (c == 0)
+        if (c == 0) {
+            reduced = 1;
             continue;
+        }
         if ((st = key_from_py(k, r, w)) != OK)
             goto fail;
         r[w] = (u64)c;
@@ -275,6 +302,8 @@ terms_from_dict(PyObject *d, const Mode *m, Terms *t)
         i++;
     }
     t->n = i;
+    if (reduced && canonical != NULL)
+        *canonical = 0;
     if (!sorted)
         qsort_r(t->rec, (size_t)i, (size_t)stride * sizeof(u64), cmp_desc,
                 (void *)&w);
@@ -289,7 +318,7 @@ fail:
  * output sinks: where the merge sends each finished monomial
  * ---------------------------------------------------------------------- */
 
-enum { SINK_ARRAY, SINK_FMA };
+enum { SINK_ARRAY, SINK_FMA, SINK_CMP };
 
 typedef struct {
     int kind;
@@ -297,6 +326,8 @@ typedef struct {
     Terms out;              /* SINK_ARRAY */
     Py_ssize_t cap;
     PyObject *dict;         /* SINK_FMA: acc, or a new dict for a result */
+    const Terms *expect;    /* SINK_CMP: the terms the merge must produce */
+    Py_ssize_t seen;        /* SINK_CMP: how many of them it has */
 } Sink;
 
 static int
@@ -378,10 +409,28 @@ done:
     return rc;
 }
 
+/* The merge's next term must be expect's next one; DIFFER ends the merge
+   at the first that is not.  Both run in descending key order, and a
+   coefficient outside int64 differs from every coefficient of expect. */
+static int
+sink_cmp(Sink *s, const u64 *key, i128 c)
+{
+    const int w = s->mode->w;
+    const u64 *r;
+    if (s->seen == s->expect->n)
+        return DIFFER;
+    r = s->expect->rec + (size_t)s->seen++ * (w + 1);
+    return key_equal(r, key, w) && c == (int64_t)r[w] ? OK : DIFFER;
+}
+
 static inline int
 emit(Sink *s, const u64 *key, i128 c)
 {
-    return s->kind == SINK_ARRAY ? sink_array(s, key, c) : sink_fma(s, key, c);
+    switch (s->kind) {
+    case SINK_ARRAY: return sink_array(s, key, c);
+    case SINK_FMA: return sink_fma(s, key, c);
+    default: return sink_cmp(s, key, c);
+    }
 }
 
 /* ------------------------------------------------------------------------
@@ -394,10 +443,12 @@ typedef struct {
     int neg;
 } Stream;
 
-/* One cursor: term `r` of R times term `s` of S. */
+/* One cursor: term `r` of R times term `s` of S; `next` chains the
+   cursors of one key behind the one in the heap (-1 ends the chain). */
 typedef struct {
     const u64 *r, *rend;
     const u64 *s, *sbeg, *send;
+    Py_ssize_t next;
     int neg;
 } Cursor;
 
@@ -437,38 +488,59 @@ scratch_reserve(Scratch *sc, Py_ssize_t size, int w)
 
 #define KEY(c) (keys + (size_t)(c) * W)
 
-/* Put cursor c into the hole at slot i of a max-heap of hn cursors: walk
-   the hole down along the larger children, then move c up to its place
-   (Floyd's bottom-up method: the key of a cursor that moved on is usually
-   small, so it seldom moves up).  A hole at a leaf makes this a push. */
-static inline __attribute__((always_inline)) void
+/* Put cursor c (with its chain) into the hole at slot i of a max-heap of
+   hn cursors, and return the heap's new size: walk the hole down along the
+   larger children, then find c's place on the way up (Floyd's bottom-up
+   method: the key of a cursor that moved on is usually small, so it seldom
+   moves up).  A hole at a leaf makes this a push.  When the cursor above
+   that place has c's key, c joins its chain instead, and the heap's last
+   cursor fills the hole: the pairs of one key then leave the heap in one
+   step (Monagan and Pearce's chained heap). */
+static inline __attribute__((always_inline)) Py_ssize_t
 sift(Py_ssize_t *heap, Py_ssize_t hn, Py_ssize_t i, Py_ssize_t c,
-     const u64 *keys, const int W)
+     Cursor *cur, const u64 *keys, const int W)
 {
-    Py_ssize_t ch;
+    Py_ssize_t ch, j, up = 0;
+    int cmp = -1;
     while ((ch = 2 * i + 1) < hn) {
         if (ch + 1 < hn && key_less(KEY(heap[ch]), KEY(heap[ch + 1]), W))
             ch++;
         heap[i] = heap[ch];
         i = ch;
     }
-    while (i > 0) {
-        Py_ssize_t up = (i - 1) >> 1;
-        if (!key_less(KEY(heap[up]), KEY(c), W))
+    for (j = i; j > 0; j = up) {
+        up = (j - 1) >> 1;
+        if ((cmp = key_cmp(KEY(heap[up]), KEY(c), W)) >= 0)
             break;
-        heap[i] = heap[up];
-        i = up;
     }
+    if (j > 0 && cmp == 0) {
+        Py_ssize_t tail = c;
+        while (cur[tail].next >= 0)
+            tail = cur[tail].next;
+        cur[tail].next = cur[heap[up]].next;
+        cur[heap[up]].next = c;
+        if (i == --hn)
+            return hn;
+        c = heap[hn];
+        for (j = i; j > 0 && key_less(KEY(heap[(j - 1) >> 1]), KEY(c), W);
+             j = (j - 1) >> 1)
+            ;
+    }
+    for (; i > j; i = (i - 1) >> 1)
+        heap[i] = heap[(i - 1) >> 1];
     heap[i] = c;
+    return hn;
 }
 
 /* The merge proper, inlined for a few constant key widths and for each
    coefficient mode.  The heap holds one cursor per started row of each
-   product; row i + 1 starts when row i's first pair leaves the heap.
-   Every pair not yet in the heap has a key strictly below one that is, so
-   the heap's top is the largest pair left, and the pairs of one key leave
-   it one after another; a key's sum is final when a smaller key comes up.
-   A cursor that moves on to its next pair replaces the top in one sift. */
+   product, some of them chained behind another of the same key; row i + 1
+   starts when row i's first pair leaves the heap.  Every pair not yet in
+   the heap has a key strictly below one that is, so the heap's top is the
+   largest pair left, and the pairs of one key leave it one after another;
+   a key's sum is final when a smaller key comes up.  Of the chain at the
+   top, the first cursor that moves on replaces the top in one sift and the
+   others are pushed. */
 static inline __attribute__((always_inline)) int
 merge_impl(const Stream *st, int nst, Scratch *sc, Sink *sink, const int W,
            const int MODP)
@@ -493,13 +565,12 @@ merge_impl(const Stream *st, int nst, Scratch *sc, Sink *sink, const int W,
         c->s = c->sbeg = s->rec;
         c->send = s->rec + (size_t)s->n * stride;
         c->neg = st[t].neg;
+        c->next = -1;
         key_add(KEY(ncur), c->r, c->s, W);
-        hn++;
-        sift(heap, hn, hn - 1, ncur++, keys, W);
+        hn = sift(heap, hn + 1, hn, ncur++, cur, keys, W);
     }
     while (hn > 0) {
-        Py_ssize_t ci = heap[0];
-        Cursor *k = &cur[ci];
+        Py_ssize_t ci = heap[0], c, next;
         if (!open || !key_equal(KEY(ci), top, W)) {
             if (open) {
                 if (MODP)
@@ -517,45 +588,39 @@ merge_impl(const Stream *st, int nst, Scratch *sc, Sink *sink, const int W,
             uacc = 0;
             open = 1;
         }
-        if (MODP) {
-            u64 a = k->r[W];
-            uacc += (u128)((k->neg ? p - a : a) * k->s[W]);
-        }
-        else {
-            i128 prod = (i128)(int64_t)k->r[W] * (int64_t)k->s[W];
-            if (k->neg)
-                prod = -prod;
-            if (__builtin_add_overflow(acc, prod, &acc))
-                return FALLBACK;
-        }
-        if (k->s == k->sbeg && k->r + stride < k->rend) {
-            /* this row's first pair is out: start the next row */
-            Cursor *c = &cur[ncur];
-            *c = *k;
-            c->r = k->r + stride;
-            key_add(KEY(ncur), c->r, c->s, W);
-            k->s += stride;
-            if (k->s < k->send) {
-                key_add(KEY(ci), k->r, k->s, W);
-                sift(heap, hn, 0, ci, keys, W);
+        for (c = ci; c >= 0; c = next) {
+            Cursor *k = &cur[c];
+            Py_ssize_t row = -1;
+            next = k->next;
+            k->next = -1;
+            if (MODP) {
+                u64 a = k->r[W];
+                uacc += (u128)((k->neg ? p - a : a) * k->s[W]);
             }
             else {
-                hn--;
-                sift(heap, hn, 0, heap[hn], keys, W);
+                i128 prod = (i128)(int64_t)k->r[W] * (int64_t)k->s[W];
+                if (k->neg)
+                    prod = -prod;
+                if (__builtin_add_overflow(acc, prod, &acc))
+                    return FALLBACK;
             }
-            hn++;
-            sift(heap, hn, hn - 1, ncur++, keys, W);
-            continue;
-        }
-        k->s += stride;
-        if (k->s < k->send) {
-            key_add(KEY(ci), k->r, k->s, W);
-            sift(heap, hn, 0, ci, keys, W);
-        }
-        else {
-            hn--;
-            if (hn > 0)
-                sift(heap, hn, 0, heap[hn], keys, W);
+            if (k->s == k->sbeg && k->r + stride < k->rend) {
+                /* this row's first pair is out: start the next row */
+                Cursor *nc = &cur[row = ncur++];
+                *nc = *k;
+                nc->r = k->r + stride;
+                key_add(KEY(row), nc->r, nc->s, W);
+            }
+            k->s += stride;
+            if (k->s < k->send) {
+                key_add(KEY(c), k->r, k->s, W);
+                hn = c == ci ? sift(heap, hn, 0, c, cur, keys, W)
+                             : sift(heap, hn + 1, hn, c, cur, keys, W);
+            }
+            else if (c == ci && --hn > 0)
+                hn = sift(heap, hn, 0, heap[hn], cur, keys, W);
+            if (row >= 0)
+                hn = sift(heap, hn + 1, hn, row, cur, keys, W);
         }
     }
     if (open) {
@@ -657,8 +722,8 @@ product(PyObject *a, PyObject *b, int negate, Mode *m, Sink *sink)
         return rc;
     if ((m->w = words_for(bits + 1)) == 0)
         return FALLBACK;
-    if ((rc = terms_from_dict(a, m, &ta)) != OK
-        || (rc = terms_from_dict(b, m, &tb)) != OK)
+    if ((rc = terms_from_dict(a, m, &ta, NULL)) != OK
+        || (rc = terms_from_dict(b, m, &tb, NULL)) != OK)
         goto done;
     /* every partial sum is at most |a|_1 * |b|_1 in absolute value */
     if (!m->p && log2_ceil_norm(&ta, m->w) + log2_ceil_norm(&tb, m->w) > 126) {
@@ -676,31 +741,38 @@ done:
     return rc;
 }
 
+/* npos positional arguments, then the nopt optional ones named in
+   `names`, by position or keyword, into opt (NULL where not given). */
 static int
-parse_p(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
-        Py_ssize_t npos, const char *fname, PyObject **p)
+parse_args(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
+           Py_ssize_t npos, const char *fname, const char *const *names,
+           int nopt, PyObject **opt)
 {
     Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
-    *p = NULL;
-    if (nargs == npos + 1)
-        *p = args[npos];
-    else if (nargs != npos) {
-        PyErr_Format(PyExc_TypeError, "%s() takes %zd or %zd positional "
-                     "arguments (%zd given)", fname, npos, npos + 1, nargs);
+    if (nargs < npos || nargs > npos + nopt) {
+        PyErr_Format(PyExc_TypeError, "%s() takes from %zd to %zd positional "
+                     "arguments (%zd given)", fname, npos, npos + nopt, nargs);
         return -1;
     }
+    for (int j = 0; j < nopt; j++)
+        opt[j] = npos + j < nargs ? args[npos + j] : NULL;
     for (Py_ssize_t i = 0; i < nkw; i++) {
         PyObject *name = PyTuple_GET_ITEM(kwnames, i);
-        if (*p != NULL || !PyUnicode_Check(name)
-            || PyUnicode_CompareWithASCIIString(name, "p") != 0) {
-            PyErr_Format(PyExc_TypeError, "%s() got an unexpected keyword "
-                         "argument %R", fname, name);
+        int j = 0;
+        while (j < nopt && !(PyUnicode_Check(name)
+                             && PyUnicode_CompareWithASCIIString(name, names[j]) == 0))
+            j++;
+        if (j == nopt || opt[j] != NULL) {
+            PyErr_Format(PyExc_TypeError, "%s() got an unexpected or repeated "
+                         "keyword argument %R", fname, name);
             return -1;
         }
-        *p = args[nargs + i];
+        opt[j] = args[nargs + i];
     }
     return 0;
 }
+
+static const char *const p_only[] = {"p"};
 
 /* acc += a*b (or -= when negate), in place; the one fallback path is
    kernels._fma */
@@ -735,7 +807,7 @@ fma_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
 {
     PyObject *p;
 
-    if (parse_p(args, nargs, kwnames, 4, "fma_terms", &p) < 0)
+    if (parse_args(args, nargs, kwnames, 4, "fma_terms", p_only, 1, &p) < 0)
         return NULL;
     return fma_into(args[0], args[1], args[2], args[3], p);
 }
@@ -747,7 +819,7 @@ mul_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
 {
     PyObject *p, *out, *r;
 
-    if (parse_p(args, nargs, kwnames, 2, "mul_terms", &p) < 0
+    if (parse_args(args, nargs, kwnames, 2, "mul_terms", p_only, 1, &p) < 0
         || (out = PyDict_New()) == NULL)
         return NULL;
     if ((r = fma_into(out, args[0], args[1], Py_False, p)) == NULL)
@@ -784,26 +856,39 @@ level_free(Terms *level, Py_ssize_t count)
 /* Subset-memoized Laplace expansion along rows 0..n-1, as in
    kernels._laplace: level k holds the minors on rows 0..k-1, one per
    k-subset of columns, as sorted arrays.  The last level's one minor goes
-   straight into the result dict. */
+   straight into the dict out or, when expect is a dict, is compared with
+   it term by term as it is produced: DIFFER at the first term that
+   differs, and nothing of the determinant is ever stored. */
 static int
-laplace(PyObject **grid, int n, Mode *m, PyObject *out)
+laplace(PyObject **grid, int n, Mode *m, PyObject *out, PyObject *expect)
 {
     static Py_ssize_t binom[MAX_LAPLACE_N + 1][MAX_LAPLACE_N + 1];
     size_t bits = 0;
     Terms *entries, *prev = NULL, *level = NULL, one = {1, NULL};
+    Terms want = {0, NULL};
     Py_ssize_t nprev = 0, count = 0;
     Scratch sc = {0};
     Stream st[MAX_LAPLACE_N];
-    int rc = OK, nbits = 0;
+    int rc = OK, nbits = 0, canonical = 1;
 
     for (int i = 0; i < n * n; i++)
         if ((rc = scan_keys(grid[i], &bits)) != OK)
             return rc;
+    if (expect != NULL && (rc = scan_keys(expect, &bits)) != OK)
+        return rc;
     for (int v = n; v; v >>= 1)
         nbits++;
     /* a minor on k rows is a sum of products of k entries */
     if ((m->w = words_for(bits + nbits)) == 0)
         return FALLBACK;
+    if (expect != NULL) {
+        if ((rc = terms_from_dict(expect, m, &want, &canonical)) != OK)
+            return rc;
+        if (!canonical) {       /* the determinant's terms are canonical */
+            PyMem_RawFree(want.rec);
+            return DIFFER;
+        }
+    }
     if (binom[0][0] == 0)
         for (int a = 0; a <= MAX_LAPLACE_N; a++)
             for (int b = 0; b <= a; b++)
@@ -818,7 +903,7 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out)
     }
     one.rec[m->w] = 1;          /* the empty minor: 1 at the key 0 */
     for (int i = 0; i < n * n; i++)
-        if ((rc = terms_from_dict(grid[i], m, &entries[i])) != OK)
+        if ((rc = terms_from_dict(grid[i], m, &entries[i], NULL)) != OK)
             goto done;
     prev = &one;
     nprev = 1;
@@ -832,9 +917,10 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out)
             goto done;
         }
         for (Py_ssize_t idx = 0; idx < count; idx++) {
-            Sink sink = {k < n ? SINK_ARRAY : SINK_FMA, m};
+            Sink sink = {k < n ? SINK_ARRAY : expect ? SINK_CMP : SINK_FMA, m};
             int pos = 0, nst = 0;
             sink.dict = out;
+            sink.expect = &want;
             for (u64 rest = mask; rest; rest &= rest - 1, pos++) {
                 int j = __builtin_ctzll(rest);
                 Terms *e = &entries[(k - 1) * n + j];
@@ -847,6 +933,8 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out)
                 nst++;
             }
             rc = merge(st, nst, &sc, &sink);
+            if (rc == OK && sink.kind == SINK_CMP && sink.seen < want.n)
+                rc = DIFFER;    /* expect has terms beyond the last */
             if (sink.kind == SINK_ARRAY) {
                 if (rc == OK && sink.out.n < sink.cap && sink.out.n) {
                     u64 *fit = PyMem_RawRealloc(sink.out.rec, (size_t)sink.out.n
@@ -878,27 +966,33 @@ done:
             PyMem_RawFree(entries[i].rec);
     PyMem_RawFree(entries);
     PyMem_RawFree(one.rec);
+    PyMem_RawFree(want.rec);
     scratch_free(&sc);
     return rc;
 }
 
+/* det(rows), or with expect, det(rows) == expect: the only fallback is
+   kernels._laplace, then == */
 static PyObject *
 det_laplace_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
                   PyObject *kwnames)
 {
-    PyObject *p, *rows = NULL, *out = NULL, **grid = NULL, *fn;
+    static const char *const names[] = {"p", "expect"};
+    PyObject *opt[2], *p, *expect, *rows, *out = NULL, **grid = NULL, *fn;
     Mode m = {0};
     Py_ssize_t n = 0, got = 0;
     int rc;
 
-    if (parse_p(args, nargs, kwnames, 1, "det_laplace_terms", &p) < 0)
+    if (parse_args(args, nargs, kwnames, 1, "det_laplace_terms", names, 2,
+                   opt) < 0)
         return NULL;
-    if (p == NULL)
-        p = zero_obj;
+    p = opt[0] ? opt[0] : zero_obj;
+    expect = opt[1] == Py_None ? NULL : opt[1];
     rows = args[0];
     if ((rc = mode_from(p, &m)) == FAIL)
         return NULL;
-    if (rc == FALLBACK || !PyList_Check(rows))
+    if (rc == FALLBACK || !PyList_Check(rows)
+        || (expect != NULL && !PyDict_Check(expect)))
         goto python;
     n = PyList_GET_SIZE(rows);
     if (n == 0 || n > MAX_LAPLACE_N)
@@ -918,18 +1012,23 @@ det_laplace_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
             grid[got * n + j] = e;
         }
     }
-    if ((out = PyDict_New()) == NULL)
+    if (expect == NULL && (out = PyDict_New()) == NULL)
         goto done;
-    rc = laplace(grid, (int)n, &m, out);
-    if (rc == OK)
+    rc = laplace(grid, (int)n, &m, out, expect);
+    if (rc == OK || rc == DIFFER) {
+        if (expect != NULL)
+            out = PyBool_FromLong(rc == OK);
         goto done;
+    }
     Py_CLEAR(out);
     if (rc == FAIL)
         goto done;
 python:
     Py_CLEAR(out);
-    if ((fn = python_kernel(&py_laplace, "_laplace")) != NULL)
-        out = PyObject_CallFunctionObjArgs(fn, rows, p, NULL);
+    if ((fn = python_kernel(&py_laplace, "_laplace")) != NULL
+        && (out = PyObject_CallFunctionObjArgs(fn, rows, p, NULL)) != NULL
+        && expect != NULL)
+        Py_SETREF(out, PyObject_RichCompare(out, expect, Py_EQ));
 done:
     PyMem_RawFree(grid);
     return out;
@@ -954,10 +1053,11 @@ static PyMethodDef methods[] = {
            "fma_terms(acc, a, b, negate, p=0)\n--\n\n"
            "acc += a*b (or -= when negate), in place on the dict acc."),
     KERNEL("det_laplace_terms", det_laplace_terms,
-           "det_laplace_terms(rows, p=0)\n--\n\n"
-           "Determinant of a square grid of term dicts."),
+           "det_laplace_terms(rows, p=0, expect=None)\n--\n\n"
+           "Determinant of a square grid of term dicts; given the term dict\n"
+           "expect, whether the determinant equals it."),
     KERNEL("packed_det_laplace", det_laplace_terms,
-           "packed_det_laplace(rows, p=0)\n--\n\n"
+           "packed_det_laplace(rows, p=0, expect=None)\n--\n\n"
            "det_laplace_terms, under the span name of large determinants."),
     {NULL, NULL, 0, NULL}
 };

@@ -80,7 +80,7 @@ def verify_fundamental(ctx: GenericContext) -> dict:
     """
     checks = {
         **ctx.products,
-        "adj_det_exponent": ctx.adjX.det_laplace() == ctx.det_power(ctx.n - 1),
+        "adj_det_exponent": ctx.adjX.det_equals(ctx.det_power(ctx.n - 1)),
     }
     return {"n": ctx.n, "checks": checks, "passed": all(checks.values())}
 

@@ -19,7 +19,17 @@ two key properties above and no other.  The first import builds it from
 source when needed (see ``_cbuild``) and binds those names to it.  A call
 the compiled body cannot do exactly (Fraction coefficients, an int64
 overflow, a key too wide, a modulus of 2^32 or more) runs in the
-pure-Python body.  ``IMPL`` is ``"c"`` or ``"py"``; ``IMPL_NOTE`` is empty
+pure-Python body.
+
+Given a term dict ``expect``, the Laplace determinant returns whether the
+determinant equals it instead of the determinant itself.  The compiled body
+then stores nothing of the determinant: the merge of its last level
+produces the terms in descending key order, each is compared with the next
+term of ``expect`` as it comes, and the call returns False at the first that
+differs.  The pure-Python body, like every fallback, builds the
+determinant and compares with ``==``.
+
+``IMPL`` is ``"c"`` or ``"py"``; ``IMPL_NOTE`` is empty
 with ``"c"`` and says why the compiled kernels were refused with ``"py"``:
 ``ADJKIT_PURE`` set, a read-only tree, no compiler, a build error or an
 import error.  The private ``_fma`` and ``_laplace`` stay pure Python: they
@@ -195,9 +205,11 @@ def sub_scaled_terms(rem, key, coeff, b, p=0):
     return new_keys
 
 
-def det_laplace_terms(rows, p=0):
-    """Determinant of a square grid of term dicts."""
-    return _laplace(rows, p)
+def det_laplace_terms(rows, p=0, expect=None):
+    """Determinant of a square grid of term dicts; given the term dict
+    ``expect``, whether the determinant equals it."""
+    det = _laplace(rows, p)
+    return det if expect is None else det == expect
 
 
 # The callers route large products and determinants to these two names and
@@ -211,9 +223,10 @@ def packed_mul_terms(a, b, p=0):
     return out
 
 
-def packed_det_laplace(rows, p=0):
+def packed_det_laplace(rows, p=0, expect=None):
     """det_laplace_terms, under the span name of large determinants."""
-    return _laplace(rows, p)
+    det = _laplace(rows, p)
+    return det if expect is None else det == expect
 
 
 _compiled, IMPL_NOTE = _cbuild.load()

@@ -6,7 +6,8 @@ compiled ones.  Every compiled kernel must return what the Python body
 returns, on seeded random inputs at several key widths and moduli, on the
 inputs it hands back to Python (Fraction coefficients, int64 overflow, keys
 too wide), and at the edges (empty operands, the key-0 scalar, a ring with
-no variables).  The kernel tests of test_kernels.py run here once more on
+no variables).  The determinant's ``expect`` comparison must give the
+Python body's answer on the true determinant and on planted faults of it.  The kernel tests of test_kernels.py run here once more on
 each implementation, through the ``kernel_impl`` fixture.
 
 The compiled kernels build on this machine, so these tests fail, not skip,
@@ -46,8 +47,9 @@ def py_fma(acc, a, b, negate, p=0):
     kernels._fma(acc, a, b, negate, p)
 
 
-def py_laplace(rows, p=0):
-    return kernels._laplace(rows, p)
+def py_laplace(rows, p=0, expect=None):
+    det = kernels._laplace(rows, p)
+    return det if expect is None else det == expect
 
 
 PY = {"mul_terms": py_mul, "packed_mul_terms": py_mul, "fma_terms": py_fma,
@@ -95,6 +97,36 @@ def c_kernels():
     return {name: getattr(kernels, name) for name in ALIASES}
 
 
+def planted_faults(det, p):
+    """Canonical term dicts that differ from det: one coefficient off by
+    one, the last (smallest) term dropped, an extra term below the last, the
+    last term's key moved below it, and for a zero det a nonzero one."""
+    if not det:
+        return [{0: 1}, {1: 1}]
+    keys = sorted(det, reverse=True)
+    mid, last = keys[len(keys) // 2], keys[-1]
+    off = dict(det)
+    off[mid] = (det[mid] + 1) % p if p else det[mid] + 1
+    if not off[mid]:
+        del off[mid]
+    dropped = {k: det[k] for k in keys[:-1]}
+    faults = [off, dropped]
+    if last:
+        faults += [{**det, last - 1: 1}, {**dropped, last - 1: det[last]}]
+    return faults
+
+
+def check_expect(ck, grid, p, want):
+    """Both Laplace names, compiled and Python, on ``expect`` = the true
+    determinant, planted faults of it and {}."""
+    for name in ("det_laplace_terms", "packed_det_laplace"):
+        assert ck[name](grid, p, want) is True
+        assert ck[name](grid, p, expect=want) is True
+        for fault in planted_faults(want, p) + [{}] * bool(want):
+            assert ck[name](grid, p, fault) is False
+            assert PY[name](grid, p, fault) is False
+
+
 def rand_dict(rng, layout, nv, terms, deg=3, cmin=-50, cmax=50, p=0):
     out = {}
     for _ in range(terms):
@@ -131,6 +163,7 @@ def check_all(rng, layout, nv, p, cmin=-50, cmax=50, grids=(1, 2, 3)):
         want = PY["det_laplace_terms"](grid, p)
         for name in ("det_laplace_terms", "packed_det_laplace"):
             assert ck[name](grid, p) == want
+        check_expect(ck, grid, p, want)
 
 
 @pytest.mark.parametrize("width", [8, 16, 32])
@@ -169,7 +202,15 @@ def test_coefficients_near_the_int64_limits(big):
     # minors that outgrow int64 at a middle level of the expansion
     grid = [[{0: big - i - j}, {x: 2**40 + i}, {0: -big + j}]
             for i, j in ((0, 1), (2, 3), (5, 7))]
-    assert ck["det_laplace_terms"](grid) == PY["det_laplace_terms"](grid)
+    want = PY["det_laplace_terms"](grid)
+    assert ck["det_laplace_terms"](grid) == want
+    check_expect(ck, grid, 0, want)
+    # an expect coefficient beyond int64, equal to the determinant's or not
+    grid = [[{x: big}, {0: 1}], [{0: -1}, {x: 3}]]
+    want = PY["det_laplace_terms"](grid)
+    check_expect(ck, grid, 0, want)
+    assert ck["det_laplace_terms"](grid, 0, {2 * x: 3 * big + 2**64, 0: 1}) \
+        is False
 
 
 def test_fraction_coefficients():
@@ -195,7 +236,13 @@ def test_fraction_coefficients():
         PY["fma_terms"](want, ai, bi, False)
         assert acc == want
         grid = [[a, b], [b, a]]
-        assert ck["det_laplace_terms"](grid) == PY["det_laplace_terms"](grid)
+        want = PY["det_laplace_terms"](grid)
+        assert ck["det_laplace_terms"](grid) == want
+        check_expect(ck, grid, 0, want)
+        # an int grid against a Fraction expect, which only == can compare
+        ints = [[ai, bi], [bi, ai]]
+        fractions = {k: Fraction(c) for k, c in PY["det_laplace_terms"](ints).items()}
+        assert ck["det_laplace_terms"](ints, 0, fractions) is True
     R = PolyRing(("x", "y"), rational=True)
     f = R.parse("1/2*x + 1/3*y")
     assert (f * f).terms == {(2, 0): Fraction(1, 4), (1, 1): Fraction(1, 3),
@@ -218,6 +265,24 @@ def test_edges():
         assert ck["det_laplace_terms"]([[{0: 2}]], p) == {0: 2}
         assert ck["det_laplace_terms"]([[{x: 1}, {}], [{}, {x: 1}]], p) == \
             {2 * x: 1}
+        # expect: n = 0, a zero determinant, non-canonical and odd expects,
+        # and keys wider than the grid's or than the compiled kernels take
+        grid = [[{x: 1}, {0: 2}], [{0: 1}, {x: 1}]]
+        det = {2 * x: 1, 0: p - 2 if p else -2}
+        for name in ("det_laplace_terms", "packed_det_laplace"):
+            for g, expect in (([], {0: 1}), ([], {}), ([[{}]], {}),
+                              ([[{}]], {0: 1}), (grid, det),
+                              (grid, {**det, x: 0}), (grid, {**det, 0: -2 + p}),
+                              (grid, {**det, 0: -2 - p}), (grid, [det]),
+                              (grid, {**det, 1 << 100: 1}),
+                              (grid, {**det, 1 << 3000: 1})):
+                got = ck[name](g, p, expect)
+                assert got is PY[name](g, p, expect), (name, g, expect)
+            assert ck[name](grid, p, None) == det
+    with pytest.raises(TypeError):
+        ck["det_laplace_terms"]([], 0, {}, 1)
+    with pytest.raises(TypeError):
+        ck["det_laplace_terms"]([], 0, expect={}, p=0)
     # the modulus as a keyword, as the Python bodies take it
     assert ck["mul_terms"]({0: 2}, {0: 2}, p=3) == {0: 1}
     with pytest.raises(TypeError):
@@ -246,6 +311,35 @@ def test_fma_negate_and_cancel_to_empty(p):
                for k, c in ck["mul_terms"](a, b, p).items()}
         ck["fma_terms"](acc, a, b, False, p)
         assert acc == {}
+
+
+@pytest.mark.parametrize("p", (0,) + PRIMES)
+def test_many_pairs_per_key(p):
+    """Merges whose keys each gather many pairs, which the heap chains."""
+    ck = c_kernels()
+    layout = _Layout(3, 16)
+    x, y, z = (layout.pack(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    f = {0: 1}
+    for k in range(1, 9):
+        f = PY["mul_terms"](f, {x: 1, y: 1, z: 1}, p)
+        assert ck["mul_terms"](f, f, p) == PY["mul_terms"](f, f, p)
+        acc = PY["mul_terms"](f, f, p)
+        ck["fma_terms"](acc, f, f, True, p)
+        assert acc == {}
+    # a 4x4 grid of one repeated entry: every pair cancels, det 0
+    grid = [[f] * 4 for _ in range(4)]
+    assert ck["det_laplace_terms"](grid, p) == {} == PY["det_laplace_terms"](grid, p)
+    check_expect(ck, grid, p, {})
+    # (x + y)^(2^k) has only its two end terms over GF(2)
+    g = {x: 1, y: 1}
+    for _ in range(5):
+        g = ck["mul_terms"](g, g, p)
+    if p == 2:
+        assert g == {32 * x: 1, 32 * y: 1}
+    grid = [[g, f], [f, g]]
+    want = PY["det_laplace_terms"](grid, p)
+    assert ck["packed_det_laplace"](grid, p) == want
+    check_expect(ck, grid, p, want)
 
 
 @pytest.mark.parametrize("p", [None, 2, 2_147_483_647])
@@ -311,6 +405,35 @@ def test_memory_error_under_an_address_space_limit():
             print("MemoryError")
         # the process goes on after the error
         assert kernels.mul_terms({1: 2}, {2: 3}) == {3: 6}
+        print("done")
+        """
+    done = run_python(code, env=env_without_pure())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["MemoryError", "done"]
+
+
+def test_memory_error_in_a_determinant_compared_with_expect():
+    code = """
+        import resource
+        from adjkit import kernels
+        assert kernels.IMPL == "c", kernels.IMPL_NOTE
+        # the minor on rows 0 and 1: 3000 x 3000 distinct products, an
+        # array of about 0.14 GB that doubles as it grows
+        a = {i << 20: 1 for i in range(3000)}
+        b = {j: 1 for j in range(3000)}
+        grid = [[a, {}, {}], [{}, b, {}], [{}, {}, {0: 1}]]
+        pages = int(open("/proc/self/statm").read().split()[0])
+        limit = pages * resource.getpagesize() + (192 << 20)
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+        try:
+            kernels.packed_det_laplace(grid, 0, {0: 1})
+        except MemoryError:
+            print("MemoryError")
+        # the process goes on after the error
+        grid = [[{1: 2}, {0: 1}], [{0: 1}, {1: 3}]]
+        assert kernels.det_laplace_terms(grid) == {2: 6, 0: -1}
+        assert kernels.det_laplace_terms(grid, 0, {2: 6, 0: -1}) is True
         print("done")
         """
     done = run_python(code, env=env_without_pure())

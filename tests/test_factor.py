@@ -79,6 +79,46 @@ def test_verify_fundamental_reports_the_constructor_products(monkeypatch):
     assert report["passed"], report
 
 
+def test_det_law_is_decided_inside_the_laplace_kernel(monkeypatch):
+    """det(adj X) is never built: det_equals hands det(X)^(n-1) to the
+    kernel as ``expect``, for the law and for its negative control."""
+    from adjkit import identities, kernels
+    ctx = GenericContext(4)
+    dets, expects = [], []
+    det_laplace = Matrix.det_laplace
+
+    def counting_det(self):
+        dets.append(self)
+        return det_laplace(self)
+
+    monkeypatch.setattr(Matrix, "det_laplace", counting_det)
+    for name in ("det_laplace_terms", "packed_det_laplace"):
+        def kernel(rows, p=0, expect=None, _real=getattr(kernels, name)):
+            expects.append(expect)
+            return _real(rows, p) if expect is None else _real(rows, p, expect)
+        monkeypatch.setattr(kernels, name, kernel)
+    assert verify_fundamental(ctx)["passed"]
+    control = identities._sym_corrupted(ctx, 0)
+    assert not any(m is ctx.adjX for m in dets)
+    assert expects == [ctx.det_power(3).packed, ctx.det_power(4).packed]
+    assert control == {"identity": "corrupted_adj_det", "n": 4,
+                       "checks": {"wrong_exponent_holds": False},
+                       "passed": False, "expected_failure": True}
+
+
+def test_det_equals_raises_as_det_laplace_does(ctx2, ctx3):
+    with pytest.raises(ValueError):
+        ctx3.adjX.submatrix([0, 1], [0, 1, 2]).det_equals(ctx3.detX)
+    with pytest.raises(ValueError):     # another ring
+        ctx3.adjX.det_equals(ctx2.detX)
+    with pytest.raises(TypeError):
+        Matrix.identity(ZZ, 2).det_equals(ctx2.detX)
+    empty = ctx3.adjX.submatrix([], [])
+    assert empty.det_equals(ctx3.ring.one)
+    assert not empty.det_equals(ctx3.ring.zero)
+    assert not empty.det_equals(ctx3.detX)
+
+
 def test_entries_are_the_named_variables(ctx3):
     for i in range(3):
         for j in range(3):
