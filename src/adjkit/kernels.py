@@ -104,6 +104,8 @@ def _laplace(rows, p):
     cols = list(range(n))
     for k in range(1, n + 1):
         row_entries = rows[k - 1]
+        # the last level reads each minor once: drop it as it is read
+        read = level.pop if k == n else level.__getitem__
         nxt = {}
         for subset in combinations(cols, k):
             acc = {}
@@ -116,7 +118,7 @@ def _laplace(rows, p):
                 j = subset[pos]
                 entry = row_entries[j]
                 if entry:
-                    prev = level[mask & ~(1 << j)]
+                    prev = read(mask & ~(1 << j))
                     if prev:
                         _fma(acc, entry, prev, (k - 1 + pos) % 2 == 1, p)
             nxt[mask] = acc

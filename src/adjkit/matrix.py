@@ -361,9 +361,10 @@ class Matrix:
     def det_equals(self, expected: Polynomial) -> bool:
         """Exact test det(self) == expected for polynomial matrices.
 
-        The determinant is never built: the Laplace kernel compares its
-        terms with expected's as it produces them, in descending key order,
-        and stops at the first that differs."""
+        On the compiled kernels the determinant is never built: the
+        Laplace kernel compares its terms with expected's as it produces
+        them, in descending key order, and stops at the first that
+        differs."""
         if not isinstance(self.domain, PolynomialDomain):
             raise TypeError("det_equals expects a polynomial matrix")
         if not self.domain.ring.compatible(expected.ring):
