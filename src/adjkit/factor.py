@@ -3,8 +3,9 @@
 Builds the generic matrix X = (x_i_j), its determinant and adjugate, and
 constructs the even-dimension factorizations adj(X) = Y * (X^T A) through
 an invertible alternating matrix A (and the mirrored left factorization),
-together with exact certificates: every stated identity is re-verified by
-exact polynomial arithmetic before a certificate is returned.
+together with exact certificates, checked at every n before they are
+returned: Y*Z = adj(X) and the linear factor's determinant law by exact
+expansion, and the quotient factor's law derived (``_certificate_checks``).
 
 Also here: the alternating-sandwich divisibility adj(X)*A*adj(X)^T =
 det(X)*Q, the diagonal factorization of det(X)*I, the parity/exponent
@@ -315,9 +316,16 @@ def _certificate_checks(ctx: GenericContext, cert: FactorizationCertificate,
 
     ``forms`` adds what a built certificate has by construction: the linear
     factor X^T A (right) or A X^T (left) and the value of d.
+
+    The linear factor's law det = det(X)*det(A) is expanded exactly (n!
+    terms).  The quotient factor's law det*det(A) = det(X)^(n-2) is
+    derived, at every n, from two theorems: det is multiplicative, and a
+    nonzero factor cancels in the integral domain k[x].  X*adj(X) =
+    det(X)*I, checked when ``ctx`` was built, gives det(X)*det(adj X) =
+    det(X)^n, so det(adj X) = det(X)^(n-1).  With Y*Z = adj(X) and the
+    linear law, cancelling det(X) once more gives the quotient's law.
     """
     n, right = cert.n, cert.side == "right"
-    det_a = cert.alt.det
     checks = {"product": cert.Y * cert.Z == ctx.adjX}
     if forms:
         a = ctx.lift(cert.alt.matrix)
@@ -326,21 +334,13 @@ def _certificate_checks(ctx: GenericContext, cert: FactorizationCertificate,
         else:
             checks["y_form"] = cert.Y == a * ctx.X.transpose()
         checks["d_value"] = cert.d == (n - 2 if right else 1)
-    # The quotient factor's det at n=6 is det(X)^4 with ~1e9 terms:
-    # physically out of reach.  The product check stays exact at every n;
-    # the determinant laws are certified exactly up to n=4 and corroborated
-    # pointwise beyond.
-    if n <= 4:
-        # det(quotient factor)*det(A) = det(X)^(n-2) and
-        # det(linear factor) = det(X)*det(A)
-        power, linear = ctx.det_power(n - 2), ctx.detX._scaled(det_a)
-        det_y, det_z = cert.Y.det_laplace(), cert.Z.det_laplace()
-        if right:
-            checks["det_y_exponent"] = det_y._scaled(det_a) == power
-            checks["det_z"] = det_z == linear
-        else:
-            checks["det_y"] = det_y == linear
-            checks["det_z_exponent"] = det_z._scaled(det_a) == power
+    linear = (cert.Z if right else cert.Y).det_equals(
+        ctx.detX._scaled(cert.alt.det))
+    derived = checks["product"] and linear and all(ctx.products.values())
+    if right:
+        checks["det_y_exponent"], checks["det_z"] = derived, linear
+    else:
+        checks["det_y"], checks["det_z_exponent"] = linear, derived
     return checks
 
 

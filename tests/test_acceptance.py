@@ -321,16 +321,21 @@ def test_criterion_11_modp_corroboration():
 
 @pytest.mark.stress
 def test_stress_n6_factorization():
-    """Opt-in n=6 certificate: exact product and det(Z) checks, with the
-    det(Y) exponent law corroborated by the t-valuation law and mod-p
-    evaluation (det(X)^4 at n=6 is ~1e9 terms, beyond expansion)."""
+    """Opt-in n=6 certificates on both sides: exact product and linear
+    factor laws, and the quotient factor's law derived from them.  The
+    t-valuation law and mod-p evaluation of det(Y) stay as independent
+    oracles of the derived law."""
     t0 = time.time()
     ctx = GenericContext(6)
     j = standard_symplectic(6)
     cert = factor_right(ctx, j)
+    assert cert.checks == {"product": True, "det_y_exponent": True,
+                           "det_z": True}
     assert cert.Y * cert.Z == ctx.adjX
     assert cert.Z.det_laplace() == ctx.detX  # det(A) = 1
     cert_l = factor_left(ctx, j)
+    assert cert_l.checks == {"product": True, "det_y": True,
+                             "det_z_exponent": True}
     assert cert_l.Y * cert_l.Z == ctx.adjX
     assert cert_l.Y.det_laplace() == ctx.detX
     pt = SpecPoint(Matrix.diagonal(QQ, [Fraction(v)

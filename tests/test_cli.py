@@ -163,7 +163,11 @@ def test_factor_n6_is_quiet(capsys):
     code, out, err = run(capsys, "factor", "--n", "6", "--A", "symplectic")
     assert code == 0
     assert err == ""
-    assert "check product: ok" in out
+    for check in ("product", "det_y_exponent", "det_z"):
+        assert f"check {check}: ok" in out
+    # pinned like the golden corpus: any change to the n = 6 certificate
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3529905cbff4144ed40b3fbbd254af63618da6bf1d709061d5881a530a2af06a")
 
 
 def test_factor_odd_n_rejected(capsys):

@@ -527,7 +527,58 @@ def test_tampered_certificate_detected(ctx4):
     obj = cert.to_json()
     obj["Y"]["entries"][0][0] = "x_1_1^2"
     loaded = FactorizationCertificate.from_json(obj, ctx4)
-    assert not reverify_certificate(loaded, ctx4)["passed"]
+    report = reverify_certificate(loaded, ctx4)
+    assert not report["passed"]
+    # the quotient law is derived from the product, which fails; the
+    # linear factor Z is untouched and its expanded law still holds
+    assert report["checks"] == {"product": False, "z_form": True,
+                                "d_value": True, "det_y_exponent": False,
+                                "det_z": True}
+
+
+def test_swapped_alternating_matrix_fails_the_linear_law():
+    # over ZZ an invertible alternating A that factors has det(A) = 1, so a
+    # det(A) fault shows only over GF(p): 2J has det 16, J has det 1
+    ctx = GenericContext(4, p=31)
+    j = standard_symplectic(4)
+    two_j = AlternatingMatrix(j.matrix + j.matrix)
+    assert two_j.det == 16
+    for side, failing in (
+            (factor_right, ["z_form", "det_y_exponent", "det_z"]),
+            (factor_left, ["y_form", "det_y", "det_z_exponent"])):
+        cert = side(ctx, two_j)
+        assert cert.passed, cert.checks
+        checks = reverify_certificate(replace(cert, alt=j), ctx)["checks"]
+        assert [k for k, ok in checks.items() if not ok] == failing
+
+
+def test_certificate_expands_only_the_linear_factor(monkeypatch, ctx4):
+    """One det_equals call per certificate, on the linear factor; the
+    quotient factor's law is derived, so nothing else is expanded."""
+    calls = []
+    det_equals = Matrix.det_equals
+
+    def counting(self, expected):
+        calls.append((self, expected))
+        return det_equals(self, expected)
+
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
+        return call
+
+    alt = random_alternating(4, seed=5)
+    monkeypatch.setattr(Matrix, "det_equals", counting)
+    monkeypatch.setattr(Matrix, "det_laplace", forbidden("det_laplace"))
+    monkeypatch.setattr(GenericContext, "det_power", forbidden("det_power"))
+    for side, linear in ((factor_right, "Z"), (factor_left, "Y")):
+        calls.clear()
+        cert = side(ctx4, alt)
+        assert cert.passed, cert.checks
+        assert len(calls) == 1
+        matrix, expected = calls[0]
+        assert matrix is getattr(cert, linear)
+        assert expected == ctx4.detX._scaled(alt.det)
 
 
 @pytest.mark.parametrize("n", [2, 4])
