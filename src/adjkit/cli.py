@@ -97,10 +97,11 @@ def cmd_verify(args) -> int:
         report = run_modp_suite(args.n, args.prime, args.trials, args.seed,
                                 include_corrupted=args.negative_control)
     else:
-        if args.n > SYMBOLIC_CAP and not args.allow_large:
-            raise UsageError(
-                f"symbolic verification above n={SYMBOLIC_CAP} needs --allow-large")
-        report = run_symbolic_suite(args.n, seed=args.seed or 0,
+        if args.seed is not None:
+            raise UsageError("--seed goes with --prime: it seeds only the "
+                             "mod-p trials, and symbolic verification draws "
+                             "no random numbers")
+        report = run_symbolic_suite(args.n,
                                     include_corrupted=args.negative_control,
                                     allow_large=args.allow_large)
     lines = [f"identity suite ({report['mode']}), n={args.n}:"]
@@ -242,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--negative-control", action="store_true",
                    help="include the deliberately corrupted identity")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the mod-p trials; needs --prime")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -36,8 +36,8 @@ class GenericContext:
 
     The fundamental identity X*adj(X) = adj(X)*X = det(X)*I is verified on
     construction, and ``products`` keeps its two results for
-    ``verify_fundamental``; det powers and the compound reports are cached
-    since several verifications share them.
+    ``verify_fundamental``; det powers are cached, and ``memo`` keeps the
+    results that several identities of the symbolic suite share.
     """
 
     def __init__(self, n: int, p: int | None = None, allow_large: bool = False):
@@ -52,9 +52,8 @@ class GenericContext:
         self.adjX = self.X.adjugate()
         self.identity = Matrix.identity(self.domain, n)
         self._det_powers = {0: self.ring.one, 1: self.detX}
-        # identities.compound_det_check for m = 1..n, built once for the
-        # two compound identities of the symbolic suite
-        self.compound_reports: list[dict] | None = None
+        # shared symbolic-suite results, keyed by name (identities._memo)
+        self.memo: dict = {}
         det_i = self.identity.scale(self.detX)
         self.products = {"right_product": self.X * self.adjX == det_i,
                          "left_product": self.adjX * self.X == det_i}
@@ -334,8 +333,7 @@ def _certificate_checks(ctx: GenericContext, cert: FactorizationCertificate,
         else:
             checks["y_form"] = cert.Y == a * ctx.X.transpose()
         checks["d_value"] = cert.d == (n - 2 if right else 1)
-    linear = (cert.Z if right else cert.Y).det_equals(
-        ctx.detX._scaled(cert.alt.det))
+    linear = (cert.Z if right else cert.Y).det_equals(ctx.detX * cert.alt.det)
     derived = checks["product"] and linear and all(ctx.products.values())
     if right:
         checks["det_y_exponent"], checks["det_z"] = derived, linear
@@ -360,13 +358,15 @@ def _factor(ctx: GenericContext, alt: AlternatingMatrix,
     n = ctx.n
     if n % 2:
         raise ValueError("factorization needs even n (odd n admits none)")
-    if not alt.invertible:
+    # det(A) is tested in the context's coefficients: over GF(p) a p that
+    # divides it makes A singular
+    if not ctx.ring.coeff(alt.det):
         raise ValueError("alternating matrix must be invertible")
     if alt.n != n:
         raise ValueError("dimension mismatch")
     left = ctx.adjX if side == "right" else ctx.adjX.transpose()
     s = _alternating_sandwich(left, ctx.lift(alt.matrix.adjugate()))
-    quotient = _alternating_quotient(s, ctx.detX._scaled(alt.det))
+    quotient = _alternating_quotient(s, ctx.detX * alt.det)
     a = ctx.lift(alt.matrix)
     if side == "right":
         y, z, d = quotient, ctx.X.transpose() * a, n - 2

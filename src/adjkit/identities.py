@@ -2,14 +2,10 @@
 
 Each registered identity knows how to verify itself symbolically on the
 generic matrix (exactly, at small n) and how to run one randomized GF(p)
-trial (for dimensions far beyond symbolic reach).  A deliberately corrupted
-identity is registered as a negative control; it must fail.
-
-The Sylvester-Franke determinant law det(compound(X, m)) =
-det(X)^C(n-1, m-1) is derived at every (n, m), never expanded: from exact
-checks on compound(X, m) alone (the complementary-compound product, the
-degree of its entries and its value at X = I), with the irreducibility of
-det(X) as the one theorem the derivation names.
+trial (for dimensions far beyond symbolic reach; corroboration, not proof).
+A deliberately corrupted identity is registered as a negative control; it
+must fail.  The symbolic suite draws no random numbers; a law it derives
+from other exact checks names its theorem in its report.
 """
 
 from __future__ import annotations
@@ -19,22 +15,17 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .domains import GF, ZZ
-from .factor import (AlternatingMatrix, GenericContext, factor_left,
-                     factor_right, diagonal_factorization, quotient_matrix,
-                     random_unimodular, standard_symplectic, verify_fundamental,
-                     zero_alternating)
+from .domains import GF, ZZ, PolynomialDomain
+from .factor import (GenericContext, factor_left, factor_right,
+                     diagonal_factorization, random_unimodular,
+                     standard_symplectic, verify_fundamental)
 from .matrix import Matrix
+from .polyring import PolyRing
 
 
 # ---------------------------------------------------------------------------
-# random instance helpers (entries uniform in [-5, 5] unless stated)
+# random GF(p) instances of the mod-p trials
 # ---------------------------------------------------------------------------
-
-def rand_int_matrix(rng: random.Random, n: int, lo: int = -5, hi: int = 5) -> Matrix:
-    return Matrix.from_rows(ZZ, [[rng.randint(lo, hi) for _ in range(n)]
-                                 for _ in range(n)])
-
 
 def rand_gfp_matrix(rng: random.Random, n: int, p: int) -> Matrix:
     dom = GF(p)
@@ -70,17 +61,6 @@ def rand_gfp_alternating(rng: random.Random, n: int, p: int) -> Matrix:
             m.entries[i * n + j] = c
             m.entries[j * n + i] = (-c) % p
     return m
-
-
-def rand_alternating_int(rng: random.Random, n: int, lo: int = -5,
-                         hi: int = 5) -> AlternatingMatrix:
-    m = Matrix.zeros(ZZ, n, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = rng.randint(lo, hi)
-            m.entries[i * n + j] = c
-            m.entries[j * n + i] = -c
-    return AlternatingMatrix(m)
 
 
 # ---------------------------------------------------------------------------
@@ -133,63 +113,79 @@ def compound_det_check(ctx: GenericContext, m: int,
 
 
 # ---------------------------------------------------------------------------
-# symbolic suite runners: (ctx, seed) -> report dict
+# symbolic suite runners: ctx -> report dict
 # ---------------------------------------------------------------------------
 
-def _sym_fundamental(ctx: GenericContext, seed: int) -> dict:
+def _memo(ctx: GenericContext, key: str, build: Callable):
+    """build(ctx), built once per context and kept in ``ctx.memo``."""
+    if key not in ctx.memo:
+        ctx.memo[key] = build(ctx)
+    return ctx.memo[key]
+
+
+def _sym_fundamental(ctx: GenericContext) -> dict:
     rep = verify_fundamental(ctx)
     rep["identity"] = "fundamental"
     return rep
 
 
-def _sym_multiplicativity(ctx: GenericContext, seed: int) -> dict:
-    rng = random.Random(seed)
-    n = ctx.n
-    ok = True
-    for _ in range(20):
-        a = rand_int_matrix(rng, n)
-        b = rand_int_matrix(rng, n)
-        if (a * b).adjugate() != b.adjugate() * a.adjugate():
-            ok = False
-            break
-    return {"identity": "multiplicativity", "n": n,
+def _adj_reverses_products(ctx: GenericContext) -> bool:
+    """adj(X*Y) == adj(Y)*adj(X) for two generic n-by-n matrices.
+
+    X = (x_i_j) and Y = (y_i_j) share one ring of 2n^2 variables with the
+    coefficients of ``ctx``, so this is the polynomial identity itself, and
+    it holds at every pair of matrices over every commutative ring with
+    those coefficients.
+    """
+    idx = range(1, ctx.n + 1)
+    ring = PolyRing([f"{v}_{i}_{j}" for v in "xy" for i in idx for j in idx],
+                    p=ctx.ring.p)
+    x, y = (Matrix.from_rows(PolynomialDomain(ring), [
+        [ring.var(f"{v}_{i}_{j}") for j in idx] for i in idx]) for v in "xy")
+    return (x * y).adjugate() == y.adjugate() * x.adjugate()
+
+
+def _sym_multiplicativity(ctx: GenericContext) -> dict:
+    ok = _memo(ctx, "adj_reverses_products", _adj_reverses_products)
+    return {"identity": "multiplicativity", "n": ctx.n, "route": "generic",
             "checks": {"adj_reverses_products": ok}, "passed": ok}
 
 
-def _sym_conjugation(ctx: GenericContext, seed: int) -> dict:
-    rng = random.Random(seed)
-    n = ctx.n
-    ok = True
-    for _ in range(10):
-        a = rand_int_matrix(rng, n)
-        u = random_unimodular(n, rng)
-        u_inv = u.adjugate()  # det(u) = 1
-        if (u * a * u_inv).adjugate() != u * a.adjugate() * u_inv:
-            ok = False
-            break
-    return {"identity": "conjugation", "n": n,
-            "checks": {"adj_commutes_with_conjugation": ok}, "passed": ok}
+def _sym_conjugation(ctx: GenericContext) -> dict:
+    """adj(U*A*U^-1) = U*adj(A)*U^-1 for every A and every U with det U = 1.
 
-
-def _sym_sandwich(ctx: GenericContext, seed: int) -> dict:
-    rng = random.Random(seed)
-    n = ctx.n
-    alts = [zero_alternating(n), rand_alternating_int(rng, n),
-            rand_alternating_int(rng, n)]
-    if n % 2 == 0:
-        alts.append(standard_symplectic(n))
-    checks = {}
-    for idx, alt in enumerate(alts):
-        try:
-            quotient_matrix(ctx, alt)
-            checks[f"divisible_{idx}"] = True
-        except ArithmeticError:
-            checks[f"divisible_{idx}"] = False
-    return {"identity": "sandwich_divisibility", "n": n,
+    Derived from two exact checks: multiplicativity turns the left side
+    into adj(U^-1)*adj(A)*adj(U), and X*adj(X) = det(X)*I, taken at U and
+    at U^-1 (both of determinant 1), gives adj(U) = U^-1 and adj(U^-1) = U.
+    """
+    checks = {"adj_reverses_products": _memo(ctx, "adj_reverses_products",
+                                             _adj_reverses_products),
+              "fundamental_products": all(ctx.products.values())}
+    return {"identity": "conjugation", "n": ctx.n, "route": "derived",
+            "theorem": "identities of generic matrices hold at every "
+                       "specialization",
             "checks": checks, "passed": all(checks.values())}
 
 
-def _sym_factor_product(ctx: GenericContext, seed: int) -> dict:
+def _sym_sandwich(ctx: GenericContext) -> dict:
+    """det(X) divides adj(X)*A*adj(X)^T for every alternating A at once.
+
+    For i < j, (adj*A*adj^T)_ij is the sum over k < l of A_kl times
+    C[{i,j}, {k,l}], with C = compound(adj X, 2); the entries with i > j
+    are their negatives and the diagonal is zero.  Jacobi's theorem at
+    order 2, C = det(X) * complementary_compound(X, 2)^T, checked exactly,
+    makes every such sum a multiple of det(X).  At n = 1 there are no
+    2-by-2 minors, and the only alternating matrix is zero.
+    """
+    n = ctx.n
+    ok = n < 2 or ctx.adjX.compound(2) == (
+        ctx.X.complementary_compound(2).transpose().scale(ctx.detX))
+    return {"identity": "sandwich_divisibility", "n": n, "route": "derived",
+            "theorem": "Jacobi's theorem on the minors of the adjugate",
+            "checks": {"compound_of_adjugate": ok}, "passed": ok}
+
+
+def _sym_factor_product(ctx: GenericContext) -> dict:
     n = ctx.n
     if n % 2:
         return {"identity": "factor_product", "n": n, "checks": {},
@@ -204,7 +200,7 @@ def _sym_factor_product(ctx: GenericContext, seed: int) -> dict:
             "checks": checks, "passed": all(checks.values())}
 
 
-def _sym_diagonal(ctx: GenericContext, seed: int) -> dict:
+def _sym_diagonal(ctx: GenericContext) -> dict:
     mats = diagonal_factorization(ctx)
     prod = mats[0]
     for m in mats[1:]:
@@ -218,20 +214,18 @@ def _sym_diagonal(ctx: GenericContext, seed: int) -> dict:
 
 def _compound_reports(ctx: GenericContext) -> list[dict]:
     """compound_det_check(ctx, m) for m = 1..n, built once per context."""
-    if ctx.compound_reports is None:
-        ctx.compound_reports = [compound_det_check(ctx, m)
-                                for m in range(1, ctx.n + 1)]
-    return ctx.compound_reports
+    return _memo(ctx, "compound_reports", lambda c: [
+        compound_det_check(c, m) for m in range(1, c.n + 1)])
 
 
-def _sym_compound(ctx: GenericContext, seed: int) -> dict:
+def _sym_compound(ctx: GenericContext) -> dict:
     reports = _compound_reports(ctx)
     checks = {f"m_{rep['m']}": rep["passed"] for rep in reports}
     return {"identity": "compound_det", "n": ctx.n, "checks": checks,
             "reports": reports, "passed": all(checks.values())}
 
 
-def _sym_complementary(ctx: GenericContext, seed: int) -> dict:
+def _sym_complementary(ctx: GenericContext) -> dict:
     reports = _compound_reports(ctx)
     checks = {f"m_{rep['m']}": rep["checks"]["complement_product"]
               for rep in reports}
@@ -239,7 +233,7 @@ def _sym_complementary(ctx: GenericContext, seed: int) -> dict:
             "checks": checks, "passed": all(checks.values())}
 
 
-def _sym_corrupted(ctx: GenericContext, seed: int) -> dict:
+def _sym_corrupted(ctx: GenericContext) -> dict:
     # deliberately wrong exponent: det(adj X) = det(X)^n; true value is n-1
     wrong = ctx.adjX.det_equals(ctx.det_power(ctx.n))
     return {"identity": "corrupted_adj_det", "n": ctx.n,
@@ -361,23 +355,24 @@ SUITE = ["fundamental", "multiplicativity", "conjugation",
          "compound_det", "complementary_compound"]
 
 
-def run_symbolic_suite(n: int, seed: int = 0,
-                       include_corrupted: bool = False,
+def run_symbolic_suite(n: int, include_corrupted: bool = False,
                        allow_large: bool = False) -> dict:
-    """Run every registered symbolic identity on the generic n-by-n matrix."""
+    """Run every registered symbolic identity on the generic n-by-n matrix.
+
+    Every check is exact, and none draws a random number.
+    """
     ctx = GenericContext(n, allow_large=allow_large)
     names = list(SUITE) + (["corrupted_adj_det"] if include_corrupted else [])
     reports = []
     for name in names:
         spec = REGISTRY[name]
-        rep = spec.symbolic(ctx, seed)
+        rep = spec.symbolic(ctx)
         rep.setdefault("expected_failure", spec.expected_failure)
         reports.append(rep)
     # a corrupted identity is supposed to fail, and its failure must surface
     # as a failing suite: that is what the negative control demonstrates
     passed = all(rep["passed"] for rep in reports)
-    return {"mode": "symbolic", "n": n, "seed": seed,
-            "reports": reports, "passed": passed}
+    return {"mode": "symbolic", "n": n, "reports": reports, "passed": passed}
 
 
 def run_modp_suite(n: int, p: int, trials: int, seed: int,

@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -15,6 +16,21 @@ def pytest_runtest_setup(item):
     if (item.get_closest_marker("stress")
             and os.environ.get("ADJKIT_STRESS", "") in ("", "0")):
         pytest.skip("opt-in stress test (set ADJKIT_STRESS=1)")
+
+
+@pytest.fixture
+def no_random(monkeypatch):
+    """Make every draw from the random module raise: a new Random, a
+    method of an existing one, and the module-level functions."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew a random number")
+
+    for name in ("random", "getrandbits"):
+        monkeypatch.setattr(random.Random, name, refuse)
+    monkeypatch.setattr(random, "Random", refuse)
+    for name in ("random", "getrandbits", "randrange", "randint", "choice",
+                 "choices", "shuffle", "sample", "uniform"):
+        monkeypatch.setattr(random, name, refuse)
 
 
 @pytest.fixture(scope="session")

@@ -98,7 +98,7 @@ def test_det_law_is_decided_inside_the_laplace_kernel(monkeypatch):
             return _real(rows, p) if expect is None else _real(rows, p, expect)
         monkeypatch.setattr(kernels, name, kernel)
     assert verify_fundamental(ctx)["passed"]
-    control = identities._sym_corrupted(ctx, 0)
+    control = identities._sym_corrupted(ctx)
     assert not any(m is ctx.adjX for m in dets)
     assert expects == [ctx.det_power(3).packed, ctx.det_power(4).packed]
     assert control == {"identity": "corrupted_adj_det", "n": 4,
@@ -491,6 +491,21 @@ def test_factor_rejects_bad_inputs(ctx3, ctx4):
         factor_right(ctx3, j4)
     with pytest.raises(ValueError):
         factor_right(ctx4, zero_alternating(4))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_factor_refuses_an_alternating_matrix_singular_mod_p(p):
+    # det(pJ) = p^4 is nonzero over ZZ and zero over GF(p): the guard tests
+    # it in the context's coefficients, before any division by det(A)
+    ctx = GenericContext(4, p=p)
+    j = standard_symplectic(4)
+    singular = AlternatingMatrix(j.matrix.scale(p))
+    for side in (factor_right, factor_left):
+        with pytest.raises(ValueError, match="must be invertible"):
+            side(ctx, singular)
+        cert = side(ctx, j)
+        assert cert.passed
+        assert reverify_certificate(cert, ctx)["passed"]
 
 
 def test_transpose_duality(ctx4):
