@@ -55,7 +55,7 @@ def compile_command(source: Path, out: Path, digest: str) -> list[str]:
     link = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
     pic = shlex.split(sysconfig.get_config_var("CCSHARED") or "-fPIC")
     return link + pic + [
-        "-O2", "-I", sysconfig.get_paths()["include"],
+        "-O2", "-pthread", "-I", sysconfig.get_paths()["include"],
         f'-DADJKIT_SOURCE_DIGEST="{digest}"', str(source), "-o", str(out)]
 
 

@@ -33,15 +33,41 @@
  * adjkit.kernels instead; a product decides that before it changes the
  * accumulator dict.  A failed allocation raises MemoryError.
  *
+ * Two threads: a merge of at least SPLIT_MIN_PAIRS term pairs is cut at a
+ * pivot key K, found by a binary search over the keys of one row, with the
+ * pairs at or above each candidate counted by one binary search per row.
+ * The calling thread merges the keys at or above K into the call's own
+ * sink, starting rows lazily as above, and stops once the heap's top is
+ * below K.  One helper thread merges the keys below K, every row started
+ * at its first pair below K (the range-split heap merge of Monagan and
+ * Pearce, "Parallel sparse polynomial multiplication using heaps", ISSAC
+ * 2009).  The helper holds no GIL and calls no Python API: it allocates
+ * with PyMem_Raw*, reports a failed allocation as a status, and checks no
+ * signals; the caller checks them for both, also while it waits.  The
+ * helper's terms reach the call's sink after the caller's own: an array is
+ * appended after the join, and a comparison cuts expect at K, each side
+ * comparing its own range, so both take half the pairs.  A dict takes only
+ * Python objects, so the caller inserts every term: the helper hands its
+ * terms over in blocks, which the caller inserts once its own range is
+ * done, while the helper goes on (a new dict still iterates in descending
+ * key order).  So the caller takes a fifth of the pairs, and the helper
+ * waits while HELD_MAX blocks are not yet taken.  A difference, a failure
+ * or a pending signal on either side stops the other through a shared
+ * flag.  When the helper cannot start, the merge runs on one thread.
+ *
  * The build (adjkit/_cbuild.py) defines ADJKIT_SOURCE_DIGEST, the digest
  * of this file, and the loader rebuilds when it changes.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <errno.h>
+#include <pthread.h>
+#include <signal.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 #if !defined(__SIZEOF_INT128__)
 #error "the accumulators need __int128"
@@ -60,6 +86,11 @@ static const char source_marker[] = "adjkit-source-digest:" ADJKIT_SOURCE_DIGEST
 #define MAX_WORDS 32        /* widest native key: 2048 bits */
 #define MAX_LAPLACE_N 62    /* column subsets are 64-bit masks */
 #define SIGNAL_EVERY 0xFFFFF
+#define STOP_EVERY 0x3FF       /* keys between reads of the shared stop flag */
+#define SPLIT_MIN_PAIRS ((Py_ssize_t)1 << 20)
+#define HELD_BLOCK 8192         /* terms per block of a helper's dict output */
+#define HELD_MAX 32             /* blocks a helper may hold before it waits */
+#define WAIT_NS 20000000        /* signal checks while the caller waits */
 
 typedef uint64_t u64;
 typedef __int128 i128;
@@ -67,9 +98,11 @@ typedef unsigned __int128 u128;
 
 static PyObject *zero_obj;  /* the int 0, the default p */
 
-/* status of an internal step: done, Python error set, run in Python, or
-   (a comparison) a term differs */
-enum { OK = 0, FAIL = -1, FALLBACK = 1, DIFFER = 2 };
+/* status of an internal step: done, Python error set, run in Python, (a
+   comparison) a term differs, (one range of a split merge) stopped by the
+   other, or out of memory with no Python error set yet, as the helper
+   thread may not set one */
+enum { OK = 0, FAIL = -1, FALLBACK = 1, DIFFER = 2, STOPPED = 3, NOMEM = 4 };
 
 /* ------------------------------------------------------------------------
  * term arrays
@@ -318,7 +351,27 @@ fail:
  * output sinks: where the merge sends each finished monomial
  * ---------------------------------------------------------------------- */
 
-enum { SINK_ARRAY, SINK_FMA, SINK_CMP };
+enum { SINK_ARRAY, SINK_FMA, SINK_CMP, SINK_HELD };
+
+/* One block of a helper thread's terms for a dict: records of w key words
+   and a two-word coefficient. */
+typedef struct Block {
+    struct Block *next;
+    Py_ssize_t n;
+    u64 rec[];
+} Block;
+
+/* What the two threads of a split merge share: under lock, how many
+   blocks of held terms the helper has completed and the caller has taken,
+   and whether the helper is done; and a flag that stops both, read and set
+   with __atomic builtins. */
+typedef struct {
+    pthread_mutex_t lock;
+    pthread_cond_t cv;
+    Py_ssize_t ready, taken;
+    int done;
+    int stop;
+} Handoff;
 
 typedef struct {
     int kind;
@@ -326,8 +379,10 @@ typedef struct {
     Terms out;              /* SINK_ARRAY */
     Py_ssize_t cap;
     PyObject *dict;         /* SINK_FMA: acc, or a new dict for a result */
-    const Terms *expect;    /* SINK_CMP: the terms the merge must produce */
+    Terms expect;           /* SINK_CMP: the terms the merge must produce */
     Py_ssize_t seen;        /* SINK_CMP: how many of them it has */
+    Block *head, *tail;     /* SINK_HELD: the terms for a dict, in order, */
+    Handoff *handoff;       /* handed to the caller block by block */
 } Sink;
 
 static int
@@ -341,10 +396,8 @@ sink_array(Sink *s, const u64 *key, i128 c)
         Py_ssize_t cap = s->cap ? 2 * s->cap : 16;
         u64 *grown = PyMem_RawRealloc(s->out.rec,
                                       (size_t)cap * stride * sizeof(u64));
-        if (grown == NULL) {
-            PyErr_NoMemory();
-            return FAIL;
-        }
+        if (grown == NULL)
+            return NOMEM;
         s->out.rec = grown;
         s->cap = cap;
     }
@@ -417,10 +470,71 @@ sink_cmp(Sink *s, const u64 *key, i128 c)
 {
     const int w = s->mode->w;
     const u64 *r;
-    if (s->seen == s->expect->n)
+    if (s->seen == s->expect.n)
         return DIFFER;
-    r = s->expect->rec + (size_t)s->seen++ * (w + 1);
+    r = s->expect.rec + (size_t)s->seen++ * (w + 1);
     return key_equal(r, key, w) && c == (int64_t)r[w] ? OK : DIFFER;
+}
+
+/* A helper thread's term for a dict, kept until the caller emits it; a
+   full block is handed over as the next one starts. */
+static int
+sink_held(Sink *s, const u64 *key, i128 c)
+{
+    const int w = s->mode->w;
+    Block *b = s->tail;
+    u64 *r;
+    if (b == NULL || b->n == HELD_BLOCK) {
+        b = PyMem_RawMalloc(sizeof(Block)
+                            + (size_t)HELD_BLOCK * (w + 2) * sizeof(u64));
+        if (b == NULL)
+            return NOMEM;
+        b->next = NULL;
+        b->n = 0;
+        if (s->tail == NULL)
+            s->head = b;
+        else {
+            Handoff *ho = s->handoff;
+            pthread_mutex_lock(&ho->lock);
+            s->tail->next = b;
+            ho->ready++;
+            pthread_cond_broadcast(&ho->cv);
+            /* the caller emits them one by one: wait while it is far behind */
+            while (ho->ready - ho->taken > HELD_MAX
+                   && !__atomic_load_n(&ho->stop, __ATOMIC_RELAXED))
+                pthread_cond_wait(&ho->cv, &ho->lock);
+            pthread_mutex_unlock(&ho->lock);
+        }
+        s->tail = b;
+    }
+    r = b->rec + (size_t)b->n++ * (w + 2);
+    memcpy(r, key, (size_t)w * sizeof(u64));
+    memcpy(r + w, &c, sizeof c);
+    return OK;
+}
+
+/* While rc is OK, emit the first `count` held blocks into the dict sink;
+   free each once it is read. */
+static int
+held_drain(Sink *held, Py_ssize_t count, Sink *sink, int rc,
+           unsigned long *rounds)
+{
+    const int w = held->mode->w;
+    for (; count > 0; count--) {
+        Block *b = held->head;
+        for (Py_ssize_t i = 0; rc == OK && i < b->n; i++) {
+            const u64 *r = b->rec + (size_t)i * (w + 2);
+            i128 c;
+            memcpy(&c, r + w, sizeof c);
+            rc = sink_fma(sink, r, c);
+            if (rc == OK && (++*rounds & SIGNAL_EVERY) == 0
+                && PyErr_CheckSignals() < 0)
+                rc = FAIL;
+        }
+        held->head = b->next;
+        PyMem_RawFree(b);
+    }
+    return rc;
 }
 
 static inline int
@@ -429,7 +543,8 @@ emit(Sink *s, const u64 *key, i128 c)
     switch (s->kind) {
     case SINK_ARRAY: return sink_array(s, key, c);
     case SINK_FMA: return sink_fma(s, key, c);
-    default: return sink_cmp(s, key, c);
+    case SINK_CMP: return sink_cmp(s, key, c);
+    default: return sink_held(s, key, c);
     }
 }
 
@@ -444,7 +559,9 @@ typedef struct {
 } Stream;
 
 /* One cursor: term `r` of R times term `s` of S; `next` chains the
-   cursors of one key behind the one in the heap (-1 ends the chain). */
+   cursors of one key behind the one in the heap (-1 ends the chain).  The
+   row started at the term sbeg of S, and the next row, if it is below
+   rend, starts there when this row's first pair leaves the heap. */
 typedef struct {
     const u64 *r, *rend;
     const u64 *s, *sbeg, *send;
@@ -479,8 +596,7 @@ scratch_reserve(Scratch *sc, Py_ssize_t size, int w)
     sc->keys = PyMem_RawMalloc((size_t)size * w * sizeof(u64));
     if (!sc->cur || !sc->heap || !sc->keys) {
         scratch_free(sc);
-        PyErr_NoMemory();
-        return FAIL;
+        return NOMEM;
     }
     sc->size = size;
     return OK;
@@ -533,42 +649,32 @@ sift(Py_ssize_t *heap, Py_ssize_t hn, Py_ssize_t i, Py_ssize_t c,
 }
 
 /* The merge proper, inlined for a few constant key widths and for each
-   coefficient mode.  The heap holds one cursor per started row of each
-   product, some of them chained behind another of the same key; row i + 1
-   starts when row i's first pair leaves the heap.  Every pair not yet in
-   the heap has a key strictly below one that is, so the heap's top is the
-   largest pair left, and the pairs of one key leave it one after another;
-   a key's sum is final when a smaller key comes up.  Of the chain at the
-   top, the first cursor that moves on replaces the top in one sift and the
-   others are pushed. */
+   coefficient mode.  The heap holds the cursors the merge starts with,
+   some of them chained behind another of the same key; row i + 1 of a run
+   of rows that start at one term of S starts when row i's first pair
+   leaves the heap, as (i + 1, j) is below (i, j).  Every pair
+   not yet in the heap has a key strictly below one that is, so the heap's
+   top is the largest pair left, and the pairs of one key leave it one
+   after another; a key's sum is final when a smaller key comes up.  Of
+   the chain at the top, the first cursor that moves on replaces the top in
+   one sift and the others are pushed.  The merge ends at the first key
+   below `floor` when one is given, and soon after another thread sets
+   `stop`; it checks for signals only when `signals` is set. */
 static inline __attribute__((always_inline)) int
-merge_impl(const Stream *st, int nst, Scratch *sc, Sink *sink, const int W,
+merge_impl(Scratch *sc, Py_ssize_t hn, Py_ssize_t ncur, Sink *sink,
+           const u64 *floor, int *stop, int signals, const int W,
            const int MODP)
 {
     const int stride = W + 1;
     const u64 p = sink->mode->p;
     Cursor *cur = sc->cur;
-    Py_ssize_t *heap = sc->heap, hn = 0, ncur = 0;
+    Py_ssize_t *heap = sc->heap;
     u64 *keys = sc->keys, top[MAX_WORDS];
     unsigned long rounds = 0;
     i128 acc = 0;
     u128 uacc = 0;
     int open = 0;
 
-    for (int t = 0; t < nst; t++) {
-        const Terms *r = st[t].r, *s = st[t].s;
-        Cursor *c = &cur[ncur];
-        if (!r->n || !s->n)
-            continue;
-        c->r = r->rec;
-        c->rend = r->rec + (size_t)r->n * stride;
-        c->s = c->sbeg = s->rec;
-        c->send = s->rec + (size_t)s->n * stride;
-        c->neg = st[t].neg;
-        c->next = -1;
-        key_add(KEY(ncur), c->r, c->s, W);
-        hn = sift(heap, hn + 1, hn, ncur++, cur, keys, W);
-    }
     while (hn > 0) {
         Py_ssize_t ci = heap[0], c, next;
         if (!open || !key_equal(KEY(ci), top, W)) {
@@ -580,13 +686,20 @@ merge_impl(const Stream *st, int nst, Scratch *sc, Sink *sink, const int W,
                     if (rc != OK)
                         return rc;
                 }
-                if ((++rounds & SIGNAL_EVERY) == 0 && PyErr_CheckSignals() < 0)
-                    return FAIL;
+                if ((++rounds & STOP_EVERY) == 0) {
+                    if (stop != NULL && __atomic_load_n(stop, __ATOMIC_RELAXED))
+                        return STOPPED;
+                    if (signals && (rounds & SIGNAL_EVERY) == 0
+                        && PyErr_CheckSignals() < 0)
+                        return FAIL;
+                }
             }
+            open = floor == NULL || !key_less(KEY(ci), floor, W);
+            if (!open)
+                break;
             memcpy(top, KEY(ci), W * sizeof(u64));
             acc = 0;
             uacc = 0;
-            open = 1;
         }
         for (c = ci; c >= 0; c = next) {
             Cursor *k = &cur[c];
@@ -626,34 +739,344 @@ merge_impl(const Stream *st, int nst, Scratch *sc, Sink *sink, const int W,
     if (open) {
         if (MODP)
             acc = (i128)(uacc % p);
-        if (acc != 0)
-            return emit(sink, top, acc);
+        if (acc != 0) {
+            int rc = emit(sink, top, acc);
+            if (rc != OK)
+                return rc;
+        }
     }
-    return OK;
+    /* a comparison needs every term of expect, too */
+    return sink->kind == SINK_CMP && sink->seen < sink->expect.n ? DIFFER : OK;
 }
 
-#define MERGE_AT(w)                                                     \
-    (mode->p ? merge_impl(st, nst, sc, sink, (w), 1)                    \
-             : merge_impl(st, nst, sc, sink, (w), 0))
+#define RUN_AT(w)                                                       \
+    (p ? merge_impl(sc, hn, ncur, sink, floor, stop, signals, (w), 1)   \
+       : merge_impl(sc, hn, ncur, sink, floor, stop, signals, (w), 0))
 
-/* Send sum over t of +-R_t*S_t to the sink, in descending key order. */
 static int
-merge(const Stream *st, int nst, Scratch *sc, Sink *sink)
+run(Scratch *sc, Py_ssize_t hn, Py_ssize_t ncur, Sink *sink,
+    const u64 *floor, int *stop, int signals)
 {
-    const Mode *mode = sink->mode;
-    Py_ssize_t rows = 0;
-    for (int t = 0; t < nst; t++)
-        if (st[t].s->n)
-            rows += st[t].r->n;
-    if (scratch_reserve(sc, rows, mode->w) != OK)
-        return FAIL;
-    switch (mode->w) {
-    case 1: return MERGE_AT(1);
-    case 2: return MERGE_AT(2);
-    case 3: return MERGE_AT(3);
-    case 4: return MERGE_AT(4);
-    default: return MERGE_AT(mode->w);
+    const u64 p = sink->mode->p;
+    switch (sink->mode->w) {
+    case 1: return RUN_AT(1);
+    case 2: return RUN_AT(2);
+    case 3: return RUN_AT(3);
+    case 4: return RUN_AT(4);
+    default: return RUN_AT(sink->mode->w);
     }
+}
+
+/* Push cursor i onto the heap of sc: the run of rows of st's R from r to
+   rend, all starting at the term s of its S. */
+static Py_ssize_t
+push(Scratch *sc, Py_ssize_t hn, Py_ssize_t i, const Stream *st,
+     const u64 *r, const u64 *rend, const u64 *s, int W)
+{
+    Cursor *c = &sc->cur[i];
+    const u64 *keys = sc->keys;
+    c->r = r;
+    c->rend = rend;
+    c->s = c->sbeg = s;
+    c->send = st->s->rec + (size_t)st->s->n * (W + 1);
+    c->neg = st->neg;
+    c->next = -1;
+    key_add(sc->keys + (size_t)i * W, r, s, W);
+    return sift(sc->heap, hn + 1, hn, i, sc->cur, keys, W);
+}
+
+/* The first row of each product, the others starting lazily; the heap's
+   size, and the cursors used in *ncur. */
+static Py_ssize_t
+start_rows(const Stream *st, int nst, Scratch *sc, int w, Py_ssize_t *ncur)
+{
+    Py_ssize_t hn = 0;
+    *ncur = 0;
+    for (int t = 0; t < nst; t++)
+        if (st[t].r->n && st[t].s->n)
+            hn = push(sc, hn, (*ncur)++, &st[t], st[t].r->rec,
+                      st[t].r->rec + (size_t)st[t].r->n * (w + 1),
+                      st[t].s->rec, w);
+    return hn;
+}
+
+static const u64 zero_key[MAX_WORDS];
+
+/* How many terms of s (sorted descending), each plus r, are at or above k:
+   the index of the first below. */
+static Py_ssize_t
+first_below(const u64 *r, const Terms *s, const u64 *k, int w)
+{
+    Py_ssize_t lo = 0, hi = s->n;
+    u64 sum[MAX_WORDS];
+    while (lo < hi) {
+        Py_ssize_t mid = lo + (hi - lo) / 2;
+        key_add(sum, r, s->rec + (size_t)mid * (w + 1), w);
+        if (key_less(sum, k, w))
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+static Py_ssize_t
+pairs_at_or_above(const Stream *st, int nst, const u64 *k, int w)
+{
+    Py_ssize_t count = 0;
+    for (int t = 0; t < nst; t++)
+        for (Py_ssize_t i = 0; i < st[t].r->n; i++)
+            count += first_below(st[t].r->rec + (size_t)i * (w + 1), st[t].s,
+                                 k, w);
+    return count;
+}
+
+/* Every row from its first pair below k: the first row of each run of
+   rows whose first pairs below k share a term of S (later rows never
+   start further on), the others starting lazily. */
+static Py_ssize_t
+start_below(const Stream *st, int nst, const u64 *k, Scratch *sc, int w,
+            Py_ssize_t *ncur)
+{
+    Py_ssize_t hn = 0;
+    *ncur = 0;
+    for (int t = 0; t < nst; t++) {
+        const Terms *r = st[t].r, *s = st[t].s;
+        const u64 *head = r->rec;
+        Py_ssize_t run = s->n;      /* where the rows from head start */
+        for (Py_ssize_t i = 0; i <= r->n; i++) {
+            const u64 *ri = r->rec + (size_t)i * (w + 1);
+            Py_ssize_t j = i < r->n ? first_below(ri, s, k, w) : -1;
+            if (j == run)
+                continue;
+            if (run < s->n)
+                hn = push(sc, hn, (*ncur)++, &st[t], head, ri,
+                          s->rec + (size_t)run * (w + 1), w);
+            head = ri;
+            run = j;
+        }
+    }
+    return hn;
+}
+
+/* Into k, a key with about `target` pairs at or above it: the middle row
+   of the largest product plus the term of its S that a binary search
+   finds. */
+static void
+pivot(const Stream *st, int nst, Py_ssize_t target, u64 *k, int w)
+{
+    const Stream *big = &st[0];
+    const u64 *mid;
+    Py_ssize_t lo = 0, hi;
+    for (int t = 1; t < nst; t++)
+        if (st[t].r->n * st[t].s->n > big->r->n * big->s->n)
+            big = &st[t];
+    mid = big->r->rec + (size_t)(big->r->n / 2) * (w + 1);
+    hi = big->s->n - 1;
+    while (lo < hi) {
+        Py_ssize_t j = lo + (hi - lo) / 2;
+        key_add(k, mid, big->s->rec + (size_t)j * (w + 1), w);
+        if (pairs_at_or_above(st, nst, k, w) >= target)
+            hi = j;
+        else
+            lo = j + 1;
+    }
+    key_add(k, mid, big->s->rec + (size_t)lo * (w + 1), w);
+}
+
+/* The helper thread of a split merge, and what the two threads share. */
+typedef struct {
+    pthread_t thread;
+    Scratch *sc;
+    Py_ssize_t hn, ncur;
+    Sink sink;
+    int rc;                 /* under handoff.lock */
+    Handoff handoff;
+} Helper;
+
+static Py_ssize_t split_count;  /* merges run as two ranges */
+
+static void *
+helper_main(void *arg)
+{
+    Helper *h = arg;
+    int rc = run(h->sc, h->hn, h->ncur, &h->sink, NULL, &h->handoff.stop, 0);
+    if (rc != OK)
+        __atomic_store_n(&h->handoff.stop, 1, __ATOMIC_RELAXED);
+    pthread_mutex_lock(&h->handoff.lock);
+    h->rc = rc;
+    h->handoff.ready += h->sink.tail != NULL;
+    h->handoff.done = 1;
+    pthread_cond_signal(&h->handoff.cv);
+    pthread_mutex_unlock(&h->handoff.lock);
+    return NULL;
+}
+
+/* Start a helper thread on the keys of st below the pivot it writes into
+   floor; 0 when it could not start, and the merge stays on one thread. */
+static int
+helper_start(Helper *h, const Stream *st, int nst, Py_ssize_t pairs,
+             Py_ssize_t rows, Scratch *sc, Sink *sink, u64 *floor)
+{
+    const int w = sink->mode->w;
+    Py_ssize_t cut = 0;
+    pthread_attr_t attr;
+    sigset_t all, old;
+    int made;
+
+    if (scratch_reserve(sc, rows, w) != OK)
+        return 0;
+    /* the caller emits every term of a dict, so it takes fewer pairs */
+    pivot(st, nst, sink->kind == SINK_FMA ? pairs / 5 : pairs / 2, floor, w);
+    h->sc = sc;
+    h->hn = start_below(st, nst, floor, sc, w, &h->ncur);
+    h->sink = (Sink){sink->kind == SINK_FMA ? SINK_HELD : sink->kind,
+                     sink->mode};
+    h->sink.handoff = &h->handoff;
+    if (sink->kind == SINK_CMP) {
+        cut = first_below(zero_key, &sink->expect, floor, w);
+        h->sink.expect.n = sink->expect.n - cut;
+        h->sink.expect.rec = sink->expect.rec + (size_t)cut * (w + 1);
+    }
+    h->handoff.ready = h->handoff.taken = 0;
+    h->handoff.done = h->handoff.stop = 0;
+    if (pthread_mutex_init(&h->handoff.lock, NULL) != 0)
+        return 0;
+    if (pthread_cond_init(&h->handoff.cv, NULL) != 0) {
+        pthread_mutex_destroy(&h->handoff.lock);
+        return 0;
+    }
+    /* the helper takes no signals: they go to the threads that run Python */
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    made = pthread_attr_init(&attr) == 0;
+    if (made) {
+        made = pthread_attr_setstacksize(&attr, (size_t)1 << 18) == 0
+               && pthread_create(&h->thread, &attr, helper_main, h) == 0;
+        pthread_attr_destroy(&attr);
+    }
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    if (!made) {
+        pthread_mutex_destroy(&h->handoff.lock);
+        pthread_cond_destroy(&h->handoff.cv);
+        return 0;
+    }
+    if (sink->kind == SINK_CMP)
+        sink->expect.n = cut;
+    split_count++;
+    return 1;
+}
+
+/* After the caller's range ended with rc: emit the helper's dict terms
+   as their blocks complete (the caller's own are all out by now), and wait
+   for the helper, checking signals.  Then the status of the whole merge,
+   with the helper's other terms added to the caller's sink. */
+static int
+helper_join(Helper *h, Sink *sink, int rc)
+{
+    const int w = sink->mode->w;
+    Handoff *ho = &h->handoff;
+    unsigned long rounds = 0;
+    pthread_mutex_lock(&ho->lock);
+    for (;;) {
+        Py_ssize_t ready = ho->ready - ho->taken;
+        struct timespec t;
+        if (rc != OK && !__atomic_load_n(&ho->stop, __ATOMIC_RELAXED)) {
+            __atomic_store_n(&ho->stop, 1, __ATOMIC_RELAXED);
+            pthread_cond_broadcast(&ho->cv);
+        }
+        if (ready > 0) {
+            pthread_mutex_unlock(&ho->lock);
+            rc = held_drain(&h->sink, ready, sink, rc, &rounds);
+            pthread_mutex_lock(&ho->lock);
+            ho->taken += ready;
+            pthread_cond_broadcast(&ho->cv);
+            continue;
+        }
+        if (ho->done)
+            break;
+        clock_gettime(CLOCK_REALTIME, &t);
+        t.tv_nsec += WAIT_NS;
+        if (t.tv_nsec >= 1000000000) {
+            t.tv_sec++;
+            t.tv_nsec -= 1000000000;
+        }
+        if (pthread_cond_timedwait(&ho->cv, &ho->lock, &t) == ETIMEDOUT
+            && rc != FAIL) {
+            pthread_mutex_unlock(&ho->lock);
+            if (PyErr_CheckSignals() < 0)
+                rc = FAIL;
+            pthread_mutex_lock(&ho->lock);
+        }
+    }
+    pthread_mutex_unlock(&ho->lock);
+    pthread_join(h->thread, NULL);
+    pthread_mutex_destroy(&ho->lock);
+    pthread_cond_destroy(&ho->cv);
+
+    /* a Python error first, then a failed allocation, then a difference
+       (found on either side, it is one), then a fallback */
+    if (rc != FAIL) {
+        if (rc == NOMEM || h->rc == NOMEM)
+            rc = NOMEM;
+        else if (rc == DIFFER || h->rc == DIFFER)
+            rc = DIFFER;
+        else if (rc == FALLBACK || h->rc == FALLBACK)
+            rc = FALLBACK;
+        else if (rc == OK)
+            rc = h->rc;
+    }
+    if (sink->kind == SINK_ARRAY) {
+        Terms *lower = &h->sink.out;
+        if (rc == OK && lower->n) {
+            size_t stride = (size_t)(w + 1);
+            u64 *all = PyMem_RawRealloc(sink->out.rec, (size_t)(sink->out.n
+                                        + lower->n) * stride * sizeof(u64));
+            if (all == NULL)
+                rc = NOMEM;
+            else {
+                memcpy(all + (size_t)sink->out.n * stride, lower->rec,
+                       (size_t)lower->n * stride * sizeof(u64));
+                sink->out.rec = all;
+                sink->out.n = sink->cap = sink->out.n + lower->n;
+            }
+        }
+        PyMem_RawFree(lower->rec);
+    }
+    return rc;
+}
+
+/* Send sum over t of +-R_t*S_t to the sink, in descending key order: on
+   two threads from SPLIT_MIN_PAIRS pairs on, else on this one. */
+static int
+merge(const Stream *st, int nst, Scratch sc[2], Sink *sink)
+{
+    const int w = sink->mode->w;
+    Py_ssize_t rows = 0, pairs = 0, hn, ncur;
+    u64 floor[MAX_WORDS];
+    Helper h;
+    int rc, two;
+    for (int t = 0; t < nst; t++)
+        if (st[t].s->n) {
+            rows += st[t].r->n;
+            pairs += st[t].r->n * st[t].s->n;
+        }
+    if (scratch_reserve(&sc[0], rows, w) != OK) {
+        PyErr_NoMemory();
+        return FAIL;
+    }
+    two = pairs >= SPLIT_MIN_PAIRS
+          && helper_start(&h, st, nst, pairs, rows, &sc[1], sink, floor);
+    hn = start_rows(st, nst, &sc[0], w, &ncur);
+    rc = run(&sc[0], hn, ncur, sink, two ? floor : NULL,
+             two ? &h.handoff.stop : NULL, 1);
+    if (two)
+        rc = helper_join(&h, sink, rc);
+    if (rc == NOMEM) {
+        PyErr_NoMemory();
+        rc = FAIL;
+    }
+    return rc;
 }
 
 /* ------------------------------------------------------------------------
@@ -714,7 +1137,7 @@ product(PyObject *a, PyObject *b, int negate, Mode *m, Sink *sink)
 {
     size_t bits = 0;
     Terms ta = {0, NULL}, tb = {0, NULL};
-    Scratch sc = {0};
+    Scratch sc[2] = {{0}};
     Stream st;
     int rc;
 
@@ -733,9 +1156,10 @@ product(PyObject *a, PyObject *b, int negate, Mode *m, Sink *sink)
     st.r = ta.n <= tb.n ? &ta : &tb;
     st.s = ta.n <= tb.n ? &tb : &ta;
     st.neg = negate;
-    rc = merge(&st, 1, &sc, sink);
+    rc = merge(&st, 1, sc, sink);
 done:
-    scratch_free(&sc);
+    scratch_free(&sc[0]);
+    scratch_free(&sc[1]);
     PyMem_RawFree(ta.rec);
     PyMem_RawFree(tb.rec);
     return rc;
@@ -867,7 +1291,7 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out, PyObject *expect)
     Terms *entries, *prev = NULL, *level = NULL, one = {1, NULL};
     Terms want = {0, NULL};
     Py_ssize_t nprev = 0, count = 0;
-    Scratch sc = {0};
+    Scratch sc[2] = {{0}};
     Stream st[MAX_LAPLACE_N];
     int rc = OK, nbits = 0, canonical = 1;
 
@@ -920,7 +1344,7 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out, PyObject *expect)
             Sink sink = {k < n ? SINK_ARRAY : expect ? SINK_CMP : SINK_FMA, m};
             int pos = 0, nst = 0;
             sink.dict = out;
-            sink.expect = &want;
+            sink.expect = want;
             for (u64 rest = mask; rest; rest &= rest - 1, pos++) {
                 int j = __builtin_ctzll(rest);
                 Terms *e = &entries[(k - 1) * n + j];
@@ -932,9 +1356,7 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out, PyObject *expect)
                 st[nst].neg = (k - 1 + pos) & 1;
                 nst++;
             }
-            rc = merge(st, nst, &sc, &sink);
-            if (rc == OK && sink.kind == SINK_CMP && sink.seen < want.n)
-                rc = DIFFER;    /* expect has terms beyond the last */
+            rc = merge(st, nst, sc, &sink);
             if (sink.kind == SINK_ARRAY) {
                 if (rc == OK && sink.out.n < sink.cap && sink.out.n) {
                     u64 *fit = PyMem_RawRealloc(sink.out.rec, (size_t)sink.out.n
@@ -967,7 +1389,8 @@ done:
     PyMem_RawFree(entries);
     PyMem_RawFree(one.rec);
     PyMem_RawFree(want.rec);
-    scratch_free(&sc);
+    scratch_free(&sc[0]);
+    scratch_free(&sc[1]);
     return rc;
 }
 
@@ -1038,6 +1461,12 @@ done:
  * module
  * ---------------------------------------------------------------------- */
 
+static PyObject *
+split_merges(PyObject *self, PyObject *unused)
+{
+    return PyLong_FromSsize_t(split_count);
+}
+
 #define KERNEL(name, fn, doc) \
     {name, (PyCFunction)(void (*)(void))fn, METH_FASTCALL | METH_KEYWORDS, doc}
 
@@ -1059,6 +1488,9 @@ static PyMethodDef methods[] = {
     KERNEL("packed_det_laplace", det_laplace_terms,
            "packed_det_laplace(rows, p=0, expect=None)\n--\n\n"
            "det_laplace_terms, under the span name of large determinants."),
+    {"split_merges", split_merges, METH_NOARGS,
+     "split_merges()\n--\n\nHow many merges so far ran as two key ranges on "
+     "two threads."},
     {NULL, NULL, 0, NULL}
 };
 
@@ -1075,6 +1507,7 @@ PyInit__termkernels_c(void)
         return NULL;
     zero_obj = PyLong_FromLong(0);
     if (zero_obj == NULL
+        || PyModule_AddIntConstant(mod, "SPLIT_MIN_PAIRS", SPLIT_MIN_PAIRS) < 0
         || PyModule_AddStringConstant(mod, "SOURCE_DIGEST",
                                       source_marker + strlen("adjkit-source-digest:")) < 0) {
         Py_DECREF(mod);

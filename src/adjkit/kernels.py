@@ -29,6 +29,18 @@ term of ``expect`` as it comes, and the call returns False at the first that
 differs.  The pure-Python body, like every fallback, builds the
 determinant and compares with ``==``.
 
+A compiled merge of at least ``SPLIT_MIN_PAIRS`` (2^20) term pairs runs
+on two threads: cut at a pivot key, the calling thread merges the keys
+at or above it into the call's result and a helper thread those below,
+which join the result in order after them (a product's dict still
+iterates in descending key order; a compared determinant cuts ``expect``
+at the pivot too).  The helper calls no Python API.  A product is cut so
+that the caller, which also inserts every term into the dict, takes a
+fifth of the pairs; a determinant level takes half.  When the helper
+thread cannot start, the merge runs on the calling thread alone, as every
+smaller merge does.  ``split_merges()`` counts the merges that ran on two
+threads.  Results are the same either way: only the time differs.
+
 ``IMPL`` is ``"c"`` or ``"py"``; ``IMPL_NOTE`` is empty
 with ``"c"`` and says why the compiled kernels were refused with ``"py"``:
 ``ADJKIT_PURE`` set, a read-only tree, no compiler, a build error or an
@@ -233,6 +245,16 @@ def packed_det_laplace(rows, p=0, expect=None):
 
 _compiled, IMPL_NOTE = _cbuild.load()
 IMPL = "py" if _compiled is None else "c"
+# The pair count from which a compiled merge runs on two threads; None
+# on the pure-Python kernels, which never split.
+SPLIT_MIN_PAIRS = None if _compiled is None else _compiled.SPLIT_MIN_PAIRS
+
+
+def split_merges() -> int:
+    """How many merges so far ran as two key ranges on two threads."""
+    return 0 if _compiled is None else _compiled.split_merges()
+
+
 if _compiled is not None:
     mul_terms = _compiled.mul_terms
     packed_mul_terms = _compiled.packed_mul_terms

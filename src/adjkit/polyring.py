@@ -31,6 +31,8 @@ import functools
 import heapq
 import math
 import re
+import struct
+import sys
 from collections.abc import ItemsView, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -47,6 +49,11 @@ _PACKED_MIN_PAIRS = 1 << 13
 # Data bits per key field of a new polynomial.
 _WIDTH = 8
 
+# The memoryview formats of unsigned machine words, by bit width (8 to 64),
+# on a little-endian host; elsewhere unpack keeps its per-field shifts.
+_WORDS = ({8 * struct.calcsize(f): f for f in "BHIQ"}
+          if sys.byteorder == "little" else {})
+
 
 def order_key(exps: Sequence[int]):
     """Sort key of the canonical graded term order (ascending)."""
@@ -56,9 +63,16 @@ def order_key(exps: Sequence[int]):
 @functools.cache  # one instance per (nvars, width): a handful per process
 class _Layout:
     """Keys of monomials in ``nvars`` variables at one width: variable i at
-    bit ``shifts[i]``, the degree at ``top``, guard bits clear."""
+    bit ``shifts[i]``, the degree at ``top``, guard bits clear.
 
-    __slots__ = ("mask", "shifts", "top", "guards")
+    At a width of a machine word (8, 16, 32 or 64 bits) ``unpack`` drops
+    the guard bits in ceil(log2 nvars) masked shifts, ``steps``: step k
+    moves the fields whose index has bit k set down by 2^k bits, next to
+    the packed fields below them.  The fields then sit in whole words, read
+    off one byte string.  Other widths shift and mask field by field."""
+
+    __slots__ = ("mask", "shifts", "top", "guards", "low", "steps", "word",
+                 "nbytes")
 
     def __init__(self, nvars: int, width: int):
         field = width + 1
@@ -67,12 +81,30 @@ class _Layout:
         self.top = nvars * field
         self.guards = sum(1 << (s + width)
                           for s in range(0, self.top + 1, field))
+        self.low = (1 << self.top) - 1
+        self.word = _WORDS.get(width)
+        self.nbytes = nvars * width // 8
+        # before the step of shift b, field i has moved down i mod b bits
+        self.steps = tuple(
+            (sum(self.mask << (i * field - i % b)
+                 for i in range(nvars) if i & b), b)
+            for b in (1 << k for k in range((nvars - 1).bit_length())))
 
     def pack(self, exps) -> int:
         return sum(map(int.__lshift__, exps, self.shifts)) | sum(exps) << self.top
 
     def unpack(self, key: int) -> tuple:
-        return tuple(map(self.mask.__and__, map(key.__rshift__, self.shifts)))
+        if self.word is None:
+            return tuple(map(self.mask.__and__,
+                             map(key.__rshift__, self.shifts)))
+        key &= self.low
+        for move, b in self.steps:
+            moved = key & move
+            key = key ^ moved | moved >> b
+        raw = key.to_bytes(self.nbytes, "little")
+        # bytes are a tuple's worth of 8-bit fields already
+        return tuple(raw if self.word == "B"
+                     else memoryview(raw).cast(self.word))
 
 
 def _width_for(degree: int, width: int = _WIDTH) -> int:

@@ -11,11 +11,21 @@ Python body's answer on the true determinant and on planted faults of it.
 The kernel tests of test_kernels.py run here once more on each
 implementation, through the ``kernel_impl`` fixture.
 
+Merges of ``SPLIT_MIN_PAIRS`` term pairs or more run on two threads, cut
+at a pivot key K.  Products and fma just above, at and below the threshold
+must match ``_fma`` at every modulus, a compared determinant must refuse
+faults on either side of K, and ``split_merges()`` shows which calls split.
+In fresh processes: a helper thread that runs out of memory and a signal
+during a split product both raise in the caller and leave one thread, and a
+difference at the first term of det(X)^4 at n = 5 stops both threads.
+
 The compiled kernels build on this machine, so these tests fail, not skip,
 when ``kernels.IMPL`` is not "c"; they skip only when ``ADJKIT_PURE`` asks
 for pure Python.
 """
 
+import bisect
+import functools
 import os
 import random
 import shutil
@@ -364,6 +374,186 @@ def test_laplace_against_bareiss(p):
 
 
 # ---------------------------------------------------------------------------
+# merges of SPLIT_MIN_PAIRS pairs or more, cut at a pivot key K and run on
+# two threads: the caller merges the keys at or above K, a helper those below
+# ---------------------------------------------------------------------------
+
+SPLIT_LAYOUT = _Layout(3, 8)
+
+
+def split_terms(rng, count, cmax=50):
+    """count terms on distinct monomials of x, y, z of degree at most 20
+    in each, so that products share many keys; the coefficients are prime
+    to 6, so they stay nonzero mod 2, 3 and 2^31 - 1."""
+    coefficients = [c for c in range(-cmax, cmax + 1) if c % 2 and c % 3]
+    return {SPLIT_LAYOUT.pack((e % 21, e // 21 % 21, e // 441)):
+            rng.choice(coefficients)
+            for e in rng.sample(range(21 ** 3), count)}
+
+
+@functools.cache
+def split_operands():
+    """a and b with 1024 * 1026 term pairs, and a*b over ZZ."""
+    rng = random.Random(21)
+    a, b = split_terms(rng, 1024), split_terms(rng, 1026)
+    return a, b, py_mul(a, b)
+
+
+def mod(terms, p):
+    """terms over GF(p), or over ZZ when p is 0."""
+    return {k: r for k, c in terms.items() if (r := c % p)} if p else terms
+
+
+def descending(d):
+    keys = list(d)
+    return all(x > y for x, y in zip(keys, keys[1:]))
+
+
+def counted_splits(call):
+    """call(), and how many merges it ran on two threads."""
+    before = kernels.split_merges()
+    out = call()
+    return out, kernels.split_merges() - before
+
+
+def test_split_threshold_is_two_to_the_twenty():
+    require_compiled()
+    assert kernels.SPLIT_MIN_PAIRS == kernels._compiled.SPLIT_MIN_PAIRS == 1 << 20
+    # the constant reports the threshold; setting it changes nothing
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels._compiled, "SPLIT_MIN_PAIRS", 1)
+        assert counted_splits(lambda: kernels.mul_terms({1: 1}, {2: 1}))[1] == 0
+
+
+@pytest.mark.parametrize("p", (0,) + PRIMES)
+def test_split_products_and_fma_match_python(p):
+    ck = c_kernels()
+    a, b, want = split_operands()
+    a, b, want = mod(a, p), mod(b, p), mod(want, p)
+    top = list(b)
+    # above, at and just below the threshold of 1024 * 1024 pairs
+    for drop, splits in ((0, 1), (2, 1), (3, 0)):
+        part = {k: b[k] for k in top[drop:]}
+        ref = dict(want)
+        py_fma(ref, a, {k: b[k] for k in top[:drop]}, True, p)
+        assert (len(a) * len(part) >= kernels.SPLIT_MIN_PAIRS) == splits
+        for name in ("mul_terms", "packed_mul_terms"):
+            got, ran = counted_splits(lambda: ck[name](a, part, p))
+            assert (got, ran) == (ref, splits)
+            assert descending(got)
+        # acc's terms cancel every third term of the product, above and
+        # below K; two keys no product reaches stay
+        keys = sorted(ref, reverse=True)[::3]
+        for negate in (False, True):
+            acc = {SPLIT_LAYOUT.pack((41, 0, 0)): 1,
+                   SPLIT_LAYOUT.pack((0, 0, 41)): 1}
+            acc.update((k, ref[k]) for k in keys)
+            if not negate:
+                acc = kernels.neg_terms(acc, p)
+            expect = kernels.add_terms(
+                acc, kernels.neg_terms(ref, p) if negate else ref, p)
+            assert len(expect) == len(ref) - len(keys) + 2
+            _, ran = counted_splits(
+                lambda: ck["fma_terms"](acc, a, part, negate, p))
+            assert (acc, ran) == (expect, splits)
+
+
+def test_a_coefficient_beyond_int64_in_the_helpers_range():
+    ck = c_kernels()
+    a, b, want = split_operands()
+    # the smallest keys of a and b make the product's smallest key alone,
+    # which is below K: its coefficient becomes about -2^80
+    low_a, low_b = min(a), min(b)
+    big_a, big_b = {**a, low_a: 2**40 + 3}, {**b, low_b: -(2**40) - 5}
+    want = dict(want)
+    py_fma(want, {low_a: 2**40 + 3 - a[low_a]}, b, False)
+    py_fma(want, big_a, {low_b: -(2**40) - 5 - b[low_b]}, False)
+    assert want[low_a + low_b] < -2**80
+    got, ran = counted_splits(lambda: ck["mul_terms"](big_a, big_b))
+    assert (got, ran) == (want, 1) and descending(got)
+    acc = {low_a + low_b: 1}
+    _, ran = counted_splits(lambda: ck["fma_terms"](acc, big_a, big_b, True))
+    assert (acc, ran) == (kernels.add_terms({low_a + low_b: 1},
+                                            kernels.neg_terms(want)), 1)
+
+
+def pivot_key(streams, share=2):
+    """The key at which a compiled merge of the products R*S in ``streams``
+    is cut: of the product with the most pairs (the first such), R's middle
+    term plus the first term of S, in descending key order, with at least
+    1/share of all pairs at or above the sum.  R is the operand with fewer
+    terms, as the kernel takes it."""
+    streams = [sorted((r, s), key=len) for r, s in streams]
+    streams = [(sorted(r, reverse=True), sorted(s)) for r, s in streams]
+    total = sum(len(r) * len(s) for r, s in streams)
+
+    def at_or_above(k):
+        return sum(len(s) - bisect.bisect_left(s, k - x)
+                   for r, s in streams for x in r)
+
+    r, s = max(streams, key=lambda rs: len(rs[0]) * len(rs[1]))
+    mid, s = r[len(r) // 2], s[::-1]
+    lo, hi = 0, len(s) - 1
+    while lo < hi:
+        j = (lo + hi) // 2
+        if at_or_above(mid + s[j]) >= total // share:
+            hi = j
+        else:
+            lo = j + 1
+    return mid + s[lo]
+
+
+def fault_at(want, key, kind, p=0):
+    """want with one fault at its term ``key``: the coefficient off by one,
+    the term dropped, an extra term below it, or the term moved below."""
+    out = dict(want)
+    below = key - 1
+    while below in want:
+        below -= 1
+    if kind == "off":
+        out[key] = (want[key] + 1) % p if p else want[key] + 1
+        if not out[key]:
+            del out[key]
+    elif kind == "dropped":
+        del out[key]
+    elif kind == "extra":
+        out[below] = 1
+    else:
+        out[below] = out.pop(key)
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 2_147_483_647])
+def test_split_compare_finds_planted_faults(p):
+    """A 2x2 determinant a*b - c*d whose last level splits: True on the
+    true determinant, False on each fault at the first and last terms, the
+    quartiles, and the last term below K, each on the side of K it lies."""
+    ck = c_kernels()
+    a, b, want = split_operands()
+    rng = random.Random(23)
+    c, d = split_terms(rng, 40), split_terms(rng, 60)
+    a, b, c, d, want = (mod(t, p) for t in (a, b, c, d, want))
+    grid = [[a, c], [d, b]]
+    want = dict(want)
+    py_fma(want, c, d, True, p)
+    got, ran = counted_splits(lambda: ck["packed_det_laplace"](grid, p))
+    assert (got, ran) == (want, 1) and descending(got)
+    # the products of the last level: d * c, then b * a
+    k = pivot_key([(d, c), (b, a)])
+    keys = sorted(want, reverse=True)
+    below_k = max(x for x in keys if x < k)
+    assert min(keys) < below_k < k <= max(keys)
+    n = len(keys)
+    for name in ("det_laplace_terms", "packed_det_laplace"):
+        assert counted_splits(lambda: ck[name](grid, p, want)) == (True, 1)
+    for key in (keys[0], keys[n // 4], keys[n // 2], keys[3 * n // 4],
+                keys[-1], below_k):
+        for kind in ("off", "dropped", "extra", "moved"):
+            fault = fault_at(want, key, kind, p)
+            assert ck["packed_det_laplace"](grid, p, fault) is False, (key, kind)
+
+
+# ---------------------------------------------------------------------------
 # selection, build and robustness, each in a fresh process
 # ---------------------------------------------------------------------------
 
@@ -421,6 +611,145 @@ def test_memory_error_under_an_address_space_limit():
     done = run_python(code, env=env_without_pure())
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["MemoryError", "MemoryError", "done"]
+
+
+# the child's thread count, and a split product it must still get right
+THREADS_AND_A_SPLIT_PRODUCT = """
+    def threads():
+        for line in open("/proc/self/status"):
+            if line.startswith("Threads:"):
+                return int(line.split()[1])
+
+    def split_product_is_right():
+        S = 1 << 20
+        a = {i * S: 1 for i in range(1100)}
+        b = {j * S: 2 for j in range(1000)}
+        splits = kernels.split_merges()
+        got = kernels.mul_terms(a, b)
+        want = {k * S: 2 * (min(k, 999) - max(0, k - 1099) + 1)
+                for k in range(2099)}
+        return got == want and kernels.split_merges() == splits + 1
+    """
+
+
+def test_a_helper_out_of_memory_raises_memory_error_in_the_caller():
+    code = THREADS_AND_A_SPLIT_PRODUCT + """
+    import resource
+    from adjkit import kernels
+    assert kernels.IMPL == "c", kernels.IMPL_NOTE
+    # the minor a*b on rows 0 and 1: its 9M pairs from the first 3000 terms
+    # of a share 6000 keys at the top, and the caller's half of the pairs
+    # lies among them; the 6M from the last 2000 are distinct keys below,
+    # which the helper's array, of 96 MB and doubling, cannot hold
+    S, D = 1 << 20, 1 << 44
+    a = {**{D + i * S: 1 for i in range(3000)}, **{i: 1 for i in range(2000)}}
+    b = {j * S: 1 for j in range(3000)}
+    grid = [[a, {}, {}], [{}, b, {}], [{}, {}, {0: 1}]]
+    pages = int(open("/proc/self/statm").read().split()[0])
+    limit = pages * resource.getpagesize() + (96 << 20)
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+    splits = kernels.split_merges()
+    try:
+        kernels.packed_det_laplace(grid, 0, {0: 1})
+    except MemoryError:
+        print("MemoryError")
+    print(kernels.split_merges() - splits, threads(), split_product_is_right())
+    """
+    done = run_python(code, env=env_without_pure())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["MemoryError", "1", "1", "True"]
+
+
+def test_a_signal_during_a_split_product_raises_in_the_caller():
+    code = THREADS_AND_A_SPLIT_PRODUCT + """
+    import signal, time
+    from adjkit import kernels
+    assert kernels.IMPL == "c", kernels.IMPL_NOTE
+
+    class Alarm(Exception):
+        pass
+
+    def handler(signum, frame):
+        raise Alarm
+
+    # 36M pairs on 12000 keys: a few heap steps per key
+    S = 1 << 20
+    a = {i * S: 1 for i in range(6000)}
+    b = {j * S + 1: 1 for j in range(6000)}
+    start = time.perf_counter()
+    assert len(kernels.mul_terms(a, b)) == 11999
+    whole = time.perf_counter() - start
+    signal.signal(signal.SIGALRM, handler)
+    signal.setitimer(signal.ITIMER_REAL, whole / 10)
+    start = time.perf_counter()
+    try:
+        kernels.mul_terms(a, b)
+    except Alarm:
+        print("Alarm")
+    stopped = time.perf_counter() - start
+    print(stopped < whole * 0.7 or (whole, stopped), threads(),
+          split_product_is_right())
+    """
+    done = run_python(code, env=env_without_pure())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["Alarm", "True", "1", "True"]
+
+
+def test_det_law_at_n5_splits_and_stops_at_the_first_difference():
+    """det(adj X) = det(X)^4 at n = 5, compared term by term on two
+    threads: True, with the five minors of level 4 and the last level
+    split.  A difference at the first term stops both threads, so the call
+    costs levels 1-4 only; one at the last term is found too."""
+    code = """
+    import time
+    from adjkit import factor, kernels
+    assert kernels.IMPL == "c", kernels.IMPL_NOTE
+    ctx = factor.GenericContext(5)
+    want = ctx.det_power(4)
+    grid = [[e.packed for e in row] for row in ctx.adjX.to_rows()]
+    assert {want.width} == {e.width for row in ctx.adjX.to_rows() for e in row}
+    want = want.packed
+
+    def timed(expect):
+        splits = kernels.split_merges()
+        start = time.perf_counter()
+        same = kernels.packed_det_laplace(grid, 0, expect)
+        return same, time.perf_counter() - start, kernels.split_merges() - splits
+
+    same, whole, splits = timed(want)
+    print(same, splits)
+    off_first = {**want, max(want): want[max(want)] + 1}
+    results = [timed(off_first) for _ in range(2)]
+    print(*(same for same, _, _ in results),
+          min(t for _, t, _ in results) < whole * 0.6 or whole)
+    """
+    done = run_python(code, env=env_without_pure())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "6", "False", "False", "True"]
+
+
+@pytest.mark.stress
+def test_det_law_at_n5_refuses_every_planted_fault():
+    """Each fault of the 2x2 grid test, on det(X)^4 at n = 5."""
+    from adjkit import factor
+    ck = c_kernels()
+    ctx = factor.GenericContext(5)
+    rows = [[e.packed for e in row] for row in ctx.adjX.to_rows()]
+    want = ctx.det_power(4).packed
+    # the last level's products: entry (4, j) times the minor on rows 0-3
+    # and the other four columns
+    minors = [ck["det_laplace_terms"]([r[:j] + r[j + 1:] for r in rows[:4]])
+              for j in range(5)]
+    k = pivot_key([(rows[4][j], minors[j]) for j in range(5)])
+    keys = sorted(want, reverse=True)
+    below_k = max(x for x in keys if x < k)
+    n = len(keys)
+    for key in (keys[0], keys[n // 4], keys[n // 2], keys[3 * n // 4],
+                keys[-1], below_k):
+        for kind in ("off", "dropped", "extra", "moved"):
+            fault = fault_at(want, key, kind)
+            assert ck["packed_det_laplace"](rows, 0, fault) is False, (key, kind)
 
 
 def test_source_compiles_without_warnings_under_wall():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjkit import PolyRing, kernels, order_key, random_alternating, sandwich
+from adjkit.polyring import _Layout
 
 
 def det2(ring):
@@ -416,6 +417,30 @@ def test_order_is_strict_and_total():
 
 def test_order_is_graded():
     assert order_key((2, 0, 0, 0, 0)) > order_key((0, 1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 25, 26, 30])
+def test_unpack_matches_the_field_by_field_formula(width, nvars):
+    """The masked-shift unpack against the shift and mask of every field,
+    on seeded keys with fields at 0, 1, the field's maximum and between."""
+    layout = _Layout(nvars, width)
+
+    def field_by_field(key):
+        return tuple(map(layout.mask.__and__,
+                         map(key.__rshift__, layout.shifts)))
+
+    rng = random.Random(width * 31 + nvars)
+    for _ in range(300):
+        exps = tuple(rng.choice((0, 1, layout.mask, rng.randrange(layout.mask)))
+                     for _ in range(nvars))
+        key = layout.pack(exps)
+        assert layout.unpack(key) == field_by_field(key) == exps
+    assert layout.unpack(0) == (0,) * nvars
+    # an exponent too wide for a field is no exponent vector of the layout
+    R = PolyRing([f"v{i}" for i in range(nvars)])
+    with pytest.raises(KeyError):
+        R.var("v0").terms[(1 << 64 | 1,) + (0,) * (nvars - 1)]
 
 
 def test_canonical_string_det2(ctx2):
