@@ -90,7 +90,7 @@ static const char source_marker[] = "adjkit-source-digest:" ADJKIT_SOURCE_DIGEST
 #define SPLIT_MIN_PAIRS ((Py_ssize_t)1 << 20)
 #define HELD_BLOCK 8192         /* terms per block of a helper's dict output */
 #define HELD_MAX 32             /* blocks a helper may hold before it waits */
-#define WAIT_NS 20000000        /* signal checks while the caller waits */
+#define WAIT_NS 20000000        /* ns between signal checks while waiting */
 
 typedef uint64_t u64;
 typedef __int128 i128;

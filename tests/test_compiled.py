@@ -477,12 +477,12 @@ def test_a_coefficient_beyond_int64_in_the_helpers_range():
                                             kernels.neg_terms(want)), 1)
 
 
-def pivot_key(streams, share=2):
-    """The key at which a compiled merge of the products R*S in ``streams``
-    is cut: of the product with the most pairs (the first such), R's middle
-    term plus the first term of S, in descending key order, with at least
-    1/share of all pairs at or above the sum.  R is the operand with fewer
-    terms, as the kernel takes it."""
+def pivot_key(streams):
+    """The key at which a compiled compare of the products R*S in
+    ``streams`` is cut: of the product with the most pairs (the first such),
+    R's middle term plus the first term of S, in descending key order, with
+    at least half of all pairs at or above the sum.  R is the operand with
+    fewer terms, the first on a tie, as the kernel takes it."""
     streams = [sorted((r, s), key=len) for r, s in streams]
     streams = [(sorted(r, reverse=True), sorted(s)) for r, s in streams]
     total = sum(len(r) * len(s) for r, s in streams)
@@ -496,7 +496,7 @@ def pivot_key(streams, share=2):
     lo, hi = 0, len(s) - 1
     while lo < hi:
         j = (lo + hi) // 2
-        if at_or_above(mid + s[j]) >= total // share:
+        if at_or_above(mid + s[j]) >= total // 2:
             hi = j
         else:
             lo = j + 1
