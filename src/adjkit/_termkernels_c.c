@@ -23,12 +23,16 @@
  * comparison.  Given `expect`, the Laplace determinant's last level runs
  * into the comparison sink, which walks expect (converted once, sorted by
  * key descending) alongside the merge and stops it at the first term that
- * differs: the determinant itself is never stored.
+ * differs: the determinant itself is never stored.  Given the pair
+ * expect = (a, b), the determinant is compared with a*b, which one merge
+ * forms first into an array (canonical, as every merge output is): no term
+ * of a*b becomes a Python object.
  *
  * Coefficients: over ZZ (p = 0) int64 inputs with an __int128 accumulator;
  * over GF(p) with p < 2^32, residues whose products fit in 64 bits.  A call
  * this file cannot do exactly (a coefficient that is not an int64, a
- * Fraction, an accumulator that could overflow, a key wider than MAX_WORDS,
+ * Fraction, an accumulator that could overflow, a minor or a pair's
+ * product with a coefficient outside int64, a key wider than MAX_WORDS,
  * a modulus of 2^32 or more) runs in the pure-Python kernels of
  * adjkit.kernels instead; a product decides that before it changes the
  * accumulator dict.  A failed allocation raises MemoryError.
@@ -44,16 +48,17 @@
  * 2009).  The helper holds no GIL and calls no Python API: it allocates
  * with PyMem_Raw*, reports a failed allocation as a status, and checks no
  * signals; the caller checks them for both, also while it waits.  The
- * helper's terms reach the call's sink after the caller's own: an array is
- * appended after the join, and a comparison cuts expect at K, each side
- * comparing its own range, so both take half the pairs.  A dict takes only
- * Python objects, so the caller inserts every term: the helper hands its
- * terms over in blocks, which the caller inserts once its own range is
- * done, while the helper goes on (a new dict still iterates in descending
- * key order).  So the caller takes a fifth of the pairs, and the helper
- * waits while HELD_MAX blocks are not yet taken.  A difference, a failure
- * or a pending signal on either side stops the other through a shared
- * flag.  When the helper cannot start, the merge runs on one thread.
+ * helper's terms reach the call's sink after the caller's own: an array (a
+ * minor, or the product a*b of a pair) is appended after the join, and a
+ * comparison cuts expect at K, each side comparing its own range, so both
+ * take half the pairs.  A dict takes only Python objects, so the caller
+ * inserts every term: the helper hands its terms over in blocks, which the
+ * caller inserts once its own range is done, while the helper goes on (a
+ * new dict still iterates in descending key order).  So the caller takes a
+ * fifth of the pairs, and the helper waits while HELD_MAX blocks are not
+ * yet taken.  A difference, a failure or a pending signal on either side
+ * stops the other through a shared flag.  When the helper cannot start,
+ * the merge runs on one thread.
  *
  * The build (adjkit/_cbuild.py) defines ADJKIT_SOURCE_DIGEST, the digest
  * of this file, and the loader rebuilds when it changes.
@@ -1083,9 +1088,9 @@ merge(const Stream *st, int nst, Scratch sc[2], Sink *sink)
  * the pure-Python kernels, for the calls this file does not take
  * ---------------------------------------------------------------------- */
 
-/* adjkit.kernels._fma and _laplace, looked up on the first call that
+/* adjkit.kernels._fma and _det_laplace, looked up on the first call that
    needs them */
-static PyObject *py_fma, *py_laplace;
+static PyObject *py_fma, *py_det_laplace;
 
 static PyObject *
 python_kernel(PyObject **slot, const char *name)
@@ -1130,21 +1135,17 @@ log2_ceil_norm(const Terms *t, int w)
     return bits;
 }
 
-/* acc += (-1)^negate * a * b into the sink; FALLBACK leaves the sink's
-   dict untouched. */
+/* (-1)^negate * a * b, of the term dicts a and b at m->w words, into the
+   sink; FALLBACK before the merge starts for a coefficient that is not an
+   int64 or a partial sum that could overflow the accumulator. */
 static int
-product(PyObject *a, PyObject *b, int negate, Mode *m, Sink *sink)
+merge_product(PyObject *a, PyObject *b, int negate, const Mode *m,
+              Scratch sc[2], Sink *sink)
 {
-    size_t bits = 0;
     Terms ta = {0, NULL}, tb = {0, NULL};
-    Scratch sc[2] = {{0}};
     Stream st;
     int rc;
 
-    if ((rc = scan_keys(a, &bits)) != OK || (rc = scan_keys(b, &bits)) != OK)
-        return rc;
-    if ((m->w = words_for(bits + 1)) == 0)
-        return FALLBACK;
     if ((rc = terms_from_dict(a, m, &ta, NULL)) != OK
         || (rc = terms_from_dict(b, m, &tb, NULL)) != OK)
         goto done;
@@ -1158,10 +1159,27 @@ product(PyObject *a, PyObject *b, int negate, Mode *m, Sink *sink)
     st.neg = negate;
     rc = merge(&st, 1, sc, sink);
 done:
-    scratch_free(&sc[0]);
-    scratch_free(&sc[1]);
     PyMem_RawFree(ta.rec);
     PyMem_RawFree(tb.rec);
+    return rc;
+}
+
+/* acc += (-1)^negate * a * b into the sink; FALLBACK leaves the sink's
+   dict untouched. */
+static int
+product(PyObject *a, PyObject *b, int negate, Mode *m, Sink *sink)
+{
+    size_t bits = 0;
+    Scratch sc[2] = {{0}};
+    int rc;
+
+    if ((rc = scan_keys(a, &bits)) != OK || (rc = scan_keys(b, &bits)) != OK)
+        return rc;
+    if ((m->w = words_for(bits + 1)) == 0)
+        return FALLBACK;
+    rc = merge_product(a, b, negate, m, sc, sink);
+    scratch_free(&sc[0]);
+    scratch_free(&sc[1]);
     return rc;
 }
 
@@ -1277,19 +1295,34 @@ level_free(Terms *level, Py_ssize_t count)
     PyMem_RawFree(level);
 }
 
+/* A merged array at its length: realloc down the room its doubling left. */
+static void
+fit(Sink *s)
+{
+    if (s->out.n < s->cap && s->out.n) {
+        u64 *fitted = PyMem_RawRealloc(s->out.rec, (size_t)s->out.n
+                                       * (s->mode->w + 1) * sizeof(u64));
+        if (fitted != NULL)
+            s->out.rec = fitted;
+    }
+}
+
 /* Subset-memoized Laplace expansion along rows 0..n-1, as in
    kernels._laplace: level k holds the minors on rows 0..k-1, one per
-   k-subset of columns, as sorted arrays.  The last level's one minor goes
-   straight into the dict out or, when expect is a dict, is compared with
-   it term by term as it is produced: DIFFER at the first term that
-   differs, and nothing of the determinant is ever stored. */
+   k-subset of columns, as sorted arrays.  With nexpect = 0 the last
+   level's one minor goes straight into the dict out.  Otherwise it is
+   compared term by term as it is produced with expect[0] (nexpect = 1) or
+   with expect[0] * expect[1] (nexpect = 2), a product merged into an array
+   before the levels: DIFFER at the first term that differs, and nothing of
+   the determinant is ever stored. */
 static int
-laplace(PyObject **grid, int n, Mode *m, PyObject *out, PyObject *expect)
+laplace(PyObject **grid, int n, Mode *m, PyObject *out,
+        PyObject *const *expect, int nexpect)
 {
     static Py_ssize_t binom[MAX_LAPLACE_N + 1][MAX_LAPLACE_N + 1];
-    size_t bits = 0;
-    Terms *entries, *prev = NULL, *level = NULL, one = {1, NULL};
-    Terms want = {0, NULL};
+    size_t bits = 0, ebits = 0;
+    Terms *entries = NULL, *prev = NULL, *level = NULL, one = {1, NULL};
+    Sink want = {SINK_ARRAY, m};
     Py_ssize_t nprev = 0, count = 0;
     Scratch sc[2] = {{0}};
     Stream st[MAX_LAPLACE_N];
@@ -1298,20 +1331,31 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out, PyObject *expect)
     for (int i = 0; i < n * n; i++)
         if ((rc = scan_keys(grid[i], &bits)) != OK)
             return rc;
-    if (expect != NULL && (rc = scan_keys(expect, &bits)) != OK)
-        return rc;
+    for (int i = 0; i < nexpect; i++)
+        if ((rc = scan_keys(expect[i], &ebits)) != OK)
+            return rc;
     for (int v = n; v; v >>= 1)
         nbits++;
-    /* a minor on k rows is a sum of products of k entries */
-    if ((m->w = words_for(bits + nbits)) == 0)
+    /* a minor on k rows is a sum of products of k entries; the key of a
+       product of two factors is below 2^(ebits + 1) */
+    bits += nbits;
+    ebits += nexpect == 2;
+    if ((m->w = words_for(bits > ebits ? bits : ebits)) == 0)
         return FALLBACK;
-    if (expect != NULL) {
-        if ((rc = terms_from_dict(expect, m, &want, &canonical)) != OK)
+    if (nexpect == 1) {
+        if ((rc = terms_from_dict(expect[0], m, &want.out, &canonical)) != OK)
             return rc;
         if (!canonical) {       /* the determinant's terms are canonical */
-            PyMem_RawFree(want.rec);
+            PyMem_RawFree(want.out.rec);
             return DIFFER;
         }
+    }
+    else if (nexpect == 2) {
+        /* zeros dropped and reduced mod p by the merge: canonical */
+        rc = merge_product(expect[0], expect[1], 0, m, sc, &want);
+        if (rc != OK)
+            goto done;
+        fit(&want);
     }
     if (binom[0][0] == 0)
         for (int a = 0; a <= MAX_LAPLACE_N; a++)
@@ -1341,10 +1385,10 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out, PyObject *expect)
             goto done;
         }
         for (Py_ssize_t idx = 0; idx < count; idx++) {
-            Sink sink = {k < n ? SINK_ARRAY : expect ? SINK_CMP : SINK_FMA, m};
+            Sink sink = {k < n ? SINK_ARRAY : nexpect ? SINK_CMP : SINK_FMA, m};
             int pos = 0, nst = 0;
             sink.dict = out;
-            sink.expect = want;
+            sink.expect = want.out;
             for (u64 rest = mask; rest; rest &= rest - 1, pos++) {
                 int j = __builtin_ctzll(rest);
                 Terms *e = &entries[(k - 1) * n + j];
@@ -1358,12 +1402,8 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out, PyObject *expect)
             }
             rc = merge(st, nst, sc, &sink);
             if (sink.kind == SINK_ARRAY) {
-                if (rc == OK && sink.out.n < sink.cap && sink.out.n) {
-                    u64 *fit = PyMem_RawRealloc(sink.out.rec, (size_t)sink.out.n
-                                                * (m->w + 1) * sizeof(u64));
-                    if (fit != NULL)
-                        sink.out.rec = fit;
-                }
+                if (rc == OK)
+                    fit(&sink);
                 level[idx] = sink.out;
             }
             if (rc != OK)
@@ -1388,35 +1428,45 @@ done:
             PyMem_RawFree(entries[i].rec);
     PyMem_RawFree(entries);
     PyMem_RawFree(one.rec);
-    PyMem_RawFree(want.rec);
+    PyMem_RawFree(want.out.rec);
     scratch_free(&sc[0]);
     scratch_free(&sc[1]);
     return rc;
 }
 
-/* det(rows), or with expect, det(rows) == expect: the only fallback is
-   kernels._laplace, then == */
+/* det(rows), or with expect, whether det(rows) equals the term dict expect
+   or the product of the pair expect = (a, b) of term dicts: the only
+   fallback is kernels._det_laplace, which decides the same */
 static PyObject *
 det_laplace_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
                   PyObject *kwnames)
 {
     static const char *const names[] = {"p", "expect"};
     PyObject *opt[2], *p, *expect, *rows, *out = NULL, **grid = NULL, *fn;
+    PyObject *want[2];
     Mode m = {0};
     Py_ssize_t n = 0, got = 0;
-    int rc;
+    int rc, nwant = 0;
 
     if (parse_args(args, nargs, kwnames, 1, "det_laplace_terms", names, 2,
                    opt) < 0)
         return NULL;
     p = opt[0] ? opt[0] : zero_obj;
-    expect = opt[1] == Py_None ? NULL : opt[1];
+    expect = opt[1] ? opt[1] : Py_None;
     rows = args[0];
     if ((rc = mode_from(p, &m)) == FAIL)
         return NULL;
+    if (PyDict_Check(expect))
+        want[nwant++] = expect;
+    else if (PyTuple_Check(expect) && PyTuple_GET_SIZE(expect) == 2)
+        for (; nwant < 2; nwant++)
+            want[nwant] = PyTuple_GET_ITEM(expect, nwant);
     if (rc == FALLBACK || !PyList_Check(rows)
-        || (expect != NULL && !PyDict_Check(expect)))
+        || (expect != Py_None && nwant == 0))
         goto python;
+    for (int i = 0; i < nwant; i++)
+        if (!PyDict_Check(want[i]))
+            goto python;
     n = PyList_GET_SIZE(rows);
     if (n == 0 || n > MAX_LAPLACE_N)
         goto python;
@@ -1435,11 +1485,11 @@ det_laplace_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
             grid[got * n + j] = e;
         }
     }
-    if (expect == NULL && (out = PyDict_New()) == NULL)
+    if (nwant == 0 && (out = PyDict_New()) == NULL)
         goto done;
-    rc = laplace(grid, (int)n, &m, out, expect);
+    rc = laplace(grid, (int)n, &m, out, want, nwant);
     if (rc == OK || rc == DIFFER) {
-        if (expect != NULL)
+        if (nwant)
             out = PyBool_FromLong(rc == OK);
         goto done;
     }
@@ -1448,10 +1498,8 @@ det_laplace_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         goto done;
 python:
     Py_CLEAR(out);
-    if ((fn = python_kernel(&py_laplace, "_laplace")) != NULL
-        && (out = PyObject_CallFunctionObjArgs(fn, rows, p, NULL)) != NULL
-        && expect != NULL)
-        Py_SETREF(out, PyObject_RichCompare(out, expect, Py_EQ));
+    if ((fn = python_kernel(&py_det_laplace, "_det_laplace")) != NULL)
+        out = PyObject_CallFunctionObjArgs(fn, rows, p, expect, NULL);
 done:
     PyMem_RawFree(grid);
     return out;
@@ -1484,7 +1532,8 @@ static PyMethodDef methods[] = {
     KERNEL("det_laplace_terms", det_laplace_terms,
            "det_laplace_terms(rows, p=0, expect=None)\n--\n\n"
            "Determinant of a square grid of term dicts; given the term dict\n"
-           "expect, whether the determinant equals it."),
+           "expect, whether the determinant equals it, and given the pair\n"
+           "expect = (a, b) of term dicts, whether it equals a*b."),
     KERNEL("packed_det_laplace", det_laplace_terms,
            "packed_det_laplace(rows, p=0, expect=None)\n--\n\n"
            "det_laplace_terms, under the span name of large determinants."),

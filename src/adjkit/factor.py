@@ -76,12 +76,13 @@ def verify_fundamental(ctx: GenericContext) -> dict:
     """Check X*adj = adj*X = det*I and det(adj(X)) = det(X)^(n-1).
 
     The two products were checked when ``ctx`` was built; their results are
-    reported as they were recorded then.
+    reported as they were recorded then.  det(X)^(n-1) is passed as the
+    factors det(X)^(n-2) and det(X), which the Laplace kernel multiplies
+    itself (det(X)^0 = 1 at n = 1).
     """
-    checks = {
-        **ctx.products,
-        "adj_det_exponent": ctx.adjX.det_equals(ctx.det_power(ctx.n - 1)),
-    }
+    law = (ctx.adjX.det_equals(ctx.det_power(ctx.n - 2), ctx.detX)
+           if ctx.n > 1 else ctx.adjX.det_equals(ctx.det_power(0)))
+    checks = {**ctx.products, "adj_det_exponent": law}
     return {"n": ctx.n, "checks": checks, "passed": all(checks.values())}
 
 

@@ -235,7 +235,7 @@ def _sym_complementary(ctx: GenericContext) -> dict:
 
 def _sym_corrupted(ctx: GenericContext) -> dict:
     # deliberately wrong exponent: det(adj X) = det(X)^n; true value is n-1
-    wrong = ctx.adjX.det_equals(ctx.det_power(ctx.n))
+    wrong = ctx.adjX.det_equals(ctx.det_power(ctx.n - 1), ctx.detX)
     return {"identity": "corrupted_adj_det", "n": ctx.n,
             "checks": {"wrong_exponent_holds": wrong}, "passed": wrong,
             "expected_failure": True}

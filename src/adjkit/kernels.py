@@ -26,8 +26,11 @@ determinant equals it instead of the determinant itself.  The compiled body
 then stores nothing of the determinant: the merge of its last level
 produces the terms in descending key order, each is compared with the next
 term of ``expect`` as it comes, and the call returns False at the first that
-differs.  The pure-Python body, like every fallback, builds the
-determinant and compares with ``==``.
+differs.  ``expect`` may also be the pair ``(a, b)`` of term dicts, and the
+determinant is then compared with a*b.  The compiled body merges a*b into a
+native array before the expansion, so no term of the product becomes a
+Python object.  The pure-Python body, like every fallback, builds the
+determinant (and a*b) and compares with ``==``.
 
 A compiled merge of at least ``SPLIT_MIN_PAIRS`` (2^20) term pairs runs
 on two threads: cut at a pivot key, the calling thread merges the keys
@@ -36,7 +39,8 @@ which join the result in order after them (a product's dict still
 iterates in descending key order; a compared determinant cuts ``expect``
 at the pivot too).  The helper calls no Python API.  A product is cut so
 that the caller, which also inserts every term into the dict, takes a
-fifth of the pairs; a determinant level takes half.  When the helper
+fifth of the pairs; a determinant level, and the native product of a
+pair ``expect``, take half.  When the helper
 thread cannot start, the merge runs on the calling thread alone, as every
 smaller merge does.  ``split_merges()`` counts the merges that ran on two
 threads.  Results are the same either way: only the time differs.
@@ -44,8 +48,8 @@ threads.  Results are the same either way: only the time differs.
 ``IMPL`` is ``"c"`` or ``"py"``; ``IMPL_NOTE`` is empty
 with ``"c"`` and says why the compiled kernels were refused with ``"py"``:
 ``ADJKIT_PURE`` set, a read-only tree, no compiler, a build error or an
-import error.  The private ``_fma`` and ``_laplace`` stay pure Python: they
-are the fallback and the tests' reference.
+import error.  The private ``_fma``, ``_laplace`` and ``_det_laplace`` stay
+pure Python: they are the fallback and the tests' reference.
 """
 
 from __future__ import annotations
@@ -138,6 +142,19 @@ def _laplace(rows, p):
     return level[(1 << n) - 1]
 
 
+def _det_laplace(rows, p, expect):
+    """The determinant of rows; given ``expect``, whether it equals the
+    term dict expect or the product of the pair expect = (a, b)."""
+    det = _laplace(rows, p)
+    if expect is None:
+        return det
+    if isinstance(expect, tuple):
+        a, b = expect
+        expect = {}
+        _fma(expect, a, b, False, p)
+    return det == expect
+
+
 # ---------------------------------------------------------------------------
 # public kernels
 # ---------------------------------------------------------------------------
@@ -221,9 +238,9 @@ def sub_scaled_terms(rem, key, coeff, b, p=0):
 
 def det_laplace_terms(rows, p=0, expect=None):
     """Determinant of a square grid of term dicts; given the term dict
-    ``expect``, whether the determinant equals it."""
-    det = _laplace(rows, p)
-    return det if expect is None else det == expect
+    ``expect``, whether the determinant equals it, and given the pair
+    ``expect = (a, b)`` of term dicts, whether it equals a*b."""
+    return _det_laplace(rows, p, expect)
 
 
 # The callers route large products and determinants to these two names and
@@ -239,8 +256,7 @@ def packed_mul_terms(a, b, p=0):
 
 def packed_det_laplace(rows, p=0, expect=None):
     """det_laplace_terms, under the span name of large determinants."""
-    det = _laplace(rows, p)
-    return det if expect is None else det == expect
+    return _det_laplace(rows, p, expect)
 
 
 _compiled, IMPL_NOTE = _cbuild.load()

@@ -334,19 +334,22 @@ class Matrix:
         # a Fraction over QQ even for int entries
         return dom.coerce(kernels.det_laplace_terms(rows, p).get(0, 0))
 
-    def _det_laplace_poly(self, expected: Polynomial | None = None):
-        """det(self) of a square polynomial matrix; given ``expected``,
-        whether det(self) == expected, decided by the kernel as it produces
-        the determinant's terms."""
+    def _det_laplace_poly(self, *factors: Polynomial):
+        """det(self) of a square polynomial matrix; given one or two
+        polynomials, whether det(self) equals the one or the product of the
+        two, decided by the kernel as it produces the determinant's terms."""
         ring = self.domain.ring
         rows = self.to_rows()
         n = self.rows
         # every term of the determinant has at most the sum of the row
-        # maxima as its degree; expected's keys go at the same width
-        degree = sum(map(_max_degree, rows))
-        extra = [] if expected is None else [expected]
-        width, terms = aligned(self.entries + extra, degree)
-        expect = terms.pop() if extra else None
+        # maxima as its degree, and every term of a product the sum of its
+        # factors' degrees; the factors' keys go at the same width
+        degree = max(sum(map(_max_degree, rows)),
+                     sum(f.total_degree() for f in factors))
+        width, terms = aligned(self.entries + list(factors), degree)
+        extra = terms[n * n:]
+        expect = (tuple(extra) if len(extra) == 2
+                  else extra[0] if extra else None)
         rows_terms = [terms[i * n:(i + 1) * n] for i in range(n)]
         # one engine under two names: the large route remains only as the
         # traced span name kernels.packed_det, until the benchmark merges them
@@ -356,22 +359,25 @@ class Matrix:
             det = kernels.packed_det_laplace(rows_terms, p, expect)
         else:
             det = kernels.det_laplace_terms(rows_terms, p, expect)
-        return det if expected is not None else Polynomial(ring, det, width)
+        return det if factors else Polynomial(ring, det, width)
 
-    def det_equals(self, expected: Polynomial) -> bool:
-        """Exact test det(self) == expected for polynomial matrices.
+    def det_equals(self, f: Polynomial, g: Polynomial | None = None) -> bool:
+        """Exact test det(self) == f, or det(self) == f*g given g, for
+        polynomial matrices.
 
         On the compiled kernels the determinant is never built: the
-        Laplace kernel compares its terms with expected's as it produces
-        them, in descending key order, and stops at the first that
-        differs."""
+        Laplace kernel compares its terms with the expected ones as it
+        produces them, in descending key order, and stops at the first
+        that differs.  Given g, the kernel forms f*g in a native array, so
+        the product never becomes a polynomial either."""
+        factors = (f,) if g is None else (f, g)
         if not isinstance(self.domain, PolynomialDomain):
             raise TypeError("det_equals expects a polynomial matrix")
-        if not self.domain.ring.compatible(expected.ring):
+        if not all(self.domain.ring.compatible(h.ring) for h in factors):
             raise ValueError("polynomial rings/modes differ")
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        return self._det_laplace_poly(expected)
+        return self._det_laplace_poly(*factors)
 
     def det_bareiss(self):
         """Fraction-free determinant; needs exact division in the domain."""

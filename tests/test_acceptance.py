@@ -80,7 +80,10 @@ def test_criterion_01_fundamental_identities(actx, actx5):
         det_i = ctx.identity.scale(ctx.detX)
         assert ctx.X * ctx.adjX == det_i, f"n={n} right product"
         assert ctx.adjX * ctx.X == det_i, f"n={n} left product"
-        assert ctx.adjX.det_equals(ctx.det_power(n - 1)), f"n={n} det law"
+        # det(X)^(n-1) as the product det(X)^(n-2) * det(X), as
+        # verify_fundamental passes it; det(X)^0 at n = 1
+        factors = (ctx.det_power(n - 2), ctx.detX) if n > 1 else (ctx.ring.one,)
+        assert ctx.adjX.det_equals(*factors), f"n={n} det law"
     finish(1, "fundamental identities n=1..5", t0, budget=5)
 
 

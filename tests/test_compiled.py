@@ -1,13 +1,15 @@
 """The compiled term kernels against the pure-Python bodies they replace.
 
 ``PY`` holds the pure-Python bodies, built on ``kernels._fma`` and
-``kernels._laplace`` as the Python kernels are; the public names run the
-compiled ones.  Every compiled kernel must return what the Python body
+``kernels._det_laplace`` as the Python kernels are; the public names run
+the compiled ones.  Every compiled kernel must return what the Python body
 returns, on seeded random inputs at several key widths and moduli, on the
 inputs it hands back to Python (Fraction coefficients, int64 overflow, keys
 too wide), and at the edges (empty operands, the key-0 scalar, a ring with
 no variables).  The determinant's ``expect`` comparison must give the
-Python body's answer on the true determinant and on planted faults of it.
+Python body's answer on the true determinant and on planted faults of it,
+and so must the pair ``expect = (a, b)`` on a determinant a*b, on faults of
+either factor, and on each pair the compiled body hands back to Python.
 The kernel tests of test_kernels.py run here once more on each
 implementation, through the ``kernel_impl`` fixture.
 
@@ -59,8 +61,7 @@ def py_fma(acc, a, b, negate, p=0):
 
 
 def py_laplace(rows, p=0, expect=None):
-    det = kernels._laplace(rows, p)
-    return det if expect is None else det == expect
+    return kernels._det_laplace(rows, p, expect)
 
 
 PY = {"mul_terms": py_mul, "packed_mul_terms": py_mul, "fma_terms": py_fma,
@@ -551,6 +552,123 @@ def test_split_compare_finds_planted_faults(p):
         for kind in ("off", "dropped", "extra", "moved"):
             fault = fault_at(want, key, kind, p)
             assert ck["packed_det_laplace"](grid, p, fault) is False, (key, kind)
+
+
+# ---------------------------------------------------------------------------
+# the pair expect = (a, b): the determinant compared with a*b, which the
+# compiled kernel merges into a native array first
+# ---------------------------------------------------------------------------
+
+def pair_faults(a, b, p):
+    """Pairs whose product is not a*b, for nonzero a and b: a coefficient of
+    either factor off by one, either factor's last term dropped, and either
+    factor zero."""
+    def off(f):
+        key = sorted(f)[len(f) // 2]
+        out = dict(f)
+        out[key] = (f[key] + 1) % p if p else f[key] + 1
+        if not out[key]:
+            del out[key]
+        return out
+
+    def dropped(f):
+        return {k: c for k, c in f.items() if k != min(f)}
+
+    return [(off(a), b), (a, off(b)), (dropped(a), b), (a, dropped(b)),
+            ({}, b), (a, {})]
+
+
+def check_pair(ck, grid, p, a, b, python=True):
+    """True on (a, b) and (b, a) for a grid whose determinant is a*b, False
+    on every fault of pair_faults; the same from the Python body when
+    ``python``."""
+    for name in ("det_laplace_terms", "packed_det_laplace"):
+        for pair in ((a, b), (b, a)):
+            assert ck[name](grid, p, pair) is True
+            assert ck[name](grid, p, expect=pair) is True
+            assert not python or PY[name](grid, p, pair) is True
+        for pair in pair_faults(a, b, p):
+            assert ck[name](grid, p, pair) is False
+            assert not python or PY[name](grid, p, pair) is False
+
+
+@pytest.mark.parametrize("p", (0,) + PRIMES)
+def test_pair_expect_below_the_split(p):
+    """det(adj X) = det(X)^(n-2) * det(X) at n = 3 and 4, and a*b on the
+    diagonal of random 2x2 grids at several key widths."""
+    from adjkit.factor import GenericContext
+    ck = c_kernels()
+    for n in (3, 4):
+        ctx = GenericContext(n, p=p or None)
+        grid = [[e.packed for e in row] for row in ctx.adjX.to_rows()]
+        check_pair(ck, grid, p, ctx.det_power(n - 2).packed, ctx.detX.packed)
+    rng = random.Random(31 + p)
+    for width in (8, 32):
+        layout = _Layout(5, width)
+        for _ in range(6):
+            a, b = (rand_dict(rng, layout, 5, rng.randint(1, 12), p=p)
+                    for _ in range(2))
+            if a and b:
+                check_pair(ck, [[a, {}], [{}, b]], p, a, b)
+
+
+@pytest.mark.parametrize("p", (0,) + PRIMES)
+def test_pair_expect_above_the_split(p):
+    """The 1024 x 1026 pairs of a*b: the product and the last level both
+    split, and every fault is refused on two threads."""
+    ck = c_kernels()
+    a, b, _ = split_operands()
+    a, b = mod(a, p), mod(b, p)
+    assert len(a) * len(b) >= kernels.SPLIT_MIN_PAIRS
+    grid = [[a, {}], [{}, b]]
+    assert counted_splits(lambda: ck["packed_det_laplace"](grid, p, (a, b))) \
+        == (True, 2)
+    check_pair(ck, grid, p, a, b, python=False)
+
+
+def test_pair_expect_fallbacks_decide_as_python():
+    """Each pair the compiled body hands back to Python: a product
+    coefficient beyond int64, a factor's coefficient beyond int64, factors
+    whose norms could overflow the accumulator, a Fraction, keys too wide
+    for native words, a modulus of 2^32 or more, and a member that is not a
+    dict; and a tuple that is not a pair raises as in Python."""
+    from types import MappingProxyType
+    ck = c_kernels()
+    layout = _Layout(3, 8)
+    x, y, z = (layout.pack(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    wide = 1 << 2100
+
+    def diagonal(a, b):
+        return [[a, {}], [{}, b]]
+
+    cases = []
+    for p, a, b in ((0, {x: 2**40, y: 3}, {x: 2**40 + 1, z: 5}),
+                    (0, {x: 2**70, y: 1}, {z: 3}),
+                    (0, {x: 2**62, y: 2**62}, {x: 2**62, z: -2**62}),
+                    (0, {x: Fraction(1, 2), y: 1}, {z: 2}),
+                    (0, {wide: 1, 0: 2}, {x: 3}),
+                    (2**61 - 1, {x: 2**40, y: 3}, {z: 2**50})):
+        det = py_mul(a, b, p)
+        cases += [(diagonal(a, b), p, (a, b)), ([[det]], p, (a, b)),
+                  ([[det]], p, (b, a))]
+        cases += [([[det]], p, pair) for pair in pair_faults(a, b, p)]
+    # keys that fit the grid's native words but not the product's: beyond
+    # 2048 bits, and 2^64, which one word would wrap to the grid's key 0
+    cases += [([[{x: 1}]], 0, ({wide: 1}, {0: 1})),
+              ([[{0: 1}]], 0, ({1 << 63: 1}, {1 << 63: 1}))]
+    a, b = {x: 2, y: 3}, {z: 5}
+    det = py_mul(a, b)
+    for pair in ((MappingProxyType(a), b), (a, MappingProxyType(b)),
+                 (MappingProxyType(a), {z: 6})):
+        cases += [([[det]], 0, pair), (diagonal(a, b), 0, pair)]
+    for name in ("det_laplace_terms", "packed_det_laplace"):
+        answers = [ck[name](grid, p, pair) for grid, p, pair in cases]
+        assert answers == [PY[name](grid, p, pair) for grid, p, pair in cases]
+        assert answers.count(True) == 22 and answers.count(False) == 40
+        for pair in ((a,), (a, b, b)):
+            for kernel in (ck[name], PY[name]):
+                with pytest.raises(ValueError):
+                    kernel([[det]], 0, pair)
 
 
 # ---------------------------------------------------------------------------

@@ -80,11 +80,13 @@ def test_verify_fundamental_reports_the_constructor_products(monkeypatch):
 
 
 def test_det_law_is_decided_inside_the_laplace_kernel(monkeypatch):
-    """det(adj X) is never built: det_equals hands det(X)^(n-1) to the
-    kernel as ``expect``, for the law and for its negative control."""
+    """det(adj X) is never built: det_equals hands det(X)^(n-2) and det(X)
+    to the kernel as the pair ``expect``, which it multiplies itself, for
+    the law and (with det(X)^(n-1)) for its negative control.  No product
+    that verify_fundamental runs yields det(X)^(n-1)."""
     from adjkit import identities, kernels
     ctx = GenericContext(4)
-    dets, expects = [], []
+    dets, expects, products = [], [], []
     det_laplace = Matrix.det_laplace
 
     def counting_det(self):
@@ -97,13 +99,38 @@ def test_det_law_is_decided_inside_the_laplace_kernel(monkeypatch):
             expects.append(expect)
             return _real(rows, p) if expect is None else _real(rows, p, expect)
         monkeypatch.setattr(kernels, name, kernel)
+    for name in ("mul_terms", "packed_mul_terms"):
+        def mul(a, b, p=0, _real=getattr(kernels, name)):
+            products.append(out := _real(a, b, p))
+            return out
+        monkeypatch.setattr(kernels, name, mul)
     assert verify_fundamental(ctx)["passed"]
+    law_products = list(products)
     control = identities._sym_corrupted(ctx)
     assert not any(m is ctx.adjX for m in dets)
-    assert expects == [ctx.det_power(3).packed, ctx.det_power(4).packed]
+    assert expects == [(ctx.det_power(2).packed, ctx.detX.packed),
+                       (ctx.det_power(3).packed, ctx.detX.packed)]
+    cube = ctx.det_power(3).packed
+    assert law_products and all(out != cube for out in law_products)
     assert control == {"identity": "corrupted_adj_det", "n": 4,
                        "checks": {"wrong_exponent_holds": False},
                        "passed": False, "expected_failure": True}
+
+
+def test_det_equals_takes_one_factor_or_two(ctx2, ctx3):
+    """det(adj X) = det(X)^2 at n = 3 as one polynomial or as a product,
+    in either order; a wrong product, a zero factor and another ring are
+    refused as with one factor."""
+    adj, det = ctx3.adjX, ctx3.detX
+    assert adj.det_equals(ctx3.det_power(2))
+    assert adj.det_equals(det, det) and adj.det_equals(ctx3.ring.one, det * det)
+    assert not adj.det_equals(det, ctx3.det_power(2))
+    assert not adj.det_equals(det, ctx3.ring.zero)
+    assert not adj.det_equals(det, det + ctx3.ring.one)
+    with pytest.raises(ValueError):
+        adj.det_equals(det, ctx2.detX)
+    with pytest.raises(TypeError):
+        Matrix.identity(ZZ, 2).det_equals(ctx2.detX, ctx2.detX)
 
 
 def test_det_equals_raises_as_det_laplace_does(ctx2, ctx3):
