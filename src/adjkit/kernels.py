@@ -29,8 +29,29 @@ term of ``expect`` as it comes, and the call returns False at the first that
 differs.  ``expect`` may also be the pair ``(a, b)`` of term dicts, and the
 determinant is then compared with a*b.  The compiled body merges a*b into a
 native array before the expansion, so no term of the product becomes a
-Python object.  The pure-Python body, like every fallback, builds the
-determinant (and a*b) and compares with ``==``.
+Python object.  The pure-Python body, which every fallback runs, never holds
+the determinant either: it starts its accumulator at -expect (or -a*b), adds
+the last Laplace level into it and tests that nothing is left.
+
+Since a comparison returns no key, the compiled body may rename its keys.
+It derives from the call's own keys a map phi onto fewer words and runs
+every level, the product a*b and the comparison on the images, using only
+the two key properties above.  Each maximal run of set bits in the OR of
+the grid's (and a pair's) keys starts a block.  B_b bounds every sum of
+block-b values v_b the call forms: the sum over grid rows of the row's
+largest, and the largest of a plus the largest of b.  A block whose sums
+could carry into the next one is merged with it, so the blocks of a sum of
+keys are the sums of their blocks, and phi(k) is the mixed-radix number
+with digits v_b(k) and radices B_b + 1.  phi is then additive, injective
+and order-preserving on every key the call forms.  A dict ``expect`` forms
+no sums: the comparison maps its keys as it reaches them, and one that no
+such sum can be (a bit outside the blocks' bounds, or a block above its
+bound) makes the answer False.  phi serves only when its values take fewer
+64-bit words than the keys need unmapped, which at n = 5 turns the 4-word
+keys of det(adj X) = det(X)^3 * det(X) into 1-word keys; products, fma and
+determinants returned as dicts keep their keys.  ``compacted_compares()``
+counts the comparisons that ran on mapped keys, by their word count and the
+one the keys need unmapped: ``{(1, 4): 1}`` after that check.
 
 A compiled merge of at least ``SPLIT_MIN_PAIRS`` (2^20) term pairs runs
 on two threads: cut at a pivot key, the calling thread merges the keys
@@ -107,15 +128,21 @@ def _fma(acc, a, b, negate, p):
                         del acc[e]
 
 
-def _laplace(rows, p):
-    """Determinant of a square grid of term dicts.
+def _laplace(rows, p, acc=None):
+    """Determinant of a square grid of term dicts; given the dict ``acc``,
+    acc += det in place, and acc is returned.
 
     Subset-memoized Laplace expansion over column subsets: level k holds the
     minors on rows 0..k-1, indexed by a bitmask of k columns.  Only two
     levels are alive at once, which keeps the memory footprint at the two
-    largest minor layers.
+    largest minor layers.  The last level's one minor is acc itself.
     """
     n = len(rows)
+    if acc is None:
+        acc = {}
+    if n == 0:
+        _fma(acc, {0: 1}, {0: 1}, False, p)
+        return acc
     level = {0: {0: 1}}  # empty minor = 1, at the key of the monomial 1
     cols = list(range(n))
     for k in range(1, n + 1):
@@ -124,7 +151,7 @@ def _laplace(rows, p):
         read = level.pop if k == n else level.__getitem__
         nxt = {}
         for subset in combinations(cols, k):
-            acc = {}
+            out = acc if k == n else {}
             mask = 0
             for j in subset:
                 mask |= 1 << j
@@ -136,23 +163,34 @@ def _laplace(rows, p):
                 if entry:
                     prev = read(mask & ~(1 << j))
                     if prev:
-                        _fma(acc, entry, prev, (k - 1 + pos) % 2 == 1, p)
-            nxt[mask] = acc
+                        _fma(out, entry, prev, (k - 1 + pos) % 2 == 1, p)
+            nxt[mask] = out
         level = nxt
-    return level[(1 << n) - 1]
+    return acc
 
 
 def _det_laplace(rows, p, expect):
     """The determinant of rows; given ``expect``, whether it equals the
-    term dict expect or the product of the pair expect = (a, b)."""
-    det = _laplace(rows, p)
+    term dict expect or the product of the pair expect = (a, b).
+
+    A comparison never holds the determinant: the accumulator starts at
+    -expect (after the canonical test the compiled body makes: every
+    coefficient nonzero, and in [1, p) over GF(p)) or at -a*b, the last
+    Laplace level adds the determinant into it, and the two are equal
+    when nothing is left."""
     if expect is None:
-        return det
+        return _laplace(rows, p)
     if isinstance(expect, tuple):
         a, b = expect
-        expect = {}
-        _fma(expect, a, b, False, p)
-    return det == expect
+        acc = {}
+        _fma(acc, a, b, True, p)
+    elif isinstance(expect, dict):
+        if not all(c and (not p or 0 < c < p) for c in expect.values()):
+            return False
+        acc = {e: p - c if p else -c for e, c in expect.items()}
+    else:
+        return _laplace(rows, p) == expect
+    return not _laplace(rows, p, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +307,12 @@ SPLIT_MIN_PAIRS = None if _compiled is None else _compiled.SPLIT_MIN_PAIRS
 def split_merges() -> int:
     """How many merges so far ran as two key ranges on two threads."""
     return 0 if _compiled is None else _compiled.split_merges()
+
+
+def compacted_compares() -> dict:
+    """{(words, words of the keys given): count} of the determinant
+    comparisons that ran on keys mapped onto fewer words; a copy."""
+    return {} if _compiled is None else _compiled.compacted_compares()
 
 
 if _compiled is not None:

@@ -672,6 +672,215 @@ def test_pair_expect_fallbacks_decide_as_python():
 
 
 # ---------------------------------------------------------------------------
+# comparisons on keys mapped onto fewer words: each maximal run of set bits
+# in the OR of the grid's and a pair's keys starts a block, B_b bounds every
+# block sum the call forms, a block whose sums could carry is merged with
+# the next, and phi(k) is the mixed-radix number of the block values
+# ---------------------------------------------------------------------------
+
+def compacted(call):
+    """call(), and the comparisons it ran on mapped keys, as
+    {(words, words unmapped): count}."""
+    before = kernels.compacted_compares()
+    out = call()
+    after = kernels.compacted_compares()
+    return out, {k: c - before.get(k, 0) for k, c in after.items()
+                 if c != before.get(k, 0)}
+
+
+def fields(*offsets):
+    """A key maker: the exponents e_i at the bit offsets given."""
+    return lambda *e: sum(x << o for x, o in zip(e, offsets))
+
+
+def random_grid(rng, n, monomials, p, terms=3):
+    """An n x n grid whose entries hold up to ``terms`` of ``monomials``;
+    each row has a term at monomials[0], so every row reaches its bound."""
+    def entry():
+        keys = rng.sample(monomials, rng.randint(0, terms))
+        return mod({k: rng.choice((-2, -1, 1, 3)) for k in keys}, p)
+    grid = [[entry() for _ in range(n)] for _ in range(n)]
+    for row in grid:
+        row[rng.randrange(n)][monomials[0]] = 1
+    return grid
+
+
+def check_mapped(grid, p, pair=None, mapped=True):
+    """The compiled Laplace kernels against the Python body on grid: the
+    determinant, True on it as a dict expect (on mapped keys when
+    ``mapped``), False on each planted fault, and given a pair, the same
+    answer as Python on it, on (b, a) and on each of its faults."""
+    ck = c_kernels()
+    want = py_laplace(grid, p)
+    for name in ("det_laplace_terms", "packed_det_laplace"):
+        assert ck[name](grid, p) == want
+        same, ran = compacted(lambda: ck[name](grid, p, want))
+        assert same is True
+        assert bool(ran) == mapped, ran
+        for fault in planted_faults(want, p) + [{}] * bool(want):
+            assert ck[name](grid, p, fault) is False
+            assert py_laplace(grid, p, fault) is False
+        if pair is not None:
+            a, b = pair
+            for expect in [(a, b), (b, a)] + pair_faults(a, b, p):
+                assert ck[name](grid, p, expect) is \
+                    py_laplace(grid, p, expect), expect
+    return want
+
+
+MAP_PRIMES = (0, 2, 3, 2_147_483_647)
+
+
+@pytest.mark.parametrize("p", MAP_PRIMES)
+@pytest.mark.parametrize("n", [3, 4])
+def test_mapped_runs_that_must_merge(p, n):
+    """x^1 and x^4 set bits 0 and 2 of one field, two runs: with x^1 in
+    every row the low block's bound is n, which at n = 3 is 2^2 - 1 (no
+    carry) and at n = 4 is 2^2 (a carry into bit 2: the blocks merge).  z
+    and t far above make the keys 3 words wide, phi's 1."""
+    rng = random.Random(41 * n + p)
+    key = fields(0, 70, 150)
+    x, x4, z, t = key(1, 0, 0), key(4, 0, 0), key(0, 1, 0), key(0, 0, 1)
+    monomials = [x, x4, x + z, x4 + t, z + t, 0]
+    for _ in range(6):
+        grid = random_grid(rng, n, monomials, p)
+        det = check_mapped(grid, p)
+        if det:
+            b = {x4: 1, t: 1}
+            check_mapped([[det, {}], [{}, b]], p, pair=(det, b))
+    # the bound is attained: (x*t)^n with a nonzero coefficient
+    grid = [[{x + t: 1} if i == j else {} for j in range(n)]
+            for i in range(n)]
+    assert check_mapped(grid, p) == {n * (x + t): 1}
+    _, ran = compacted(lambda: kernels.det_laplace_terms(
+        grid, p, {n * (x + t): 1}))
+    assert ran == {(1, 3): 1}
+
+
+@pytest.mark.parametrize("p", MAP_PRIMES)
+def test_mapped_keys_with_no_layout(p):
+    """Keys that are sums of a few bits from a few clusters, with no
+    fields: their sums carry from one run of the OR into the next, and
+    runs wider than 64 bits keep the keys as they are."""
+    rng = random.Random(43 + p)
+    for spread, mapped in ((3, True), (1, True), (0, False)):
+        bits = [c + rng.randrange(8) for c in (0, 66, 130, 190)]
+        bits += [b + rng.randrange(1, 3) for b in bits]
+        monomials = [sum(1 << b for b in rng.sample(bits, k))
+                     for k in (rng.randint(1, 3) for _ in range(8))]
+        if not spread:      # one dense run of 100 bits: no block fits 64
+            monomials = [rng.getrandbits(100) | 1 << 99 for _ in range(8)]
+        for n in (2, 3, 4):
+            grid = random_grid(rng, n, monomials, p, terms=spread or 3)
+            check_mapped(grid, p, mapped=mapped)
+
+
+@pytest.mark.parametrize("p", MAP_PRIMES)
+def test_mapped_blocks_straddle_word_boundaries(p):
+    """Fields at bits 62 and 126, whose exponents up to 7 reach across the
+    64-bit word boundaries, and one at bit 250 that makes 4-word keys."""
+    rng = random.Random(47 + p)
+    key = fields(62, 126, 250)
+    monomials = [key(7, 0, 1), key(1, 3, 0), key(0, 6, 1), key(2, 2, 2),
+                 key(5, 0, 0), 0]
+    for n in (2, 3, 4):
+        for _ in range(3):
+            grid = random_grid(rng, n, monomials, p)
+            det = check_mapped(grid, p)
+            if det:
+                b = {key(3, 1, 1): 1, 0: 1}
+                check_mapped([[det, {}], [{}, b]], p, pair=(det, b))
+
+
+@pytest.mark.parametrize("p", MAP_PRIMES)
+def test_mapped_expect_keys_above_and_below_the_grid(p):
+    """Keys of expect that no sum of grid keys can be: above every block,
+    below every block, a bit between blocks, and a block value above its
+    bound; each makes the answer False, as in Python."""
+    ck = c_kernels()
+    key = fields(3, 70, 140)
+    grid = [[{key(1, 0, 1): 1}, {key(0, 1, 0): 1}],
+            [{key(0, 2, 0): 1}, {key(1, 0, 1): 1}]]
+    det = check_mapped(grid, p)
+    strays = [1 << 300, 1, 1 << 64, key(2, 0, 2) + (1 << 20), key(3, 0, 0)]
+    for stray in strays:
+        for expect in ({**det, stray: 1}, {k: c for k, c in det.items()
+                                           if k != max(det)} | {stray: 1}):
+            for name in ("det_laplace_terms", "packed_det_laplace"):
+                assert ck[name](grid, p, expect) is False
+            assert py_laplace(grid, p, expect) is False
+        # a pair factor with a key above every grid block
+        pair = ({stray: 1}, {0: 1})
+        assert ck["packed_det_laplace"](grid, p, pair) is False
+        assert py_laplace(grid, p, pair) is False
+
+
+@pytest.mark.parametrize("p", MAP_PRIMES)
+def test_mapped_pair_bound_is_the_sum_of_maxima(p):
+    """det = x*y^2 against a*b = x^4*y with a = x^2*y and b = x^2: the
+    grid alone bounds the x block by 1 and the pair by 2 + 2, and with a
+    radix of 3 (the larger factor's 2, not the sum) x^4*y would map onto
+    x*y^2.  z far above makes the keys 3 words wide."""
+    ck = c_kernels()
+    key = fields(0, 9, 150)
+    z = key(0, 0, 1)
+    grid = [[{key(1, 2, 0) + z: 1}]]
+    pair = ({key(2, 1, 0) + z: 1}, {key(2, 0, 0): 1})
+    for name in ("det_laplace_terms", "packed_det_laplace"):
+        got, ran = compacted(lambda: ck[name](grid, p, pair))
+        assert got is False and ran == {(1, 3): 1}
+    assert py_laplace(grid, p, pair) is False
+    check_mapped([[pair[0], {}], [{}, pair[1]]], p, pair=pair)
+
+
+@pytest.mark.parametrize("p", MAP_PRIMES)
+def test_incompressible_keys_too_wide_run_in_python(p):
+    """(1 << 2100) - 1, a run of 2100 set bits, cannot be mapped: a grid
+    or a pair holding it runs in Python, maps nothing and agrees."""
+    ck = c_kernels()
+    wide = (1 << 2100) - 1
+    x = 1 << 5
+    neg = p - 1 if p else -1    # -1, canonical at p
+    cases = [([[{wide: neg}]], {wide: neg}),
+             ([[{wide: 1}]], {wide: 1, x: 1}),
+             ([[{wide: 1}, {x: 1}], [{x: 1}, {0: 1}]],
+              {wide: 1, 2 * x: neg}),
+             ([[{wide: neg}]], ({wide: 1}, {0: neg})),
+             ([[{0: 1}]], ({wide: 1}, {0: 1})),
+             ([[{x: 1}]], ({wide: 1, x: 1}, {0: 1}))]
+    for grid, expect in cases:
+        for name in ("det_laplace_terms", "packed_det_laplace"):
+            got, ran = compacted(lambda: ck[name](grid, p, expect))
+            assert got is py_laplace(grid, p, expect) and ran == {}
+    assert [py_laplace(g, p, e) for g, e in cases] == [True, False, True,
+                                                       True, False, False]
+
+
+def test_det_law_at_n5_runs_on_one_word(ctx5):
+    """det(adj X) = det(X)^3 * det(X), and = det(X)^4 as a dict: 4-word
+    keys, compared on 1-word images."""
+    c_kernels()
+    law = (ctx5.det_power(3), ctx5.detX)
+    assert compacted(lambda: ctx5.adjX.det_equals(*law)) == \
+        (True, {(1, 4): 1})
+    assert compacted(lambda: ctx5.adjX.det_equals(ctx5.detX, ctx5.detX)) \
+        == (False, {(1, 4): 1})
+
+
+def test_compacted_compares_is_a_read_only_count():
+    c_kernels()
+    counts = kernels.compacted_compares()
+    counts[(1, 1)] = 10 ** 6
+    assert kernels.compacted_compares().get((1, 1), 0) < 10 ** 6
+    grid = [[{1 << 200: 1}]]
+    got, ran = compacted(lambda: kernels.det_laplace_terms(grid, 0))
+    assert got == {1 << 200: 1} and ran == {}
+    got, ran = compacted(lambda: kernels.det_laplace_terms(grid, 0,
+                                                          {1 << 200: 1}))
+    assert got is True and ran == {(1, 4): 1}
+
+
+# ---------------------------------------------------------------------------
 # selection, build and robustness, each in a fresh process
 # ---------------------------------------------------------------------------
 
@@ -870,12 +1079,19 @@ def test_det_law_at_n5_refuses_every_planted_fault():
             assert ck["packed_det_laplace"](rows, 0, fault) is False, (key, kind)
 
 
-def test_source_compiles_without_warnings_under_wall():
+def test_source_compiles_without_warnings_under_wall(tmp_path):
+    """The build's own command, compiling and linking into tmp_path, with
+    every -Wall warning an error (the optimizer's warnings too, which a
+    syntax check alone would miss)."""
     from adjkit import _cbuild
-    command = _cbuild.compile_command(_cbuild.SOURCE, Path(os.devnull), "0")
-    done = subprocess.run(command + ["-fsyntax-only", "-Wall", "-Werror"],
-                          capture_output=True, text=True, timeout=120)
+    out = tmp_path / _cbuild.target().name
+    command = _cbuild.compile_command(_cbuild.SOURCE, out, "0")
+    if shutil.which(command[0]) is None:
+        pytest.skip(f"no compiler: {command[0]}")
+    done = subprocess.run(command + ["-Wall", "-Werror"],
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    assert out.stat().st_size > 0
 
 
 def copy_package(tmp_path, with_extension):

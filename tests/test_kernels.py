@@ -146,6 +146,40 @@ def test_det_engines_agree(p):
             assert kernels.packed_det_laplace(grid) == reference
 
 
+@pytest.mark.parametrize("p", (0, 5))
+def test_python_comparison_never_holds_the_determinant(p, monkeypatch):
+    """kernels._det_laplace, given expect, makes the compiled body's
+    canonical test first (False before any expansion), then adds the
+    determinant into an accumulator that starts at -expect or -a*b, and
+    answers whether nothing is left."""
+    neg = p - 1 if p else -1
+    grid = [[{1: 2}, {0: 1}], [{0: 1}, {1: 3}]]          # det 6*k^2 - 1
+    det = {2: 6 % p if p else 6, 0: neg}
+    a, b = {1: 2, 0: 1}, {1: 3, 0: neg}                   # a*b = det + k
+    seen = []
+    laplace = kernels._laplace
+
+    def spy(rows, p, acc=None):
+        seen.append(acc is not None and len(acc))
+        out = laplace(rows, p, acc)
+        assert acc is None or out is acc
+        return out
+
+    monkeypatch.setattr(kernels, "_laplace", spy)
+    assert kernels._det_laplace(grid, p, det) is True
+    assert kernels._det_laplace(grid, p, {**det, 1: 1}) is False
+    assert kernels._det_laplace(grid, p, {2: det[2]}) is False
+    assert kernels._det_laplace([[a, {}], [{}, b]], p, (a, b)) is True
+    assert kernels._det_laplace(grid, p, (a, b)) is False
+    assert seen == [2, 3, 1, len(kernels.mul_terms(a, b, p)), 3]
+    # not canonical: a zero, or a residue outside [1, p); never expanded
+    for bad in ({**det, 1: 0}, {**det, 0: -1 if p else 0},
+                {**det, 2: det[2] + p} if p else {**det, 3: 0}):
+        assert kernels._det_laplace(grid, p, bad) is False
+    assert len(seen) == 5
+    assert kernels._det_laplace(grid, p, None) == det
+
+
 def test_packed_and_tuple_products_agree():
     # both size routes of Polynomial.__mul__ against the tuple oracle
     rng = random.Random(4)
