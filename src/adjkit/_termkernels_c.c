@@ -28,9 +28,9 @@
  * forms first into an array (canonical, as every merge output is): no term
  * of a*b becomes a Python object.
  *
- * Compact keys for a comparison.  A determinant compared with expect never
- * returns a key, so that call may rename its keys: it maps the keys of the
- * grid and of a pair (a, b) by one map phi onto fewer words, and merges,
+ * Compact keys for a comparison.  A determinant compared with a pair (a, b)
+ * never returns a key, so that call may rename its keys: it maps the keys
+ * of the grid, a and b by one map phi onto fewer words, and merges,
  * multiplies and compares the images.  phi is derived from those keys and
  * the key property above, nothing else:
  *  - blocks: each maximal run of set bits in the OR of those keys starts a
@@ -52,17 +52,14 @@
  *    order-preserving (the top block is the leading digit): equal
  *    monomials still merge, different ones never do, and sorted arrays
  *    stay sorted.  The grid's and the pair's keys are rewritten in place.
- *  - a dict expect forms no sums, so it takes no part in phi: its keys stay
- *    as they are and the comparison maps each as the merge reaches it.  A
- *    key with a bit in none of the ranges [lo_b, lo_b + bitlen(B_b)), or
- *    a block value above B_b, is no sum of grid keys: the answer is False.
  * phi serves only when prod_b (B_b + 1) takes fewer words than the keys
  * need unmapped (a block wider than 64 bits or a bound of 2^64 - 1 keeps
- * them), and it may bring keys wider than MAX_WORDS within reach.  Products,
+ * them); keys wider than MAX_WORDS fall back before any is read.  Products,
  * fma and the determinant returned as a dict keep their keys, since each
- * output key would need phi's inverse.  compacted_compares() counts the
- * comparisons that ran on mapped keys, by their word count and the one the
- * keys need unmapped.
+ * output key would need phi's inverse; so does a comparison with a dict,
+ * which forms no sums.  compacted_compares() counts the comparisons that
+ * ran on mapped keys, by their word count and the one the keys need
+ * unmapped.
  *
  * Coefficients: over ZZ (p = 0) int64 inputs with an __int128 accumulator;
  * over GF(p) with p < 2^32, residues whose products fit in 64 bits.  A call
@@ -221,17 +218,11 @@ scan_keys(PyObject *d, size_t *maxbits)
     return OK;
 }
 
-/* Words for keys below 2^bits; words_for is 0 when wider than MAX_WORDS. */
-static size_t
-words_needed(size_t bits)
-{
-    return bits ? (bits + 63) / 64 : 1;
-}
-
+/* Words for keys below 2^bits; 0 when wider than MAX_WORDS. */
 static int
 words_for(size_t bits)
 {
-    size_t w = words_needed(bits);
+    size_t w = bits ? (bits + 63) / 64 : 1;
     return w > MAX_WORDS ? 0 : (int)w;
 }
 
@@ -283,12 +274,8 @@ coefficient(PyObject *v, const Mode *m, int64_t *out, int *reduced)
     return OK;
 }
 
-/* A nonnegative int key into w words.  A key wider than one word is read
-   digit by digit up to CPython 3.11, whose ints keep their magnitude in
-   ob_digit, PyLong_SHIFT bits a digit, least significant first; from
-   3.12 on, as a little-endian byte string of w words (3.13 added a last
-   argument to that conversion).  A key of 2^(64 w) or more raises
-   OverflowError. */
+/* Keys wider than one word move as little-endian byte strings of w words;
+   CPython 3.13 added a last argument to the conversion to bytes. */
 #if PY_VERSION_HEX >= 0x030D0000
 #define AS_BYTE_ARRAY(v, buf, n) \
     _PyLong_AsByteArray((PyLongObject *)(v), (buf), (n), 1, 0, 1)
@@ -304,33 +291,8 @@ key_from_py(PyObject *k, u64 *key, int w)
         key[0] = PyLong_AsUnsignedLongLong(k);
         return key[0] == (u64)-1 && PyErr_Occurred() ? FAIL : OK;
     }
-#if PY_VERSION_HEX < 0x030C0000
-    {
-        const PyLongObject *v = (const PyLongObject *)k;
-        const Py_ssize_t nd = Py_SIZE(v);
-        u128 acc = 0;
-        int held = 0, j = 0;
-        if (nd > 0 && (size_t)(nd - 1) * PyLong_SHIFT + 64
-                      - __builtin_clzll(v->ob_digit[nd - 1]) > 64 * (size_t)w) {
-            PyErr_SetString(PyExc_OverflowError, "key too wide for its words");
-            return FAIL;
-        }
-        for (Py_ssize_t i = 0; i < nd; i++) {
-            acc |= (u128)v->ob_digit[i] << held;
-            if ((held += PyLong_SHIFT) >= 64) {
-                key[j++] = (u64)acc;
-                acc >>= 64;
-                held -= 64;
-            }
-        }
-        for (; j < w; acc = 0)
-            key[j++] = (u64)acc;
-        return OK;
-    }
-#else
     return AS_BYTE_ARRAY(k, (unsigned char *)key, (size_t)w * 8) < 0
            ? FAIL : OK;
-#endif
 }
 
 static PyObject *
@@ -424,87 +386,6 @@ fail:
 }
 
 /* ------------------------------------------------------------------------
- * the map phi of a comparison's keys onto fewer words (derived in compact)
- * ---------------------------------------------------------------------- */
-
-/* One block of key bits: a digit of phi's mixed radix. */
-typedef struct {
-    size_t lo;      /* its lowest bit */
-    int width;      /* its bits read from lo: up to the highest input bit
-                       in it, and at the end the bit length of its bound */
-    u128 bound;     /* B_b: the largest sum of its values the call forms */
-    u64 limit;      /* B_b, once it is below 2^64 - 1 */
-    size_t word;    /* lo / 64 */
-    int shift;      /* lo % 64 */
-    u64 mask;       /* width ones */
-} KeyBlock;
-
-typedef struct {
-    size_t w;       /* words of a key unmapped */
-    int w2;         /* words of its image; 0 while there is no map */
-    int nb;
-    KeyBlock *blk;
-    u64 *place;     /* each block's place value, at w2 words */
-    u64 *allowed;   /* w words: the bits a sum of the call's keys can have */
-} KeyMap;
-
-static void
-block_final(KeyBlock *b)
-{
-    b->word = b->lo / 64;
-    b->shift = (int)(b->lo % 64);
-    b->mask = b->width < 64 ? ((u64)1 << b->width) - 1 : ~(u64)0;
-}
-
-/* v_b(k): the block's bits of the key k.  It reads k[word + 1] in any
-   case, which a record's coefficient provides. */
-static inline u64
-block_value(const u64 *k, const KeyBlock *b)
-{
-    return (k[b->word] >> b->shift
-            | k[b->word + 1] << 1 << (63 - b->shift)) & b->mask;
-}
-
-/* phi(k) into map->w2 words.  With `check`, DIFFER for a key that no sum
-   of the call's keys can be: one with a bit outside every block's bound,
-   or a block value above its bound.  No carry leaves the top word, as
-   phi(k) < prod_b (B_b + 1). */
-static inline __attribute__((always_inline)) int
-map_key(const KeyMap *map, const u64 *k, int check, u64 *phi)
-{
-    const KeyBlock *blk = map->blk;
-    const u64 *place = map->place;
-    const int nb = map->nb, w2 = map->w2;
-    if (check)
-        for (size_t j = 0; j < map->w; j++)
-            if (k[j] & ~map->allowed[j])
-                return DIFFER;
-    if (w2 == 1) {
-        u64 sum = 0;
-        for (int b = 0; b < nb; b++) {
-            u64 v = block_value(k, &blk[b]);
-            if (check && v > blk[b].limit)
-                return DIFFER;
-            sum += place[b] * v;
-        }
-        phi[0] = sum;
-        return OK;
-    }
-    memset(phi, 0, (size_t)w2 * sizeof(u64));
-    for (int b = 0; b < nb; b++) {
-        u64 v = block_value(k, &blk[b]), carry = 0;
-        if (check && v > blk[b].limit)
-            return DIFFER;
-        for (int j = 0; j < w2; j++) {
-            u128 x = (u128)place[b * w2 + j] * v + phi[j] + carry;
-            phi[j] = (u64)x;
-            carry = (u64)(x >> 64);
-        }
-    }
-    return OK;
-}
-
-/* ------------------------------------------------------------------------
  * output sinks: where the merge sends each finished monomial
  * ---------------------------------------------------------------------- */
 
@@ -536,8 +417,7 @@ typedef struct {
     Terms out;              /* SINK_ARRAY */
     Py_ssize_t cap;
     PyObject *dict;         /* SINK_FMA: acc, or a new dict for a result */
-    Terms expect;           /* SINK_CMP: the terms the merge must produce, */
-    const KeyMap *map;      /* at map->w words, mapped as they are read */
+    Terms expect;           /* SINK_CMP: the terms the merge must produce */
     Py_ssize_t seen;        /* SINK_CMP: how many of them it has */
     Block *head, *tail;     /* SINK_HELD: the terms for a dict, in order, */
     Handoff *handoff;       /* handed to the caller block by block */
@@ -622,24 +502,16 @@ done:
 
 /* The merge's next term must be expect's next one; DIFFER ends the merge
    at the first that is not.  Both run in descending key order, and a
-   coefficient outside int64 differs from every coefficient of expect.
-   Given a map, expect's keys are mapped only as the merge reaches them,
-   so a merge that stops early maps few of them. */
+   coefficient outside int64 differs from every coefficient of expect. */
 static int
 sink_cmp(Sink *s, const u64 *key, i128 c)
 {
     const int w = s->mode->w;
     const u64 *r;
-    u64 phi[MAX_WORDS];
     if (s->seen == s->expect.n)
         return DIFFER;
-    if (s->map == NULL) {
-        r = s->expect.rec + (size_t)s->seen++ * (w + 1);
-        return key_equal(r, key, w) && c == (int64_t)r[w] ? OK : DIFFER;
-    }
-    r = s->expect.rec + (size_t)s->seen++ * (s->map->w + 1);
-    return map_key(s->map, r, 1, phi) == OK && key_equal(phi, key, w)
-           && c == (int64_t)r[s->map->w] ? OK : DIFFER;
+    r = s->expect.rec + (size_t)s->seen++ * (w + 1);
+    return key_equal(r, key, w) && c == (int64_t)r[w] ? OK : DIFFER;
 }
 
 /* A helper thread's term for a dict, kept until the caller emits it; a
@@ -1050,29 +922,6 @@ pivot(const Stream *st, int nst, Py_ssize_t target, u64 *k, int w)
     key_add(k, mid, big->s->rec + (size_t)lo * (w + 1), w);
 }
 
-/* How many terms of a comparison's expect are at or above the key k.  A
-   mapped key of expect is ordered by its image: when a key the map cannot
-   take makes the count wrong, the side that holds that key still reaches
-   it, as each side must take all of its terms, and differs there. */
-static Py_ssize_t
-expect_cut(const Sink *s, const u64 *k)
-{
-    const int w = s->mode->w;
-    Py_ssize_t lo = 0, hi = s->expect.n;
-    u64 phi[MAX_WORDS];
-    if (s->map == NULL)
-        return first_below(zero_key, &s->expect, k, w);
-    while (lo < hi) {
-        Py_ssize_t mid = lo + (hi - lo) / 2;
-        map_key(s->map, s->expect.rec + (size_t)mid * (s->map->w + 1), 0, phi);
-        if (key_less(phi, k, w))
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    return lo;
-}
-
 /* The helper thread of a split merge, and what the two threads share. */
 typedef struct {
     pthread_t thread;
@@ -1123,11 +972,9 @@ helper_start(Helper *h, const Stream *st, int nst, Py_ssize_t pairs,
                      sink->mode};
     h->sink.handoff = &h->handoff;
     if (sink->kind == SINK_CMP) {
-        size_t stride = sink->map ? sink->map->w + 1 : (size_t)w + 1;
-        cut = expect_cut(sink, floor);
+        cut = first_below(zero_key, &sink->expect, floor, w);
         h->sink.expect.n = sink->expect.n - cut;
-        h->sink.expect.rec = sink->expect.rec + (size_t)cut * stride;
-        h->sink.map = sink->map;
+        h->sink.expect.rec = sink->expect.rec + (size_t)cut * (w + 1);
     }
     h->handoff.ready = h->handoff.taken = 0;
     h->handoff.done = h->handoff.stop = 0;
@@ -1462,11 +1309,72 @@ mul_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
 }
 
 /* ------------------------------------------------------------------------
- * compact keys for a comparison (see the header)
+ * compact keys for a comparison with a pair (see the header)
  * ---------------------------------------------------------------------- */
+
+/* One block of key bits: a digit of phi's mixed radix. */
+typedef struct {
+    size_t lo;      /* its lowest bit */
+    int width;      /* its bits read from lo, up to the highest input bit */
+    u128 bound;     /* B_b: the largest sum of its values the call forms */
+    size_t word;    /* lo / 64 */
+    int shift;      /* lo % 64 */
+    u64 mask;       /* width ones */
+} KeyBlock;
+
+typedef struct {
+    size_t w;       /* words of a key unmapped */
+    int w2;         /* words of its image */
+    int nb;
+    KeyBlock *blk;
+    u64 *place;     /* each block's place value, at w2 words */
+} KeyMap;
 
 /* {(words, words unmapped): count} of the comparisons on mapped keys */
 static PyObject *compacted_counts;
+
+static void
+block_final(KeyBlock *b)
+{
+    b->word = b->lo / 64;
+    b->shift = (int)(b->lo % 64);
+    b->mask = b->width < 64 ? ((u64)1 << b->width) - 1 : ~(u64)0;
+}
+
+/* v_b(k): the block's bits of the key k.  It reads k[word + 1] in any
+   case, which a record's coefficient provides. */
+static inline u64
+block_value(const u64 *k, const KeyBlock *b)
+{
+    return (k[b->word] >> b->shift
+            | k[b->word + 1] << 1 << (63 - b->shift)) & b->mask;
+}
+
+/* phi(k) into map->w2 words.  No carry leaves the top word, as phi(k) <
+   prod_b (B_b + 1) for every key mapped. */
+static void
+map_key(const KeyMap *map, const u64 *k, u64 *phi)
+{
+    const KeyBlock *blk = map->blk;
+    const u64 *place = map->place;
+    const int nb = map->nb, w2 = map->w2;
+    if (w2 == 1) {
+        u64 sum = 0;
+        for (int b = 0; b < nb; b++)
+            sum += place[b] * block_value(k, &blk[b]);
+        phi[0] = sum;
+        return;
+    }
+    memset(phi, 0, (size_t)w2 * sizeof(u64));
+    for (int b = 0; b < nb; b++) {
+        u64 v = block_value(k, &blk[b]), carry = 0;
+        for (int j = 0; j < w2; j++) {
+            u128 x = (u128)place[b * w2 + j] * v + phi[j] + carry;
+            phi[j] = (u64)x;
+            carry = (u64)(x >> 64);
+        }
+    }
+}
 
 /* The largest value of each block over the keys of t, into top. */
 static void
@@ -1482,7 +1390,7 @@ block_maxima(const Terms *t, size_t w, const KeyBlock *blk, int nb, u64 *top)
     }
 }
 
-/* Rewrite the keys of t from map->w words to phi(k) at map->w2 <= map->w
+/* Rewrite the keys of t from map->w words to phi(k) at map->w2 < map->w
    words, in place (each record is read whole before its image is written,
    at or below it), and give back the room saved. */
 static void
@@ -1494,7 +1402,7 @@ rekey(Terms *t, const KeyMap *map)
     for (Py_ssize_t i = 0; i < t->n; i++) {
         const u64 *k = t->rec + (size_t)i * (w + 1);
         u64 phi[MAX_WORDS], c = k[w];
-        map_key(map, k, 0, phi);
+        map_key(map, k, phi);
         memcpy(t->rec + (size_t)i * (w2 + 1), phi, (size_t)w2 * sizeof(u64));
         t->rec[(size_t)i * (w2 + 1) + w2] = c;
     }
@@ -1503,42 +1411,27 @@ rekey(Terms *t, const KeyMap *map)
         t->rec = fitted;
 }
 
-static void
-map_free(KeyMap *map)
-{
-    PyMem_RawFree(map->blk);
-    PyMem_RawFree(map->place);
-    PyMem_RawFree(map->allowed);
-    memset(map, 0, sizeof *map);
-}
-
-/* Derive phi from the n x n grid's arrays and, given npair = 2, the pair
-   expect's, all at m->w words, and map them by it when it takes fewer
-   words than `unmapped` (0: more than MAX_WORDS).  Then map->w2 and m->w are
-   the new width; a dict expect forms no sums, takes no part in the bounds
-   and is mapped by the comparison (sink_cmp).  Else map->w2 is 0 and
-   nothing has changed.  OK or NOMEM. */
+/* Derive phi from the n x n grid's arrays and the pair's, all at m->w
+   words, and map them all by it when its values take fewer words; m->w is
+   then the new width, and else nothing has changed.  OK or NOMEM. */
 static int
-compact(Terms *grid, int n, Terms *pair, int npair, Mode *m, int unmapped,
-        KeyMap *map)
+compact(Terms *grid, int n, Terms pair[2], Mode *m)
 {
     const size_t w = (size_t)m->w;
-    u64 *top = NULL, *ors, prod[MAX_WORDS];
+    u64 *top = NULL, ors[MAX_WORDS] = {0}, prod[MAX_WORDS];
+    KeyMap map = {w, 0, 0, NULL, NULL};
     KeyBlock *blk;
-    int nb = 0, pw = 1, w2;
+    int nb = 0, pw = 1, rc = OK;
     size_t bits;
 
-    memset(map, 0, sizeof *map);
-    map->w = w;
-    map->blk = blk = PyMem_RawCalloc(32 * w + 1, sizeof(KeyBlock));
-    map->allowed = PyMem_RawCalloc(2 * w, sizeof(u64));
-    if (blk == NULL || map->allowed == NULL)
+    /* a run of set bits takes at least two bits with the gap above it */
+    map.blk = blk = PyMem_RawCalloc(32 * w + 1, sizeof(KeyBlock));
+    if (blk == NULL)
         goto nomem;
-    ors = map->allowed + w;
     /* blocks: in the OR of the keys, each run of set bits starts one (no
        key and no sum has a bit below the first); a block wider than 64
        bits keeps the keys unmapped */
-    for (int a = 0; a < n * n + npair; a++) {
+    for (int a = 0; a < n * n + 2; a++) {
         const Terms *t = a < n * n ? &grid[a] : &pair[a - n * n];
         for (Py_ssize_t i = 0; i < t->n; i++)
             for (size_t j = 0; j < w; j++)
@@ -1549,7 +1442,7 @@ compact(Terms *grid, int n, Terms *pair, int npair, Mode *m, int unmapped,
         if (set && !prev)
             blk[nb++].lo = i;
         if (set && (blk[nb - 1].width = (int)(i - blk[nb - 1].lo + 1)) > 64)
-            goto keep;
+            goto done;
         prev = set;
     }
     nb += nb == 0;              /* every key is 0: one block of value 0 */
@@ -1567,14 +1460,12 @@ compact(Terms *grid, int n, Terms *pair, int npair, Mode *m, int unmapped,
         for (int b = 0; b < nb; b++)
             blk[b].bound += top[b];
     }
-    if (npair) {
-        memset(top, 0, 2 * (size_t)nb * sizeof(u64));
-        block_maxima(&pair[0], w, blk, nb, top);
-        block_maxima(&pair[1], w, blk, nb, top + nb);
-        for (int b = 0; b < nb; b++)
-            if ((u128)top[b] + top[nb + b] > blk[b].bound)
-                blk[b].bound = (u128)top[b] + top[nb + b];
-    }
+    memset(top, 0, 2 * (size_t)nb * sizeof(u64));
+    block_maxima(&pair[0], w, blk, nb, top);
+    block_maxima(&pair[1], w, blk, nb, top + nb);
+    for (int b = 0; b < nb; b++)
+        if ((u128)top[b] + top[nb + b] > blk[b].bound)
+            blk[b].bound = (u128)top[b] + top[nb + b];
     /* no carry: merge a block whose sums could reach the next one into it
        (every bound stays below 62 * 2^64, as a merged width is at most 64) */
     for (int b = 0; b + 1 < nb;) {
@@ -1585,25 +1476,26 @@ compact(Terms *grid, int n, Terms *pair, int npair, Mode *m, int unmapped,
             continue;
         }
         if (width > 64)
-            goto keep;
+            goto done;
         blk[b].bound += blk[b + 1].bound << gap;
         blk[b].width = width;
         memmove(&blk[b + 1], &blk[b + 2], (size_t)(nb - b - 2) * sizeof *blk);
         nb--;
     }
+    for (int b = 0; b < nb; b++)        /* the merged blocks' masks */
+        block_final(&blk[b]);
     /* each block's place value prod_{c<b} (B_c + 1), and in prod the count
        of phi's values, prod_b (B_b + 1) */
-    map->place = PyMem_RawCalloc((size_t)nb * MAX_WORDS, sizeof(u64));
-    if (map->place == NULL)
+    map.place = PyMem_RawCalloc((size_t)nb * MAX_WORDS, sizeof(u64));
+    if (map.place == NULL)
         goto nomem;
     prod[0] = 1;
     for (int b = 0; b < nb; b++) {
         u64 carry = 0, radix;
         if (blk[b].bound >= UINT64_MAX)
-            goto keep;
-        blk[b].limit = (u64)blk[b].bound;
-        radix = blk[b].limit + 1;
-        memcpy(map->place + (size_t)b * MAX_WORDS, prod,
+            goto done;
+        radix = (u64)blk[b].bound + 1;
+        memcpy(map.place + (size_t)b * MAX_WORDS, prod,
                (size_t)pw * sizeof(u64));
         for (int j = 0; j < pw; j++) {
             u128 x = (u128)prod[j] * radix + carry;
@@ -1612,7 +1504,7 @@ compact(Terms *grid, int n, Terms *pair, int npair, Mode *m, int unmapped,
         }
         if (carry) {
             if (pw == MAX_WORDS)
-                goto keep;
+                goto done;
             prod[pw++] = carry;
         }
     }
@@ -1622,46 +1514,32 @@ compact(Terms *grid, int n, Terms *pair, int npair, Mode *m, int unmapped,
         pw--;
     bits = 64 * (size_t)(pw - 1)
            + (prod[pw - 1] ? 64 - (size_t)__builtin_clzll(prod[pw - 1]) : 0);
-    /* at most 2048 bits; when unmapped keys need more, the inputs' own
-       take 2042 or more, so w2 <= w */
-    w2 = words_for(bits);
-    if (unmapped && w2 >= unmapped)
-        goto keep;
-    /* a block's sums take at most the bit length of its bound, within the
-       w words a key has; those are the bits a sum can have */
-    for (int b = 0; b < nb; b++) {
-        int len = blk[b].limit ? 64 - __builtin_clzll(blk[b].limit) : 0;
-        blk[b].width = (size_t)len < 64 * w - blk[b].lo
-                       ? len : (int)(64 * w - blk[b].lo);
-        block_final(&blk[b]);
-        for (size_t i = blk[b].lo; i < blk[b].lo + blk[b].width; i++)
-            map->allowed[i / 64] |= (u64)1 << (i % 64);
-    }
+    if ((map.w2 = words_for(bits)) >= (int)w)
+        goto done;
     for (int b = 1; b < nb; b++)       /* place values at w2 words apart */
-        memmove(map->place + (size_t)b * w2, map->place + (size_t)b * MAX_WORDS,
-                (size_t)w2 * sizeof(u64));
-    map->nb = nb;
-    map->w2 = m->w = w2;
-    for (int a = 0; a < n * n + npair; a++)
-        rekey(a < n * n ? &grid[a] : &pair[a - n * n], map);
+        memmove(map.place + (size_t)b * map.w2,
+                map.place + (size_t)b * MAX_WORDS,
+                (size_t)map.w2 * sizeof(u64));
+    map.nb = nb;
+    for (int a = 0; a < n * n + 2; a++)
+        rekey(a < n * n ? &grid[a] : &pair[a - n * n], &map);
+    m->w = map.w2;
+done:
     PyMem_RawFree(top);
-    return OK;
-keep:
-    PyMem_RawFree(top);
-    map_free(map);
-    return OK;
+    PyMem_RawFree(map.blk);
+    PyMem_RawFree(map.place);
+    return rc;
 nomem:
-    PyMem_RawFree(top);
-    map_free(map);
-    return NOMEM;
+    rc = NOMEM;
+    goto done;
 }
 
 /* Count one comparison run on keys of `words` words that would take
    `unmapped` words unmapped. */
 static int
-count_compacted(int words, size_t unmapped)
+count_compacted(int words, int unmapped)
 {
-    PyObject *key = Py_BuildValue("(in)", words, (Py_ssize_t)unmapped), *old;
+    PyObject *key = Py_BuildValue("(ii)", words, unmapped), *old;
     PyObject *count;
     int rc;
     if (key == NULL)
@@ -1722,23 +1600,21 @@ fit(Sink *s)
    compared term by term as it is produced with expect[0] (nexpect = 1) or
    with expect[0] * expect[1] (nexpect = 2), a product merged into an array
    before the levels: DIFFER at the first term that differs, and nothing of
-   the determinant is ever stored.  A comparison runs on keys mapped by phi
-   (compact) when that takes fewer words. */
+   the determinant is ever stored.  A comparison with a pair runs on keys
+   mapped by phi (compact) when that takes fewer words. */
 static int
 laplace(PyObject **grid, int n, Mode *m, PyObject *out,
         PyObject *const *expect, int nexpect)
 {
     static Py_ssize_t binom[MAX_LAPLACE_N + 1][MAX_LAPLACE_N + 1];
-    size_t bits = 0, ebits = 0, need;
+    size_t bits = 0, ebits = 0;
     Terms *entries = NULL, *prev = NULL, *level = NULL, one = {1, NULL};
     Terms pair[2] = {{0, NULL}, {0, NULL}};
     Sink want = {SINK_ARRAY, m};
     Py_ssize_t nprev = 0, count = 0;
     Scratch sc[2] = {{0}};
     Stream st[MAX_LAPLACE_N];
-    KeyMap map = {0};
     int rc = OK, nbits = 0, canonical = 1, unmapped;
-    int npair = nexpect == 2 ? 2 : 0;
 
     for (int i = 0; i < n * n; i++)
         if ((rc = scan_keys(grid[i], &bits)) != OK)
@@ -1750,26 +1626,23 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out,
         nbits++;
     /* a minor on k rows is a sum of products of k entries; the key of a
        product of two factors is below 2^(ebits + 1) */
-    need = bits + nbits > ebits + (nexpect == 2)
-           ? bits + nbits : ebits + (nexpect == 2);
-    unmapped = words_for(need);
-    /* a comparison reads its keys at that width, or at their own when
-       that is too wide, as phi may bring them within reach */
-    if (unmapped)
-        m->w = unmapped;
-    else if (nexpect)
-        m->w = (int)words_needed(bits > ebits ? bits : ebits);
-    else
+    bits += nbits;
+    ebits += nexpect == 2;
+    if ((unmapped = m->w = words_for(bits > ebits ? bits : ebits)) == 0)
         return FALLBACK;
-    /* a dict expect stays at this width, and its keys are mapped by the
-       comparison as it reaches them */
     if (nexpect == 1) {
-        rc = terms_from_dict(expect[0], m, &want.out, &canonical);
-        if (rc == OK && !canonical)     /* the determinant's terms are */
-            rc = DIFFER;
-        if (rc != OK)
-            goto done;
+        if ((rc = terms_from_dict(expect[0], m, &want.out, &canonical)) != OK)
+            return rc;
+        if (!canonical) {       /* the determinant's terms are canonical */
+            PyMem_RawFree(want.out.rec);
+            return DIFFER;
+        }
     }
+    if (binom[0][0] == 0)
+        for (int a = 0; a <= MAX_LAPLACE_N; a++)
+            for (int b = 0; b <= a; b++)
+                binom[a][b] = b == 0 || b == a ? 1
+                              : binom[a - 1][b - 1] + binom[a - 1][b];
     entries = PyMem_RawCalloc((size_t)n * n, sizeof(Terms));
     if (entries == NULL) {
         PyErr_NoMemory();
@@ -1779,19 +1652,15 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out,
     for (int i = 0; i < n * n; i++)
         if ((rc = terms_from_dict(grid[i], m, &entries[i], NULL)) != OK)
             goto done;
-    for (int i = 0; i < npair; i++)
-        if ((rc = terms_from_dict(expect[i], m, &pair[i], NULL)) != OK)
-            goto done;
-    if (nexpect && compact(entries, n, pair, npair, m, unmapped, &map) != OK) {
-        PyErr_NoMemory();
-        rc = FAIL;
-        goto done;
-    }
-    if (!unmapped && !map.w2) {
-        rc = FALLBACK;
-        goto done;
-    }
     if (nexpect == 2) {
+        for (int i = 0; i < 2; i++)
+            if ((rc = terms_from_dict(expect[i], m, &pair[i], NULL)) != OK)
+                goto done;
+        if (compact(entries, n, pair, m) != OK) {
+            PyErr_NoMemory();
+            rc = FAIL;
+            goto done;
+        }
         /* zeros dropped and reduced mod p by the merge: canonical */
         if ((rc = merge_terms(&pair[0], &pair[1], 0, m, sc, &want)) != OK)
             goto done;
@@ -1801,11 +1670,6 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out,
             pair[i].rec = NULL;
         }
     }
-    if (binom[0][0] == 0)
-        for (int a = 0; a <= MAX_LAPLACE_N; a++)
-            for (int b = 0; b <= a; b++)
-                binom[a][b] = b == 0 || b == a ? 1
-                              : binom[a - 1][b - 1] + binom[a - 1][b];
     one.rec = PyMem_RawCalloc((size_t)m->w + 1, sizeof(u64));
     if (one.rec == NULL) {
         PyErr_NoMemory();
@@ -1829,7 +1693,6 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out,
             int pos = 0, nst = 0;
             sink.dict = out;
             sink.expect = want.out;
-            sink.map = nexpect == 1 && map.w2 ? &map : NULL;
             for (u64 rest = mask; rest; rest &= rest - 1, pos++) {
                 int j = __builtin_ctzll(rest);
                 Terms *e = &entries[(k - 1) * n + j];
@@ -1861,10 +1724,9 @@ laplace(PyObject **grid, int n, Mode *m, PyObject *out,
         level = NULL;
     }
 done:
-    if (map.w2 && (rc == OK || rc == DIFFER)
-        && count_compacted(map.w2, words_needed(need)) < 0)
+    if (m->w < unmapped && (rc == OK || rc == DIFFER)
+        && count_compacted(m->w, unmapped) < 0)
         rc = FAIL;
-    map_free(&map);
     if (prev != &one)
         level_free(prev, nprev);
     level_free(level, count);

@@ -33,25 +33,23 @@ Python object.  The pure-Python body, which every fallback runs, never holds
 the determinant either: it starts its accumulator at -expect (or -a*b), adds
 the last Laplace level into it and tests that nothing is left.
 
-Since a comparison returns no key, the compiled body may rename its keys.
-It derives from the call's own keys a map phi onto fewer words and runs
-every level, the product a*b and the comparison on the images, using only
-the two key properties above.  Each maximal run of set bits in the OR of
-the grid's (and a pair's) keys starts a block.  B_b bounds every sum of
-block-b values v_b the call forms: the sum over grid rows of the row's
+Since a comparison with a pair returns no key, the compiled body may
+rename its keys.  It derives from the keys of the grid, a and b a map phi
+onto fewer words and runs every level, the product a*b and the comparison
+on the images, using only the two key properties above.  Each maximal run
+of set bits in the OR of those keys starts a block.  B_b bounds every sum
+of block-b values v_b the call forms: the sum over grid rows of the row's
 largest, and the largest of a plus the largest of b.  A block whose sums
 could carry into the next one is merged with it, so the blocks of a sum of
 keys are the sums of their blocks, and phi(k) is the mixed-radix number
 with digits v_b(k) and radices B_b + 1.  phi is then additive, injective
-and order-preserving on every key the call forms.  A dict ``expect`` forms
-no sums: the comparison maps its keys as it reaches them, and one that no
-such sum can be (a bit outside the blocks' bounds, or a block above its
-bound) makes the answer False.  phi serves only when its values take fewer
-64-bit words than the keys need unmapped, which at n = 5 turns the 4-word
-keys of det(adj X) = det(X)^3 * det(X) into 1-word keys; products, fma and
-determinants returned as dicts keep their keys.  ``compacted_compares()``
-counts the comparisons that ran on mapped keys, by their word count and the
-one the keys need unmapped: ``{(1, 4): 1}`` after that check.
+and order-preserving on every key the call forms.  It serves only when its
+values take fewer 64-bit words than the keys need unmapped, which at n = 5
+turns the 4-word keys of det(adj X) = det(X)^3 * det(X) into 1-word keys.
+Products, fma, determinants returned as dicts and comparisons with one
+dict keep their keys.  ``compacted_compares()`` counts the comparisons
+that ran on mapped keys, by their word count and the one the keys need
+unmapped: ``{(1, 4): 1}`` after that check.
 
 A compiled merge of at least ``SPLIT_MIN_PAIRS`` (2^20) term pairs runs
 on two threads: cut at a pivot key, the calling thread merges the keys

@@ -369,11 +369,11 @@ class Matrix:
         Laplace kernel compares its terms with the expected ones as it
         produces them, in descending key order, and stops at the first
         that differs.  Given g, the kernel forms f*g in a native array, so
-        the product never becomes a polynomial either.  As the answer holds
-        no monomial, the kernel first maps the keys onto fewer machine
-        words by a mixed radix derived from the entries' own keys (and,
-        given g, f's and g's), with no sum of keys carrying between its
-        digits (see ``adjkit.kernels``): the n = 5 law
+        the product never becomes a polynomial either, and as the answer
+        holds no monomial, the kernel first maps the keys onto fewer
+        machine words by a mixed radix derived from the entries', f's and
+        g's own keys, with no sum of keys carrying between its digits (see
+        ``adjkit.kernels``): the n = 5 law
         det(adj X) = det(X)^3 * det(X) runs on 1-word keys in place of 4.
         The pure-Python kernel never holds the determinant either: it adds
         it into -f (or -f*g) and tests that nothing is left."""

@@ -672,10 +672,11 @@ def test_pair_expect_fallbacks_decide_as_python():
 
 
 # ---------------------------------------------------------------------------
-# comparisons on keys mapped onto fewer words: each maximal run of set bits
-# in the OR of the grid's and a pair's keys starts a block, B_b bounds every
-# block sum the call forms, a block whose sums could carry is merged with
-# the next, and phi(k) is the mixed-radix number of the block values
+# comparisons with a pair on keys mapped onto fewer words: each maximal run
+# of set bits in the OR of the grid's and the pair's keys starts a block,
+# B_b bounds every block sum the call forms, a block whose sums could carry
+# is merged with the next, and phi(k) is the mixed-radix number of the
+# block values
 # ---------------------------------------------------------------------------
 
 def compacted(call):
@@ -707,18 +708,23 @@ def random_grid(rng, n, monomials, p, terms=3):
 
 def check_mapped(grid, p, pair=None, mapped=True):
     """The compiled Laplace kernels against the Python body on grid: the
-    determinant, True on it as a dict expect (on mapped keys when
-    ``mapped``), False on each planted fault, and given a pair, the same
-    answer as Python on it, on (b, a) and on each of its faults."""
+    determinant; True on it as a dict expect (on its own keys) and as the
+    pair (det, 1) (on mapped keys when ``mapped``); False on each planted
+    fault, as a dict and as a pair; and given a pair, the same answer as
+    Python on it, on (b, a) and on each of its faults."""
     ck = c_kernels()
     want = py_laplace(grid, p)
+    one = {0: 1}
     for name in ("det_laplace_terms", "packed_det_laplace"):
         assert ck[name](grid, p) == want
-        same, ran = compacted(lambda: ck[name](grid, p, want))
+        assert compacted(lambda: ck[name](grid, p, want)) == (True, {})
+        same, ran = compacted(lambda: ck[name](grid, p, (want, one)))
         assert same is True
         assert bool(ran) == mapped, ran
         for fault in planted_faults(want, p) + [{}] * bool(want):
             assert ck[name](grid, p, fault) is False
+            assert ck[name](grid, p, (fault, one)) is False
+            assert ck[name](grid, p, (one, fault)) is False
             assert py_laplace(grid, p, fault) is False
         if pair is not None:
             a, b = pair
@@ -753,7 +759,7 @@ def test_mapped_runs_that_must_merge(p, n):
             for i in range(n)]
     assert check_mapped(grid, p) == {n * (x + t): 1}
     _, ran = compacted(lambda: kernels.det_laplace_terms(
-        grid, p, {n * (x + t): 1}))
+        grid, p, ({n * (x + t): 1}, {0: 1})))
     assert ran == {(1, 3): 1}
 
 
@@ -796,7 +802,8 @@ def test_mapped_blocks_straddle_word_boundaries(p):
 def test_mapped_expect_keys_above_and_below_the_grid(p):
     """Keys of expect that no sum of grid keys can be: above every block,
     below every block, a bit between blocks, and a block value above its
-    bound; each makes the answer False, as in Python."""
+    bound; each makes the answer False, as in Python, in a dict expect and
+    in either factor of a pair, whose keys join phi's blocks and bounds."""
     ck = c_kernels()
     key = fields(3, 70, 140)
     grid = [[{key(1, 0, 1): 1}, {key(0, 1, 0): 1}],
@@ -808,11 +815,34 @@ def test_mapped_expect_keys_above_and_below_the_grid(p):
                                            if k != max(det)} | {stray: 1}):
             for name in ("det_laplace_terms", "packed_det_laplace"):
                 assert ck[name](grid, p, expect) is False
+                assert ck[name](grid, p, (expect, {0: 1})) is False
+                assert ck[name](grid, p, ({0: 1}, expect)) is False
             assert py_laplace(grid, p, expect) is False
-        # a pair factor with a key above every grid block
         pair = ({stray: 1}, {0: 1})
-        assert ck["packed_det_laplace"](grid, p, pair) is False
+        for name in ("det_laplace_terms", "packed_det_laplace"):
+            assert ck[name](grid, p, pair) is False
         assert py_laplace(grid, p, pair) is False
+
+
+@pytest.mark.parametrize("p", MAP_PRIMES)
+@pytest.mark.parametrize("n", [1, 3])
+def test_mapped_grid_bound_takes_every_row(p, n):
+    """det = (x*z)^n, on a diagonal of x*z, against a*b = y*z^n: the pair
+    bounds the x block by 0 and the grid by n, one per row.  With a radix
+    of n there (the bound without the last row, or B_b in place of
+    B_b + 1), y would map onto x^n.  z far above makes the keys 3 words
+    wide, phi's 1."""
+    ck = c_kernels()
+    key = fields(0, 9, 150)
+    x, y, z = key(1, 0, 0), key(0, 1, 0), key(0, 0, 1)
+    grid = [[{x + z: 1} if i == j else {} for j in range(n)]
+            for i in range(n)]
+    for a, same in (({y + n * z: 1}, False), ({n * (x + z): 1}, True)):
+        for name in ("det_laplace_terms", "packed_det_laplace"):
+            got, ran = compacted(lambda: ck[name](grid, p, (a, {0: 1})))
+            assert got is same and ran == {(1, 3): 1}
+        assert py_laplace(grid, p, (a, {0: 1})) is same
+    check_mapped(grid, p)
 
 
 @pytest.mark.parametrize("p", MAP_PRIMES)
@@ -835,8 +865,9 @@ def test_mapped_pair_bound_is_the_sum_of_maxima(p):
 
 @pytest.mark.parametrize("p", MAP_PRIMES)
 def test_incompressible_keys_too_wide_run_in_python(p):
-    """(1 << 2100) - 1, a run of 2100 set bits, cannot be mapped: a grid
-    or a pair holding it runs in Python, maps nothing and agrees."""
+    """(1 << 2100) - 1, a run of 2100 set bits, is wider than the kernels'
+    keys: a grid or an expect holding it runs in Python, maps nothing and
+    agrees."""
     ck = c_kernels()
     wide = (1 << 2100) - 1
     x = 1 << 5
@@ -857,7 +888,7 @@ def test_incompressible_keys_too_wide_run_in_python(p):
 
 
 def test_det_law_at_n5_runs_on_one_word(ctx5):
-    """det(adj X) = det(X)^3 * det(X), and = det(X)^4 as a dict: 4-word
+    """det(adj X) = det(X)^3 * det(X), and not det(X) * det(X): 4-word
     keys, compared on 1-word images."""
     c_kernels()
     law = (ctx5.det_power(3), ctx5.detX)
@@ -877,6 +908,9 @@ def test_compacted_compares_is_a_read_only_count():
     assert got == {1 << 200: 1} and ran == {}
     got, ran = compacted(lambda: kernels.det_laplace_terms(grid, 0,
                                                           {1 << 200: 1}))
+    assert got is True and ran == {}
+    got, ran = compacted(lambda: kernels.det_laplace_terms(
+        grid, 0, ({1 << 200: 1}, {0: 1})))
     assert got is True and ran == {(1, 4): 1}
 
 
