@@ -5,9 +5,11 @@ fraction-free Bareiss) so each can serve as an oracle for the other.
 Laplace runs on the term kernels for every domain, a numeric entry being
 a constant term.  All other scalar arithmetic uses Python's operators,
 with one ``% p`` per result entry over GF(p) (``_residues``) and a
-domain's ``coerce`` for a lone scalar.  Every matrix of minors comes from
-``Matrix._minors``, which over a field reduces each row set once and reads
-all the minors on it from the reduced form.
+domain's ``coerce`` for a lone scalar; over GF(p) the elimination and the
+product work on rows packed into one int each (``_pack``), whose slots are
+reduced mod p only where a value is read.  Every matrix of minors comes
+from ``Matrix._minors``, which over a field reduces each row set once and
+reads all the minors on it from the reduced form.
 """
 
 from __future__ import annotations
@@ -30,6 +32,23 @@ def index_subsets(n: int, m: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), m))
 
 
+def _pack(row: list[int], width: int, p: int) -> int:
+    """The residues mod p of ``row`` as one int, a packed row: entry j is
+    the little-endian slot of ``width`` bytes at bit 8 * width * j.  Slots
+    are nonnegative, so packed rows add and scale slot by slot for as long
+    as no slot reaches 256**width."""
+    return int.from_bytes(b"".join([(v % p).to_bytes(width, "little")
+                                    for v in row]), "little")
+
+
+def _unpack(x: int, width: int, count: int, p: int) -> list[int]:
+    """The ``count`` slots of the packed row ``x``, each reduced into
+    [0, p): the inverse of ``_pack``."""
+    b = x.to_bytes(width * count, "little")
+    return [int.from_bytes(b[i:i + width], "little") % p
+            for i in range(0, width * count, width)]
+
+
 def _row_reduce(work: list[list], ncols: int, dom,
                 reduced: bool = False) -> tuple[list[int], object]:
     """Row-reduce the rows ``work`` over the field ``dom``, in place.
@@ -40,17 +59,24 @@ def _row_reduce(work: list[list], ncols: int, dom,
     to a leading one and clears the pivot column above it, which gives the
     reduced row echelon form.  Returns the pivot columns and the product of
     the pivots, negated once per row swap: the determinant of a square A
-    whose every column has a pivot.
+    whose every column has a pivot.  The rows are left in canonical form;
+    over GF(p) callers may pass any int representative.
 
-    The loops use Python's own operators, with one ``% p`` per updated
-    entry over GF(p) and none over QQ; the only domain call is one inverse
-    per pivot.  Over GF(p) every entry is first reduced into [0, p), so
-    callers may pass any int representative.
+    Over QQ the loops are list comprehensions, and the only domain call is
+    one inverse per pivot.  Over GF(p) (``_row_reduce_mod``) each row is
+    packed into one int (``_pack``), with this slot invariant: every slot
+    holds a nonnegative representative of its entry, at most
+    (p-1) + u*(p-1)**2 with u = min(rows, ncols), and slots are as wide as
+    that bound needs.  A slot starts in [0, p).  A row update adds
+    f * (pivot row) with f in [0, p) and the pivot row reduced into
+    [0, p), so at most (p-1)**2 per slot, and a row takes at most one
+    update per pivot.  So an update is one multiply-add of ints, and a slot
+    is reduced mod p only when its pivot column is inspected and when its
+    row becomes the pivot row.  Each row is unpacked once, at the end.
     """
     p = getattr(dom, "p", None)
     if p is not None:
-        for row in work:
-            row[:] = [a % p for a in row]
+        return _row_reduce_mod(work, ncols, p, reduced)
     nrows = len(work)
     pivots: list[int] = []
     det = dom.one
@@ -67,13 +93,10 @@ def _row_reduce(work: list[list], ncols: int, dom,
         pval = work[r][col]
         det *= pval
         inv = dom.inv(pval)
-        if p is not None:
-            det %= p
         # left of col the pivot row is zero, so updates start at col
         prow = work[r][col:]
         if reduced:
-            prow = ([v * inv for v in prow] if p is None
-                    else [v * inv % p for v in prow])
+            prow = [v * inv for v in prow]
             work[r][col:] = prow
         for i in range(0 if reduced else r + 1, nrows):
             row = work[i]
@@ -81,17 +104,69 @@ def _row_reduce(work: list[list], ncols: int, dom,
             if i == r or not f:
                 continue
             if not reduced:
-                f = f * inv if p is None else f * inv % p
-            if p is None:
-                row[col:] = [a - f * b for a, b in zip(row[col:], prow)]
-            else:
-                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], prow)]
+                f = f * inv
+            row[col:] = [a - f * b for a, b in zip(row[col:], prow)]
         pivots.append(col)
     return pivots, det
 
 
+def _row_reduce_mod(work: list[list], ncols: int, p: int,
+                    reduced: bool) -> tuple[list[int], int]:
+    """``_row_reduce`` over GF(p), on packed rows; see its slot invariant."""
+    nrows = len(work)
+    count = len(work[0]) if work else 0
+    width = ((p - 1) * (1 + min(nrows, ncols) * (p - 1))).bit_length() // 8 + 1
+    rows = [_pack(row, width, p) for row in work]
+    shift = 8 * width
+    mask = (1 << shift) - 1
+    pivots: list[int] = []
+    det = 1
+    for col in range(ncols):
+        r = len(pivots)
+        s = shift * col
+        for i in range(r, nrows):
+            if (rows[i] >> s & mask) % p:
+                break
+        else:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            det = -det
+        # left of col the pivot row is 0 mod p: only the rest is reduced
+        prow = _unpack(rows[r] >> s, width, count - col, p)
+        pval = prow[0]
+        det = det * pval % p
+        inv = pow(pval, -1, p)
+        if reduced:
+            prow = [v * inv for v in prow]
+        rows[r] = packed = _pack(prow, width, p) << s
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
+            f = (rows[i] >> s & mask) % p
+            if f:
+                rows[i] += (p - f if reduced else (p - f) * inv % p) * packed
+        pivots.append(col)
+    work[:] = [_unpack(x, width, count, p) for x in rows]
+    return pivots, det
+
+
+def _read_plan(pivots: list[int], col_sets: list[Sequence[int]]
+               ) -> list[tuple[int, list[int], list[int]]]:
+    """How ``_row_set_minors`` reads each column set T from a reduced form
+    with the pivot columns P: (parity, rows(P - T), T - P)."""
+    pivot_row = {c: r for r, c in enumerate(pivots)}
+    plan = []
+    for T in col_sets:
+        free = [(pos, c) for pos, c in enumerate(T) if c not in pivot_row]
+        gone = [r for r, c in enumerate(pivots) if c not in T]
+        parity = (sum(pos for pos, _ in free) + sum(gone)) % 2
+        plan.append((parity, gone, [c for _, c in free]))
+    return plan
+
+
 def _row_set_minors(work: list[list], ncols: int,
-                    col_sets: list[Sequence[int]], dom) -> list:
+                    col_sets: list[Sequence[int]], dom, plans: dict) -> list:
     """The minors det work[:, T] for every sorted column set T of
     k = len(work) columns, over the field ``dom``, from one reduction of
     ``work`` in place.
@@ -101,34 +176,30 @@ def _row_set_minors(work: list[list], ncols: int,
     d * (-1)^e * det R[rows(P - T), T - P], where e sums row(c) + pos_T(c)
     over c in T & P; e has the parity of the positions in T of T - P plus
     the rows of P - T.  That j-by-j minor of R, j <= min(k, ncols - k), is
-    read directly for j <= 2.  Below rank k every minor is zero.
+    read directly for j <= 2.  Below rank k every minor is zero.  The read
+    plan depends on P alone, so ``plans`` keeps one per pivot tuple.
     """
     k = len(work)
     pivots, d = _row_reduce(work, ncols, dom, reduced=True)
     if len(pivots) < k:
         return [dom.zero] * len(col_sets)
-    p = getattr(dom, "p", None)
-    pivot_row = {c: r for r, c in enumerate(pivots)}
+    plan = plans.get(key := tuple(pivots))
+    if plan is None:
+        plan = plans[key] = _read_plan(pivots, col_sets)
     out = []
-    for T in col_sets:
-        free = [(pos, c) for pos, c in enumerate(T) if c not in pivot_row]
+    for parity, gone, free in plan:
         if not free:
-            out.append(d)
-            continue
-        gone = [r for r, c in enumerate(pivots) if c not in T]
-        odd = (sum(pos for pos, _ in free) + sum(gone)) % 2
-        if len(free) == 1:
-            minor = work[gone[0]][free[0][1]]
+            minor = dom.one
+        elif len(free) == 1:
+            minor = work[gone[0]][free[0]]
         elif len(free) == 2:
-            (_, c1), (_, c2) = free
+            c1, c2 = free
             r1, r2 = work[gone[0]], work[gone[1]]
             minor = r1[c1] * r2[c2] - r1[c2] * r2[c1]
         else:
-            cols = [c for _, c in free]
-            minor = Matrix(dom, len(cols), len(cols),
-                           [work[r][c] for r in gone for c in cols]).det()
-        value = -d * minor if odd else d * minor
-        out.append(value if p is None else value % p)
+            minor = Matrix(dom, len(free), len(free),
+                           [work[r][c] for r in gone for c in free]).det()
+        out.append(-d * minor if parity else d * minor)
     return out
 
 
@@ -269,6 +340,19 @@ class Matrix:
             return self._mul_poly(other)
         dom = self.domain
         n, k, m = self.rows, self.cols, other.cols
+        p = getattr(dom, "p", None)
+        if p is not None:
+            # row i of the product is sum_l a_il * (row l of other), on
+            # packed rows whose slots take k products below p**2 each
+            width = (k * (p - 1) ** 2).bit_length() // 8 + 1
+            packed = [_pack(other.entries[l * m:(l + 1) * m], width, p)
+                      for l in range(k)]
+            out = []
+            for i in range(n):
+                row = [a % p for a in self.entries[i * k:(i + 1) * k]]
+                out.extend(_unpack(sum(map(operator.mul, row, packed)),
+                                   width, m, p))
+            return Matrix(dom, n, m, out)
         cols = [other.entries[j::m] for j in range(m)]
         zero = dom.zero
         out = []
@@ -521,7 +605,8 @@ class Matrix:
         minor is one), negated if ``signed`` and sum S + sum T is odd.
 
         Over a field each row set is reduced once and every minor on it is
-        read from the reduced form (``_row_set_minors``); over ZZ and
+        read from the reduced form (``_row_set_minors``), by one read plan
+        per pivot tuple, which generic row sets share; over ZZ and
         polynomial rings, which have no division, each minor is its own
         ``det()``.  Every entry depends on the rows of its S alone.
         """
@@ -530,13 +615,14 @@ class Matrix:
         k = len(index_sets[0])
         field = getattr(dom, "is_field", False)
         odd = [sum(s) % 2 if signed else 0 for s in index_sets]
+        plans: dict = {}
         out = []
         for S, odd_s in zip(index_sets, odd):
             if field:
                 # to_rows() lists are shared across row sets, and the
                 # reduction works in place
                 minors = _row_set_minors([rows[i][:] for i in S], self.cols,
-                                         index_sets, dom)
+                                         index_sets, dom, plans)
             else:
                 kept = [rows[i] for i in S]
                 minors = [Matrix(dom, k, k, [row[j] for row in kept

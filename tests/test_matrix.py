@@ -11,6 +11,7 @@ import pytest
 
 from adjkit import GF, QQ, ZZ, Matrix, PolyRing, PolynomialDomain, matrix
 from adjkit.factor import random_unimodular
+from adjkit.specialize import _column_space_basis
 
 
 def rand_int_matrix(rng, n, lo=-9, hi=9):
@@ -468,8 +469,11 @@ def test_json_shape_validation():
 # the field elimination against independent oracles
 # ---------------------------------------------------------------------------
 
-FIELDS = (GF(2), GF(3), GF(101), GF(2_147_483_647), QQ)
-FIELD_IDS = ("GF2", "GF3", "GF101", "GF2^31-1", "QQ")
+# 2^61 - 1 and 2^89 - 1 are primes whose packed slots (see
+# matrix._row_reduce) span 2 and 3 machine words; 2^89 - 1 is above 2^64
+FIELDS = (GF(2), GF(3), GF(101), GF(2_147_483_647), GF(2**61 - 1),
+          GF(2**89 - 1), QQ)
+FIELD_IDS = ("GF2", "GF3", "GF101", "GF2^31-1", "GF2^61-1", "GF2^89-1", "QQ")
 
 
 def textbook_product(dom, a_rows, b_rows):
@@ -492,27 +496,29 @@ def draw_entry(rng, dom):
     return rng.randrange(dom.p)
 
 
-def low_rank_rows(rng, dom, n, rank):
-    """An n-by-n product of n-by-rank and rank-by-n draws, as rows.
+def low_rank_rows(rng, dom, n, rank, cols=None):
+    """An n-by-cols product (cols defaults to n) of n-by-rank and
+    rank-by-cols draws, as rows.
 
     Its rank is at most ``rank``.  Over GF(p) every entry is then shifted
     by a random multiple of p in [-2p, 2p], so the rows hold negative
     entries, entries >= p and nonzero multiples of p.
     """
+    cols = n if cols is None else cols
     u = [[draw_entry(rng, dom) for _ in range(rank)] for _ in range(n)]
-    v = [[draw_entry(rng, dom) for _ in range(n)] for _ in range(rank)]
-    flat = textbook_product(dom, u, v) if rank else [dom.zero] * (n * n)
+    v = [[draw_entry(rng, dom) for _ in range(cols)] for _ in range(rank)]
+    flat = textbook_product(dom, u, v) if rank else [dom.zero] * (n * cols)
     if dom is not QQ:
         flat = [e + dom.p * rng.randint(-2, 2) for e in flat]
-    return [flat[i * n:(i + 1) * n] for i in range(n)]
+    return [flat[i * cols:(i + 1) * cols] for i in range(n)]
 
 
 def brute_force_rank(a):
     """The largest m with a nonzero m-by-m minor, by Laplace expansion."""
-    for m in range(a.rows, 0, -1):
-        subs = matrix.index_subsets(a.rows, m)
+    for m in range(min(a.rows, a.cols), 0, -1):
         if any(a.domain.coerce(a.submatrix(s, t).det_laplace())
-               for s in subs for t in subs):
+               for s in matrix.index_subsets(a.rows, m)
+               for t in matrix.index_subsets(a.cols, m)):
             return m
     return 0
 
@@ -618,12 +624,87 @@ def test_gf_equality_compares_residues():
     assert Matrix.from_rows(ZZ, [[-1]]) != Matrix.from_rows(ZZ, [[6]])
 
 
+def oracle_pivots(dom, rows, ncols):
+    """The pivot columns of an echelon form: each column of the first
+    ``ncols`` that is independent of the columns before it."""
+    pivots: list[int] = []
+    for c in range(ncols):
+        cols = pivots + [c]
+        sub = Matrix.from_rows(dom, [[row[j] for j in cols] for row in rows])
+        if brute_force_rank(sub) == len(cols):
+            pivots.append(c)
+    return pivots
+
+
+def rectangular_cases(dom):
+    """Seeded wide and tall matrices of full rank, rank 1 and rank 0."""
+    rng = random.Random(f"rectangular-{dom.name}")
+    for nrows, ncols in ((1, 4), (2, 5), (3, 7), (4, 6), (5, 2), (6, 3),
+                         (7, 4)):
+        for rank in sorted({min(nrows, ncols), 1, 0}):
+            yield low_rank_rows(rng, dom, nrows, rank, ncols)
+
+
+@pytest.mark.parametrize("dom", FIELDS, ids=FIELD_IDS)
+def test_rectangular_reductions_match_independent_oracles(dom):
+    for rows in rectangular_cases(dom):
+        nrows, ncols = len(rows), len(rows[0])
+        a = Matrix.from_rows(dom, rows)
+        want = oracle_pivots(dom, rows, ncols)
+        # the echelon and the reduced echelon form, rows in canonical form
+        for reduced in (False, True):
+            work = [row[:] for row in rows]
+            pivots, _ = matrix._row_reduce(work, ncols, dom, reduced)
+            assert pivots == want
+            assert in_canonical_form(dom, [v for row in work for v in row])
+            for r, c in enumerate(pivots):
+                assert not any(work[r][:c]) and work[r][c]
+                assert not any(row[c] for row in work[r + 1:])
+                if reduced:
+                    assert [row[c] for row in work] == \
+                        [int(i == r) for i in range(nrows)]
+            assert not any(v for row in work[len(pivots):] for v in row)
+        # [A | I] reduced by the pivots of A: E * A = R
+        aug = [row + [dom.one if j == i else dom.zero for j in range(nrows)]
+               for i, row in enumerate(rows)]
+        pivots, _ = matrix._row_reduce(aug, ncols, dom, reduced=True)
+        assert pivots == want
+        assert in_canonical_form(dom, [v for row in aug for v in row])
+        assert textbook_product(dom, [row[ncols:] for row in aug], rows) == \
+            [dom.coerce(v) for row in aug for v in row[:ncols]]
+        assert _column_space_basis(a) == [[row[c] for row in rows]
+                                          for c in want]
+
+
+def test_slots_hold_one_update_per_pivot():
+    # row k < 7 is e_k - e_7 and row 7 is (1, ..., 1, 5), so each of the
+    # seven pivots adds (p - 1)^2 to the last slot of row 7, and 7 (p-1)^2
+    # exceeds 2^64, the width one update would need at p = 2^31 - 1
+    dom = GF(2_147_483_647)
+    p, n = dom.p, 8
+    rows = [[int(j == i) for j in range(n - 1)] + [p - 1]
+            for i in range(n - 1)] + [[1] * (n - 1) + [5]]
+    a = Matrix.from_rows(dom, rows)
+    det = (5 + n - 1) % p
+    assert a.det() == a.det_bareiss() == det
+    assert a.rank() == n
+    inv = a.inverse()
+    assert a * inv == inv * a == Matrix.identity(dom, n)
+    assert a.adjugate() == cofactor_adjugate(a)
+    assert a.compound(n - 1) == textbook_compound(a, n - 1)
+    # a product slot takes k products of at most (p - 1)^2
+    minus = Matrix.from_rows(dom, [[p - 1] * n for _ in range(n)])
+    assert (minus * minus).entries == [n] * (n * n)
+
+
 # ---------------------------------------------------------------------------
 # the numeric product and the prime-field inverse
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("dom", (ZZ, QQ, GF(2), GF(101), GF(2_147_483_647)),
-                         ids=("ZZ", "QQ", "GF2", "GF101", "GF2^31-1"))
+@pytest.mark.parametrize("dom", (ZZ, QQ, GF(2), GF(101), GF(2_147_483_647),
+                                 GF(2**61 - 1), GF(2**89 - 1)),
+                         ids=("ZZ", "QQ", "GF2", "GF101", "GF2^31-1",
+                              "GF2^61-1", "GF2^89-1"))
 def test_product_matches_the_textbook_triple_loop(dom):
     rng = random.Random(f"product-{dom.name}")
 
@@ -702,6 +783,7 @@ def minor_cases(dom):
     """Seeded square matrices: n = 1..5 over ZZ, n = 1..7 over a field,
     where the minors read from one reduction need j = 3 from n = 6 on.
     Over a field also rank n-1 and n-2, so some row sets are deficient,
+    matrices whose row sets differ in their pivots (``pivot_variety_rows``),
     and over QQ int entries, whose minors must still be Fractions."""
     rng = random.Random(f"minors-{dom.name}")
     for n in range(1, 6 if dom is ZZ else 8):
@@ -720,10 +802,42 @@ def minor_cases(dom):
     for n in range(2, 8):
         for rank in (n - 1, n - 2):
             yield Matrix.from_rows(dom, low_rank_rows(rng, dom, n, rank))
+    for n in range(2, 7):
+        for rows in pivot_variety_rows(rng, dom, n):
+            yield Matrix.from_rows(dom, rows)
     if dom is QQ:
         for n in range(1, 7):
             yield Matrix.from_rows(dom, [[rng.randint(-5, 5) for _ in range(n)]
                                          for _ in range(n)])
+
+
+def pivot_variety_rows(rng, dom, n):
+    """Square matrices whose row sets reduce to different pivot tuples, so
+    a minor read by another row set's plan goes wrong."""
+    def draw_rows():
+        return [[draw_entry(rng, dom) or dom.one for _ in range(n)]
+                for _ in range(n)]
+    # column 0 is zero on the first half of the rows and column 1 on the
+    # second: row sets inside one half pivot past a leading column
+    rows = draw_rows()
+    for i in range(n):
+        rows[i][0 if 2 * i < n else 1] = dom.zero
+    yield rows
+    # row n-1 repeats row 0 and row 1 is zero: row sets holding both copies
+    # or row 1 are rank-deficient, the others are not
+    rows = draw_rows()
+    rows[-1] = rows[0][:]
+    rows[1] = [dom.zero] * n
+    yield rows
+    # row i is zero left of column n-1-i: row sets of late rows pivot on
+    # early columns, those of early rows only on the last columns
+    rows = draw_rows()
+    for i in range(n):
+        rows[i][:n - 1 - i] = [dom.zero] * (n - 1 - i)
+    yield rows
+    # sparse entries, two in three zero
+    yield [[draw_entry(rng, dom) if rng.randrange(3) == 0 else dom.zero
+             for _ in range(n)] for _ in range(n)]
 
 
 def check_minor_matrices(a):
@@ -744,8 +858,8 @@ def check_minor_matrices(a):
         assert all(isinstance(v, Fraction) for v in adj.entries)
 
 
-@pytest.mark.parametrize("dom", (ZZ, QQ, GF(7), GF(2)),
-                         ids=("ZZ", "QQ", "GF7", "GF2"))
+@pytest.mark.parametrize("dom", (ZZ, QQ, GF(7), GF(2), GF(2_147_483_647)),
+                         ids=("ZZ", "QQ", "GF7", "GF2", "GF2^31-1"))
 def test_minor_matrices_match_the_textbook_oracle(dom):
     for a in minor_cases(dom):
         check_minor_matrices(a)
@@ -772,6 +886,35 @@ def test_field_minor_matrices_reduce_each_row_set_once(monkeypatch):
     assert calls == [10] * 45
     monkeypatch.undo()
     assert c * d.transpose() == Matrix.identity(dom, 45).scale(a.det())
+
+
+@pytest.mark.stress
+def test_stress_field_minors_at_classify_sizes():
+    # compound(2) of a 16x16 matrix is 120x120
+    dom = GF(2_147_483_647)
+    rng = random.Random("classify-sizes")
+    a = Matrix.from_rows(dom, [[rng.randrange(dom.p) for _ in range(16)]
+                               for _ in range(16)])
+    det = a.det()
+    c = a.compound(2)
+    assert (c.rows, c.cols) == (120, 120)
+    assert c * a.complementary_compound(2).transpose() == \
+        Matrix.identity(dom, 120).scale(det)
+    assert c.det() == pow(det, 15, dom.p)
+    # complementary_compound(3) of a rank-5 6x6 integer point, against
+    # each minor by Bareiss over ZZ, reduced mod p
+    for p in (2, 3):
+        while True:
+            u = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(6)]
+            v = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(5)]
+            rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*v)]
+                    for row in u]
+            point = Matrix.from_rows(GF(p), rows)
+            if point.rank() == 5:
+                break
+        want = textbook_complementary_compound(Matrix.from_rows(ZZ, rows), 3)
+        assert point.complementary_compound(3).entries == \
+            [e % p for e in want.entries]
 
 
 def test_minor_matrices_of_the_generic_matrix_match_the_textbook_oracle(ctx3):
