@@ -70,28 +70,26 @@
  * adjkit.kernels instead; a product decides that before it changes the
  * accumulator dict.  A failed allocation raises MemoryError.
  *
- * Two threads: a merge of at least SPLIT_MIN_PAIRS term pairs is cut at a
- * pivot key K, found by a binary search over the keys of one row, with the
- * pairs at or above each candidate counted by one binary search per row.
- * The calling thread merges the keys at or above K into the call's own
- * sink, starting rows lazily as above, and stops once the heap's top is
- * below K.  One helper thread merges the keys below K, every row started
- * at its first pair below K (the range-split heap merge of Monagan and
- * Pearce, "Parallel sparse polynomial multiplication using heaps", ISSAC
- * 2009).  The helper holds no GIL and calls no Python API: it allocates
- * with PyMem_Raw*, reports a failed allocation as a status, and checks no
- * signals; the caller checks them for both, also while it waits.  The
- * helper's terms reach the call's sink after the caller's own: an array (a
- * minor, or the product a*b of a pair) is appended after the join, and a
- * comparison cuts expect at K, each side comparing its own range, so both
- * take half the pairs.  A dict takes only Python objects, so the caller
- * inserts every term: the helper hands its terms over in blocks, which the
- * caller inserts once its own range is done, while the helper goes on (a
- * new dict still iterates in descending key order).  So the caller takes a
- * fifth of the pairs, and the helper waits while HELD_MAX blocks are not
- * yet taken.  A difference, a failure or a pending signal on either side
- * stops the other through a shared flag.  When the helper cannot start,
- * the merge runs on one thread.
+ * Two threads: a merge into an array or a comparison of at least
+ * SPLIT_MIN_PAIRS term pairs is cut at a pivot key K with about half the
+ * pairs at or above it, found by a binary search over the keys of one row,
+ * with the pairs at or above each candidate counted by one binary search
+ * per row.  The calling thread merges the keys at or above K into the
+ * call's own sink, starting rows lazily as above, and stops once the heap's
+ * top is below K.  One helper thread merges the keys below K, every row
+ * started at its first pair below K (the range-split heap merge of Monagan
+ * and Pearce, "Parallel sparse polynomial multiplication using heaps",
+ * ISSAC 2009).  The helper holds no GIL and calls no Python API: it
+ * allocates with PyMem_Raw*, reports a failed allocation as a status, and
+ * checks no signals; the caller checks them for both, also while it waits.
+ * The helper's terms reach the call's sink after the caller's own: an array
+ * (a minor, or the product a*b of a pair) is appended after the join, and
+ * a comparison cuts expect at K, each side comparing its own range.  A
+ * difference, a failure or a pending signal on either side stops the other
+ * through a shared flag.  A merge into a term dict (a product, an fma, or
+ * the determinant returned as a dict) runs on one thread at any size: a
+ * dict takes only Python objects, which the helper may not make.  When the
+ * helper cannot start, the merge runs on one thread too.
  *
  * The build (adjkit/_cbuild.py) defines ADJKIT_SOURCE_DIGEST, the digest
  * of this file, and the loader rebuilds when it changes.
@@ -126,8 +124,6 @@ static const char source_marker[] = "adjkit-source-digest:" ADJKIT_SOURCE_DIGEST
 #define SIGNAL_EVERY 0xFFFFF
 #define STOP_EVERY 0x3FF       /* keys between reads of the shared stop flag */
 #define SPLIT_MIN_PAIRS ((Py_ssize_t)1 << 20)
-#define HELD_BLOCK 8192         /* terms per block of a helper's dict output */
-#define HELD_MAX 32             /* blocks a helper may hold before it waits */
 #define WAIT_NS 20000000        /* ns between signal checks while waiting */
 
 typedef uint64_t u64;
@@ -389,27 +385,7 @@ fail:
  * output sinks: where the merge sends each finished monomial
  * ---------------------------------------------------------------------- */
 
-enum { SINK_ARRAY, SINK_FMA, SINK_CMP, SINK_HELD };
-
-/* One block of a helper thread's terms for a dict: records of w key words
-   and a two-word coefficient. */
-typedef struct Block {
-    struct Block *next;
-    Py_ssize_t n;
-    u64 rec[];
-} Block;
-
-/* What the two threads of a split merge share: under lock, how many
-   blocks of held terms the helper has completed and the caller has taken,
-   and whether the helper is done; and a flag that stops both, read and set
-   with __atomic builtins. */
-typedef struct {
-    pthread_mutex_t lock;
-    pthread_cond_t cv;
-    Py_ssize_t ready, taken;
-    int done;
-    int stop;
-} Handoff;
+enum { SINK_ARRAY, SINK_FMA, SINK_CMP };
 
 typedef struct {
     int kind;
@@ -419,8 +395,6 @@ typedef struct {
     PyObject *dict;         /* SINK_FMA: acc, or a new dict for a result */
     Terms expect;           /* SINK_CMP: the terms the merge must produce */
     Py_ssize_t seen;        /* SINK_CMP: how many of them it has */
-    Block *head, *tail;     /* SINK_HELD: the terms for a dict, in order, */
-    Handoff *handoff;       /* handed to the caller block by block */
 } Sink;
 
 static int
@@ -514,75 +488,13 @@ sink_cmp(Sink *s, const u64 *key, i128 c)
     return key_equal(r, key, w) && c == (int64_t)r[w] ? OK : DIFFER;
 }
 
-/* A helper thread's term for a dict, kept until the caller emits it; a
-   full block is handed over as the next one starts. */
-static int
-sink_held(Sink *s, const u64 *key, i128 c)
-{
-    const int w = s->mode->w;
-    Block *b = s->tail;
-    u64 *r;
-    if (b == NULL || b->n == HELD_BLOCK) {
-        b = PyMem_RawMalloc(sizeof(Block)
-                            + (size_t)HELD_BLOCK * (w + 2) * sizeof(u64));
-        if (b == NULL)
-            return NOMEM;
-        b->next = NULL;
-        b->n = 0;
-        if (s->tail == NULL)
-            s->head = b;
-        else {
-            Handoff *ho = s->handoff;
-            pthread_mutex_lock(&ho->lock);
-            s->tail->next = b;
-            ho->ready++;
-            pthread_cond_broadcast(&ho->cv);
-            /* the caller emits them one by one: wait while it is far behind */
-            while (ho->ready - ho->taken > HELD_MAX
-                   && !__atomic_load_n(&ho->stop, __ATOMIC_RELAXED))
-                pthread_cond_wait(&ho->cv, &ho->lock);
-            pthread_mutex_unlock(&ho->lock);
-        }
-        s->tail = b;
-    }
-    r = b->rec + (size_t)b->n++ * (w + 2);
-    memcpy(r, key, (size_t)w * sizeof(u64));
-    memcpy(r + w, &c, sizeof c);
-    return OK;
-}
-
-/* While rc is OK, emit the first `count` held blocks into the dict sink;
-   free each once it is read. */
-static int
-held_drain(Sink *held, Py_ssize_t count, Sink *sink, int rc,
-           unsigned long *rounds)
-{
-    const int w = held->mode->w;
-    for (; count > 0; count--) {
-        Block *b = held->head;
-        for (Py_ssize_t i = 0; rc == OK && i < b->n; i++) {
-            const u64 *r = b->rec + (size_t)i * (w + 2);
-            i128 c;
-            memcpy(&c, r + w, sizeof c);
-            rc = sink_fma(sink, r, c);
-            if (rc == OK && (++*rounds & SIGNAL_EVERY) == 0
-                && PyErr_CheckSignals() < 0)
-                rc = FAIL;
-        }
-        held->head = b->next;
-        PyMem_RawFree(b);
-    }
-    return rc;
-}
-
 static inline int
 emit(Sink *s, const u64 *key, i128 c)
 {
     switch (s->kind) {
     case SINK_ARRAY: return sink_array(s, key, c);
     case SINK_FMA: return sink_fma(s, key, c);
-    case SINK_CMP: return sink_cmp(s, key, c);
-    default: return sink_held(s, key, c);
+    default: return sink_cmp(s, key, c);
     }
 }
 
@@ -922,14 +834,18 @@ pivot(const Stream *st, int nst, Py_ssize_t target, u64 *k, int w)
     key_add(k, mid, big->s->rec + (size_t)lo * (w + 1), w);
 }
 
-/* The helper thread of a split merge, and what the two threads share. */
+/* The helper thread of a split merge, and what the two threads share:
+   under lock, the helper's status and whether it is done; and a flag that
+   stops both, read and set with __atomic builtins. */
 typedef struct {
     pthread_t thread;
     Scratch *sc;
     Py_ssize_t hn, ncur;
     Sink sink;
-    int rc;                 /* under handoff.lock */
-    Handoff handoff;
+    pthread_mutex_t lock;
+    pthread_cond_t cv;
+    int rc, done;
+    int stop;
 } Helper;
 
 static Py_ssize_t split_count;  /* merges run as two ranges */
@@ -938,20 +854,20 @@ static void *
 helper_main(void *arg)
 {
     Helper *h = arg;
-    int rc = run(h->sc, h->hn, h->ncur, &h->sink, NULL, &h->handoff.stop, 0);
+    int rc = run(h->sc, h->hn, h->ncur, &h->sink, NULL, &h->stop, 0);
     if (rc != OK)
-        __atomic_store_n(&h->handoff.stop, 1, __ATOMIC_RELAXED);
-    pthread_mutex_lock(&h->handoff.lock);
+        __atomic_store_n(&h->stop, 1, __ATOMIC_RELAXED);
+    pthread_mutex_lock(&h->lock);
     h->rc = rc;
-    h->handoff.ready += h->sink.tail != NULL;
-    h->handoff.done = 1;
-    pthread_cond_signal(&h->handoff.cv);
-    pthread_mutex_unlock(&h->handoff.lock);
+    h->done = 1;
+    pthread_cond_signal(&h->cv);
+    pthread_mutex_unlock(&h->lock);
     return NULL;
 }
 
 /* Start a helper thread on the keys of st below the pivot it writes into
-   floor; 0 when it could not start, and the merge stays on one thread. */
+   floor, which about half the pairs are at or above; 0 when it could not
+   start, and the merge stays on one thread. */
 static int
 helper_start(Helper *h, const Stream *st, int nst, Py_ssize_t pairs,
              Py_ssize_t rows, Scratch *sc, Sink *sink, u64 *floor)
@@ -964,24 +880,20 @@ helper_start(Helper *h, const Stream *st, int nst, Py_ssize_t pairs,
 
     if (scratch_reserve(sc, rows, w) != OK)
         return 0;
-    /* the caller emits every term of a dict, so it takes fewer pairs */
-    pivot(st, nst, sink->kind == SINK_FMA ? pairs / 5 : pairs / 2, floor, w);
+    pivot(st, nst, pairs / 2, floor, w);
     h->sc = sc;
     h->hn = start_below(st, nst, floor, sc, w, &h->ncur);
-    h->sink = (Sink){sink->kind == SINK_FMA ? SINK_HELD : sink->kind,
-                     sink->mode};
-    h->sink.handoff = &h->handoff;
+    h->sink = (Sink){sink->kind, sink->mode};
     if (sink->kind == SINK_CMP) {
         cut = first_below(zero_key, &sink->expect, floor, w);
         h->sink.expect.n = sink->expect.n - cut;
         h->sink.expect.rec = sink->expect.rec + (size_t)cut * (w + 1);
     }
-    h->handoff.ready = h->handoff.taken = 0;
-    h->handoff.done = h->handoff.stop = 0;
-    if (pthread_mutex_init(&h->handoff.lock, NULL) != 0)
+    h->done = h->stop = 0;
+    if (pthread_mutex_init(&h->lock, NULL) != 0)
         return 0;
-    if (pthread_cond_init(&h->handoff.cv, NULL) != 0) {
-        pthread_mutex_destroy(&h->handoff.lock);
+    if (pthread_cond_init(&h->cv, NULL) != 0) {
+        pthread_mutex_destroy(&h->lock);
         return 0;
     }
     /* the helper takes no signals: they go to the threads that run Python */
@@ -995,8 +907,8 @@ helper_start(Helper *h, const Stream *st, int nst, Py_ssize_t pairs,
     }
     pthread_sigmask(SIG_SETMASK, &old, NULL);
     if (!made) {
-        pthread_mutex_destroy(&h->handoff.lock);
-        pthread_cond_destroy(&h->handoff.cv);
+        pthread_mutex_destroy(&h->lock);
+        pthread_cond_destroy(&h->cv);
         return 0;
     }
     if (sink->kind == SINK_CMP)
@@ -1005,33 +917,20 @@ helper_start(Helper *h, const Stream *st, int nst, Py_ssize_t pairs,
     return 1;
 }
 
-/* After the caller's range ended with rc: emit the helper's dict terms
-   as their blocks complete (the caller's own are all out by now), and wait
-   for the helper, checking signals.  Then the status of the whole merge,
-   with the helper's other terms added to the caller's sink. */
+/* After the caller's range ended with rc: wait for the helper, checking
+   signals, and stop it once the merge has failed or differs.  Then the
+   status of the whole merge, with the helper's terms added to the
+   caller's array. */
 static int
 helper_join(Helper *h, Sink *sink, int rc)
 {
     const int w = sink->mode->w;
-    Handoff *ho = &h->handoff;
-    unsigned long rounds = 0;
-    pthread_mutex_lock(&ho->lock);
+    pthread_mutex_lock(&h->lock);
     for (;;) {
-        Py_ssize_t ready = ho->ready - ho->taken;
         struct timespec t;
-        if (rc != OK && !__atomic_load_n(&ho->stop, __ATOMIC_RELAXED)) {
-            __atomic_store_n(&ho->stop, 1, __ATOMIC_RELAXED);
-            pthread_cond_broadcast(&ho->cv);
-        }
-        if (ready > 0) {
-            pthread_mutex_unlock(&ho->lock);
-            rc = held_drain(&h->sink, ready, sink, rc, &rounds);
-            pthread_mutex_lock(&ho->lock);
-            ho->taken += ready;
-            pthread_cond_broadcast(&ho->cv);
-            continue;
-        }
-        if (ho->done)
+        if (rc != OK)
+            __atomic_store_n(&h->stop, 1, __ATOMIC_RELAXED);
+        if (h->done)
             break;
         clock_gettime(CLOCK_REALTIME, &t);
         t.tv_nsec += WAIT_NS;
@@ -1039,18 +938,18 @@ helper_join(Helper *h, Sink *sink, int rc)
             t.tv_sec++;
             t.tv_nsec -= 1000000000;
         }
-        if (pthread_cond_timedwait(&ho->cv, &ho->lock, &t) == ETIMEDOUT
+        if (pthread_cond_timedwait(&h->cv, &h->lock, &t) == ETIMEDOUT
             && rc != FAIL) {
-            pthread_mutex_unlock(&ho->lock);
+            pthread_mutex_unlock(&h->lock);
             if (PyErr_CheckSignals() < 0)
                 rc = FAIL;
-            pthread_mutex_lock(&ho->lock);
+            pthread_mutex_lock(&h->lock);
         }
     }
-    pthread_mutex_unlock(&ho->lock);
+    pthread_mutex_unlock(&h->lock);
     pthread_join(h->thread, NULL);
-    pthread_mutex_destroy(&ho->lock);
-    pthread_cond_destroy(&ho->cv);
+    pthread_mutex_destroy(&h->lock);
+    pthread_cond_destroy(&h->cv);
 
     /* a Python error first, then a failed allocation, then a difference
        (found on either side, it is one), then a fallback */
@@ -1084,8 +983,9 @@ helper_join(Helper *h, Sink *sink, int rc)
     return rc;
 }
 
-/* Send sum over t of +-R_t*S_t to the sink, in descending key order: on
-   two threads from SPLIT_MIN_PAIRS pairs on, else on this one. */
+/* Send sum over t of +-R_t*S_t to the sink, in descending key order: into
+   an array or a comparison on two threads from SPLIT_MIN_PAIRS pairs on,
+   else on this one. */
 static int
 merge(const Stream *st, int nst, Scratch sc[2], Sink *sink)
 {
@@ -1103,11 +1003,11 @@ merge(const Stream *st, int nst, Scratch sc[2], Sink *sink)
         PyErr_NoMemory();
         return FAIL;
     }
-    two = pairs >= SPLIT_MIN_PAIRS
+    two = pairs >= SPLIT_MIN_PAIRS && sink->kind != SINK_FMA
           && helper_start(&h, st, nst, pairs, rows, &sc[1], sink, floor);
     hn = start_rows(st, nst, &sc[0], w, &ncur);
     rc = run(&sc[0], hn, ncur, sink, two ? floor : NULL,
-             two ? &h.handoff.stop : NULL, 1);
+             two ? &h.stop : NULL, 1);
     if (two)
         rc = helper_join(&h, sink, rc);
     if (rc == NOMEM) {

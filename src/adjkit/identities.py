@@ -234,8 +234,13 @@ def _sym_complementary(ctx: GenericContext) -> dict:
 
 
 def _sym_corrupted(ctx: GenericContext) -> dict:
-    # deliberately wrong exponent: det(adj X) = det(X)^n; true value is n-1
-    wrong = ctx.adjX.det_equals(ctx.det_power(ctx.n - 1), ctx.detX)
+    # deliberately wrong exponent: det(adj X) = det(X)^n; true value is n-1.
+    # det(X)^n is passed as det(X)^(n-2) * det(X)^2, which verify_fundamental
+    # has cached at n >= 4; its degree n^2 is above the n(n-1) that adj(X)'s
+    # rows allow, so det_equals refuses it without expanding anything
+    n = ctx.n
+    factors = (ctx.det_power(n - 2), ctx.det_power(2)) if n > 1 else (ctx.detX,)
+    wrong = ctx.adjX.det_equals(*factors)
     return {"identity": "corrupted_adj_det", "n": ctx.n,
             "checks": {"wrong_exponent_holds": wrong}, "passed": wrong,
             "expected_failure": True}

@@ -51,18 +51,18 @@ dict keep their keys.  ``compacted_compares()`` counts the comparisons
 that ran on mapped keys, by their word count and the one the keys need
 unmapped: ``{(1, 4): 1}`` after that check.
 
-A compiled merge of at least ``SPLIT_MIN_PAIRS`` (2^20) term pairs runs
-on two threads: cut at a pivot key, the calling thread merges the keys
-at or above it into the call's result and a helper thread those below,
-which join the result in order after them (a product's dict still
-iterates in descending key order; a compared determinant cuts ``expect``
-at the pivot too).  The helper calls no Python API.  A product is cut so
-that the caller, which also inserts every term into the dict, takes a
-fifth of the pairs; a determinant level, and the native product of a
-pair ``expect``, take half.  When the helper
-thread cannot start, the merge runs on the calling thread alone, as every
-smaller merge does.  ``split_merges()`` counts the merges that ran on two
-threads.  Results are the same either way: only the time differs.
+A compiled merge of at least ``SPLIT_MIN_PAIRS`` (2^20) term pairs into a
+native array (a minor of a Laplace level, or the product of a pair
+``expect``) or into a comparison runs on two threads: cut at a pivot key
+with about half the pairs at or above it, the calling thread merges the
+keys at or above it and a helper thread those below, whose terms join
+the array after the caller's (a compared determinant cuts ``expect`` at
+the pivot too).  The helper calls no Python API, so a merge whose result
+is a dict (a product, an fma, or a determinant returned as a dict) runs
+on the calling thread alone at any size.  So does a merge whose helper
+thread cannot start, and every smaller merge.  ``split_merges()`` counts
+the merges that ran on two threads.  Results are the same either way:
+only the time differs.
 
 ``IMPL`` is ``"c"`` or ``"py"``; ``IMPL_NOTE`` is empty
 with ``"c"`` and says why the compiled kernels were refused with ``"py"``:

@@ -421,15 +421,21 @@ class Matrix:
     def _det_laplace_poly(self, *factors: Polynomial):
         """det(self) of a square polynomial matrix; given one or two
         polynomials, whether det(self) equals the one or the product of the
-        two, decided by the kernel as it produces the determinant's terms."""
+        two, decided by their degree when it is too high, and otherwise by
+        the kernel as it produces the determinant's terms."""
         ring = self.domain.ring
         rows = self.to_rows()
         n = self.rows
         # every term of the determinant has at most the sum of the row
-        # maxima as its degree, and every term of a product the sum of its
-        # factors' degrees; the factors' keys go at the same width
-        degree = max(sum(map(_max_degree, rows)),
-                     sum(f.total_degree() for f in factors))
+        # maxima as its degree; a product of nonzero factors over an
+        # integral domain has a term of the sum of their degrees, so one
+        # above that bound is not the determinant
+        det_degree = sum(map(_max_degree, rows))
+        product_degree = sum(f.total_degree() for f in factors)
+        if all(factors) and product_degree > det_degree:
+            return False
+        # the factors' keys go at the same width
+        degree = max(det_degree, product_degree)
         width, terms = aligned(self.entries + list(factors), degree)
         extra = terms[n * n:]
         expect = (tuple(extra) if len(extra) == 2
@@ -460,7 +466,10 @@ class Matrix:
         ``adjkit.kernels``): the n = 5 law
         det(adj X) = det(X)^3 * det(X) runs on 1-word keys in place of 4.
         The pure-Python kernel never holds the determinant either: it adds
-        it into -f (or -f*g) and tests that nothing is left."""
+        it into -f (or -f*g) and tests that nothing is left.  Nonzero
+        factors whose degrees add up to more than the sum of the rows'
+        largest degrees are refused before any kernel call: no term of the
+        determinant reaches that degree."""
         factors = (f,) if g is None else (f, g)
         if not isinstance(self.domain, PolynomialDomain):
             raise TypeError("det_equals expects a polynomial matrix")

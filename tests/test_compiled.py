@@ -375,8 +375,9 @@ def test_laplace_against_bareiss(p):
 
 
 # ---------------------------------------------------------------------------
-# merges of SPLIT_MIN_PAIRS pairs or more, cut at a pivot key K and run on
-# two threads: the caller merges the keys at or above K, a helper those below
+# merges of SPLIT_MIN_PAIRS pairs or more into an array or a comparison, cut
+# at a pivot key K and run on two threads: the caller merges the keys at or
+# above K, a helper those below.  A merge into a dict runs on one thread.
 # ---------------------------------------------------------------------------
 
 SPLIT_LAYOUT = _Layout(3, 8)
@@ -428,19 +429,21 @@ def test_split_threshold_is_two_to_the_twenty():
 
 @pytest.mark.parametrize("p", (0,) + PRIMES)
 def test_split_products_and_fma_match_python(p):
+    """Products and fma into a dict above, at and just below the split
+    threshold of 1024 * 1024 pairs: each runs on one thread and matches the
+    Python body."""
     ck = c_kernels()
     a, b, want = split_operands()
     a, b, want = mod(a, p), mod(b, p), mod(want, p)
     top = list(b)
-    # above, at and just below the threshold of 1024 * 1024 pairs
-    for drop, splits in ((0, 1), (2, 1), (3, 0)):
+    for drop, above in ((0, True), (2, True), (3, False)):
         part = {k: b[k] for k in top[drop:]}
         ref = dict(want)
         py_fma(ref, a, {k: b[k] for k in top[:drop]}, True, p)
-        assert (len(a) * len(part) >= kernels.SPLIT_MIN_PAIRS) == splits
+        assert (len(a) * len(part) >= kernels.SPLIT_MIN_PAIRS) == above
         for name in ("mul_terms", "packed_mul_terms"):
             got, ran = counted_splits(lambda: ck[name](a, part, p))
-            assert (got, ran) == (ref, splits)
+            assert (got, ran) == (ref, 0)
             assert descending(got)
         # acc's terms cancel every third term of the product, above and
         # below K; two keys no product reaches stay
@@ -456,26 +459,38 @@ def test_split_products_and_fma_match_python(p):
             assert len(expect) == len(ref) - len(keys) + 2
             _, ran = counted_splits(
                 lambda: ck["fma_terms"](acc, a, part, negate, p))
-            assert (acc, ran) == (expect, splits)
+            assert (acc, ran) == (expect, 0)
 
 
 def test_a_coefficient_beyond_int64_in_the_helpers_range():
+    """The product's smallest key, below K, with a coefficient of about
+    -2^80: a minor's array and the native product of a pair, both split,
+    hand the call to Python from the helper's range, and Python decides.
+    A product or fma into a dict takes that coefficient on one thread."""
     ck = c_kernels()
     a, b, want = split_operands()
-    # the smallest keys of a and b make the product's smallest key alone,
-    # which is below K: its coefficient becomes about -2^80
+    # the smallest keys of a and b make the product's smallest key alone
     low_a, low_b = min(a), min(b)
     big_a, big_b = {**a, low_a: 2**40 + 3}, {**b, low_b: -(2**40) - 5}
     want = dict(want)
     py_fma(want, {low_a: 2**40 + 3 - a[low_a]}, b, False)
     py_fma(want, big_a, {low_b: -(2**40) - 5 - b[low_b]}, False)
     assert want[low_a + low_b] < -2**80
+    assert low_a + low_b < pivot_key([(big_a, big_b)])
+    # the minor on rows 0 and 1 is big_a * big_b, in an array
+    grid = [[big_a, {}, {}], [{}, big_b, {}], [{}, {}, {0: 1}]]
+    assert counted_splits(lambda: ck["packed_det_laplace"](grid, 0)) \
+        == (want, 1)
+    # the pair's product, merged into an array before the expansion
+    diagonal = [[big_a, {}], [{}, big_b]]
+    assert counted_splits(lambda: ck["packed_det_laplace"](
+        diagonal, 0, (big_a, big_b))) == (True, 1)
     got, ran = counted_splits(lambda: ck["mul_terms"](big_a, big_b))
-    assert (got, ran) == (want, 1) and descending(got)
+    assert (got, ran) == (want, 0) and descending(got)
     acc = {low_a + low_b: 1}
     _, ran = counted_splits(lambda: ck["fma_terms"](acc, big_a, big_b, True))
     assert (acc, ran) == (kernels.add_terms({low_a + low_b: 1},
-                                            kernels.neg_terms(want)), 1)
+                                            kernels.neg_terms(want)), 0)
 
 
 def pivot_key(streams):
@@ -526,9 +541,10 @@ def fault_at(want, key, kind, p=0):
 
 @pytest.mark.parametrize("p", [0, 2_147_483_647])
 def test_split_compare_finds_planted_faults(p):
-    """A 2x2 determinant a*b - c*d whose last level splits: True on the
-    true determinant, False on each fault at the first and last terms, the
-    quartiles, and the last term below K, each on the side of K it lies."""
+    """A 2x2 determinant a*b - c*d whose last level splits when compared:
+    True on the true determinant, False on each fault at the first and last
+    terms, the quartiles, and the last term below K, each on the side of K
+    it lies.  Returned as a dict, the determinant runs on one thread."""
     ck = c_kernels()
     a, b, want = split_operands()
     rng = random.Random(23)
@@ -538,7 +554,7 @@ def test_split_compare_finds_planted_faults(p):
     want = dict(want)
     py_fma(want, c, d, True, p)
     got, ran = counted_splits(lambda: ck["packed_det_laplace"](grid, p))
-    assert (got, ran) == (want, 1) and descending(got)
+    assert (got, ran) == (want, 0) and descending(got)
     # the products of the last level: d * c, then b * a
     k = pivot_key([(d, c), (b, a)])
     keys = sorted(want, reverse=True)
@@ -974,7 +990,9 @@ def test_memory_error_under_an_address_space_limit():
     assert done.stdout.split() == ["MemoryError", "MemoryError", "done"]
 
 
-# the child's thread count, and a split product it must still get right
+# the child's thread count, and a split product it must still get right:
+# the pair's product a*b and the last level it is compared with, and the
+# last level compared with a*b written out, and with one term off
 THREADS_AND_A_SPLIT_PRODUCT = """
     def threads():
         for line in open("/proc/self/status"):
@@ -985,11 +1003,15 @@ THREADS_AND_A_SPLIT_PRODUCT = """
         S = 1 << 20
         a = {i * S: 1 for i in range(1100)}
         b = {j * S: 2 for j in range(1000)}
-        splits = kernels.split_merges()
-        got = kernels.mul_terms(a, b)
         want = {k * S: 2 * (min(k, 999) - max(0, k - 1099) + 1)
                 for k in range(2099)}
-        return got == want and kernels.split_merges() == splits + 1
+        off = {**want, 1049 * S: want[1049 * S] + 1}
+        grid = [[a, {}], [{}, b]]
+        splits = kernels.split_merges()
+        same = [kernels.packed_det_laplace(grid, 0, expect)
+                for expect in ((a, b), want, off)]
+        return (same == [True, True, False]
+                and kernels.split_merges() == splits + 4)
     """
 
 
@@ -1034,18 +1056,23 @@ def test_a_signal_during_a_split_product_raises_in_the_caller():
     def handler(signum, frame):
         raise Alarm
 
-    # 36M pairs on 12000 keys: a few heap steps per key
+    # the pair's product, 4M distinct keys in a native array, then the
+    # last level compared with it: two split merges, in each of which the
+    # caller checks signals after every 2^20 keys of its range
     S = 1 << 20
-    a = {i * S: 1 for i in range(6000)}
-    b = {j * S + 1: 1 for j in range(6000)}
+    a = {i * S: 1 for i in range(2000)}
+    b = {j: 1 for j in range(2000)}
+    grid = [[a, {}], [{}, b]]
+    splits = kernels.split_merges()
     start = time.perf_counter()
-    assert len(kernels.mul_terms(a, b)) == 11999
+    assert kernels.packed_det_laplace(grid, 0, (a, b)) is True
     whole = time.perf_counter() - start
+    assert kernels.split_merges() == splits + 2
     signal.signal(signal.SIGALRM, handler)
     signal.setitimer(signal.ITIMER_REAL, whole / 10)
     start = time.perf_counter()
     try:
-        kernels.mul_terms(a, b)
+        kernels.packed_det_laplace(grid, 0, (a, b))
     except Alarm:
         print("Alarm")
     stopped = time.perf_counter() - start

@@ -79,14 +79,28 @@ def test_verify_fundamental_reports_the_constructor_products(monkeypatch):
     assert report["passed"], report
 
 
+def laplace_calls(monkeypatch, answer=None):
+    """Wrap both names of the Laplace kernel; the list of the ``expect``
+    each call gets.  Given ``answer``, a call returns it without running."""
+    from adjkit import kernels
+    calls = []
+    for name in ("det_laplace_terms", "packed_det_laplace"):
+        def kernel(rows, p=0, expect=None, _real=getattr(kernels, name)):
+            calls.append(expect)
+            return _real(rows, p, expect) if answer is None else answer
+        monkeypatch.setattr(kernels, name, kernel)
+    return calls
+
+
 def test_det_law_is_decided_inside_the_laplace_kernel(monkeypatch):
     """det(adj X) is never built: det_equals hands det(X)^(n-2) and det(X)
-    to the kernel as the pair ``expect``, which it multiplies itself, for
-    the law and (with det(X)^(n-1)) for its negative control.  No product
-    that verify_fundamental runs yields det(X)^(n-1)."""
+    to the kernel as the pair ``expect``, which it multiplies itself.  No
+    product that verify_fundamental runs yields det(X)^(n-1).  Its negative
+    control, det(X)^n, has a degree no term of det(adj X) reaches, so it is
+    refused with no kernel call and no product."""
     from adjkit import identities, kernels
     ctx = GenericContext(4)
-    dets, expects, products = [], [], []
+    dets, products = [], []
     det_laplace = Matrix.det_laplace
 
     def counting_det(self):
@@ -94,11 +108,7 @@ def test_det_law_is_decided_inside_the_laplace_kernel(monkeypatch):
         return det_laplace(self)
 
     monkeypatch.setattr(Matrix, "det_laplace", counting_det)
-    for name in ("det_laplace_terms", "packed_det_laplace"):
-        def kernel(rows, p=0, expect=None, _real=getattr(kernels, name)):
-            expects.append(expect)
-            return _real(rows, p) if expect is None else _real(rows, p, expect)
-        monkeypatch.setattr(kernels, name, kernel)
+    expects = laplace_calls(monkeypatch)
     for name in ("mul_terms", "packed_mul_terms"):
         def mul(a, b, p=0, _real=getattr(kernels, name)):
             products.append(out := _real(a, b, p))
@@ -107,12 +117,67 @@ def test_det_law_is_decided_inside_the_laplace_kernel(monkeypatch):
     assert verify_fundamental(ctx)["passed"]
     law_products = list(products)
     control = identities._sym_corrupted(ctx)
+    assert products == law_products
     assert not any(m is ctx.adjX for m in dets)
-    assert expects == [(ctx.det_power(2).packed, ctx.detX.packed),
-                       (ctx.det_power(3).packed, ctx.detX.packed)]
+    assert expects == [(ctx.det_power(2).packed, ctx.detX.packed)]
     cube = ctx.det_power(3).packed
     assert law_products and all(out != cube for out in law_products)
     assert control == {"identity": "corrupted_adj_det", "n": 4,
+                       "checks": {"wrong_exponent_holds": False},
+                       "passed": False, "expected_failure": True}
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_det_equals_refuses_a_degree_too_high_without_the_kernel(
+        monkeypatch, p):
+    """adj(X) at n = 3 has rows of degree 2, so no term of its determinant
+    has a degree above 6.  Nonzero factors of a higher degree, one or a
+    pair, are False with no kernel call.  A zero factor still goes to the
+    kernel, since 0 may be the determinant, and so does a degree at the
+    bound."""
+    ctx = GenericContext(3, p=p)
+    adj, det, zero = ctx.adjX, ctx.detX, ctx.ring.zero
+    x = ctx.ring.var("x_1_1")
+    calls = laplace_calls(monkeypatch)
+    assert not adj.det_equals(ctx.det_power(3))
+    assert not adj.det_equals(ctx.det_power(2), x)
+    assert not adj.det_equals(det, ctx.det_power(2))
+    assert calls == []
+    singular = Matrix.from_rows(ctx.domain, [[x, x], [x, x]])
+    assert singular.det_equals(ctx.det_power(3), zero)
+    assert not adj.det_equals(ctx.det_power(3), zero)
+    assert adj.det_equals(det, det)
+    assert not adj.det_equals(det, det + x * x)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_det_law_at_the_degree_bound_goes_to_the_kernel(
+        monkeypatch, n, ctx3, ctx4, ctx5):
+    """det(X)^(n-2) * det(X) has degree n(n-1), the sum of the degrees of
+    adj(X)'s rows: the bound itself, so the kernel decides the law (here a
+    stand-in that answers True without expanding)."""
+    ctx = {3: ctx3, 4: ctx4, 5: ctx5}[n]
+    law = (ctx.det_power(n - 2), ctx.detX)
+    rows = sum(max(e.total_degree() for e in row)
+               for row in ctx.adjX.to_rows())
+    assert rows == sum(f.total_degree() for f in law) == n * (n - 1)
+    calls = laplace_calls(monkeypatch, answer=True)
+    assert ctx.adjX.det_equals(*law)
+    assert calls == [tuple(f.packed for f in law)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_the_negative_control_is_refused_by_degree(monkeypatch, n, ctx2,
+                                                   ctx3, ctx5):
+    """det(adj X) = det(X)^n fails at every n, from the degrees alone: at
+    n = 1 det(X) has degree 1 against adj(X) = [1]."""
+    from adjkit import identities
+    ctx = {1: GenericContext(1), 2: ctx2, 3: ctx3, 5: ctx5}[n]
+    calls = laplace_calls(monkeypatch)
+    control = identities._sym_corrupted(ctx)
+    assert calls == []
+    assert control == {"identity": "corrupted_adj_det", "n": n,
                        "checks": {"wrong_exponent_holds": False},
                        "passed": False, "expected_failure": True}
 
