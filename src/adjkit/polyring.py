@@ -15,10 +15,12 @@ Term dicts are keyed by one packed int per monomial, laid out here alone:
 the total degree in the top field, then the variables from ``t`` down to
 the first, each field ``width`` data bits under a guard bit.  So integer
 order is the term order, a monomial product is a key sum, and divisibility
-is one guard-bit test.  Each polynomial records its width (8 to begin
-with); operations align operands to the wider one and double it when a
-degree could overflow, so exponents have no limit.  Exponent tuples appear
-only at the edges (parsing, ``from_terms``, ``str``, the ``terms`` view).
+is one guard-bit test.  A field is a whole number of bytes: width + 1 is
+8, 16, 32, 64 or more bits.  Each polynomial records its width (7 to begin
+with); operations align operands to the wider one and widen it to 15, 31,
+63, 127, ... bits when a degree could overflow, so exponents have no
+limit.  Exponent tuples appear only at the edges (parsing,
+``from_terms``, ``str``, the ``terms`` view).
 
 Polynomials are immutable once constructed and safe to share; every
 operation returns a fresh canonical value (no stored zero coefficients,
@@ -32,7 +34,6 @@ import heapq
 import math
 import re
 import struct
-import sys
 from collections.abc import ItemsView, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -46,13 +47,8 @@ SYMBOLIC_CAP = 6
 # kernels.packed_mul_terms (mul_terms' body), kept while the benchmark names it.
 _PACKED_MIN_PAIRS = 1 << 13
 
-# Data bits per key field of a new polynomial.
-_WIDTH = 8
-
-# The memoryview formats of unsigned machine words, by bit width (8 to 64),
-# on a little-endian host; elsewhere unpack keeps its per-field shifts.
-_WORDS = ({8 * struct.calcsize(f): f for f in "BHIQ"}
-          if sys.byteorder == "little" else {})
+# Data bits per key field of a new polynomial: with its guard bit, one byte.
+_WIDTH = 7
 
 
 def order_key(exps: Sequence[int]):
@@ -65,14 +61,12 @@ class _Layout:
     """Keys of monomials in ``nvars`` variables at one width: variable i at
     bit ``shifts[i]``, the degree at ``top``, guard bits clear.
 
-    At a width of a machine word (8, 16, 32 or 64 bits) ``unpack`` drops
-    the guard bits in ceil(log2 nvars) masked shifts, ``steps``: step k
-    moves the fields whose index has bit k set down by 2^k bits, next to
-    the packed fields below them.  The fields then sit in whole words, read
-    off one byte string.  Other widths shift and mask field by field."""
+    A field of 8, 16, 32 or 64 bits is one unsigned word, which holds its
+    exponent since the guard bit is clear, so ``unpack`` reads every field
+    off the key's little-endian bytes with one ``struct`` call.  Wider
+    fields shift and mask one by one."""
 
-    __slots__ = ("mask", "shifts", "top", "guards", "low", "steps", "word",
-                 "nbytes")
+    __slots__ = ("mask", "shifts", "top", "guards", "words", "nbytes")
 
     def __init__(self, nvars: int, width: int):
         field = width + 1
@@ -81,42 +75,32 @@ class _Layout:
         self.top = nvars * field
         self.guards = sum(1 << (s + width)
                           for s in range(0, self.top + 1, field))
-        self.low = (1 << self.top) - 1
-        self.word = _WORDS.get(width)
-        self.nbytes = nvars * width // 8
-        # before the step of shift b, field i has moved down i mod b bits
-        self.steps = tuple(
-            (sum(self.mask << (i * field - i % b)
-                 for i in range(nvars) if i & b), b)
-            for b in (1 << k for k in range((nvars - 1).bit_length())))
+        code = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(field)
+        self.words = code and struct.Struct(f"<{nvars}{code}").unpack_from
+        # bytes of the largest key whose variable fields hold exponents
+        self.nbytes = (self.pack((self.mask,) * nvars).bit_length() + 7) // 8
 
     def pack(self, exps) -> int:
         return sum(map(int.__lshift__, exps, self.shifts)) | sum(exps) << self.top
 
     def unpack(self, key: int) -> tuple:
-        if self.word is None:
+        if self.words is None:
             return tuple(map(self.mask.__and__,
                              map(key.__rshift__, self.shifts)))
-        key &= self.low
-        for move, b in self.steps:
-            moved = key & move
-            key = key ^ moved | moved >> b
-        raw = key.to_bytes(self.nbytes, "little")
-        # bytes are a tuple's worth of 8-bit fields already
-        return tuple(raw if self.word == "B"
-                     else memoryview(raw).cast(self.word))
+        return self.words(key.to_bytes(self.nbytes, "little"))
 
 
 def _width_for(degree: int, width: int = _WIDTH) -> int:
-    """width, doubled until a field holds the total degree."""
+    """width, widened to the next whole number of bytes per field (7, 15,
+    31, 63, 127, ... data bits) until a field holds the total degree."""
     while degree >> width:
-        width *= 2
+        width = 2 * width + 1
     return width
 
 
 def aligned(polys: Sequence["Polynomial"], degree: int = 0):
     """(width, packed term dicts of polys) at one width: the widest of
-    theirs, doubled until a field holds the total degree ``degree``."""
+    theirs, widened until a field holds the total degree ``degree``."""
     width = _width_for(degree, max((f.width for f in polys), default=_WIDTH))
     return width, [f._at(width) for f in polys]
 
@@ -668,10 +652,13 @@ class TermsView(Mapping):
         return map(self._layout.unpack, self._terms)
 
     def __getitem__(self, exps):
-        key = self._layout.pack(exps)
-        if self._layout.unpack(key) != tuple(exps):
-            raise KeyError(exps)  # not an exponent vector of this ring
-        return self._terms[key]
+        try:
+            key = self._layout.pack(exps)
+            if self._layout.unpack(key) == tuple(exps):
+                return self._terms[key]
+        except OverflowError:
+            pass  # a negative or too wide exponent overflows the key's bytes
+        raise KeyError(exps)  # not an exponent vector of this ring
 
     def items(self):
         return _TermItems(self)

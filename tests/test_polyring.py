@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjkit import PolyRing, kernels, order_key, random_alternating, sandwich
-from adjkit.polyring import _Layout
+from adjkit.polyring import Polynomial, _Layout
 
 
 def det2(ring):
@@ -167,6 +167,8 @@ def count_division_steps(monkeypatch):
     return keys
 
 
+# ids: one-byte fields (width 7), and exponents past 255, which cross the
+# 127 of a one-byte field into two-byte fields (width 15)
 @pytest.mark.parametrize("kw", RINGS, ids=RING_IDS)
 @pytest.mark.parametrize("top", [3, 300], ids=["width8", "above255"])
 def test_exact_div_recovers_the_quotient(kw, top):
@@ -178,7 +180,7 @@ def test_exact_div_recovers_the_quotient(kw, top):
         if q.is_zero() or len(d.packed) < 2:
             continue
         f = q * d
-        assert f.width == (8 if top == 3 else 16)
+        assert f.width == (7 if top == 3 else 15)
         assert f.exact_div(d) == q
         assert f.exact_div(q) == d
 
@@ -419,11 +421,13 @@ def test_order_is_graded():
     assert order_key((2, 0, 0, 0, 0)) > order_key((0, 1, 0, 0, 0))
 
 
-@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("field", [8, 16, 32, 64, 128])
 @pytest.mark.parametrize("nvars", [1, 2, 3, 25, 26, 30])
-def test_unpack_matches_the_field_by_field_formula(width, nvars):
-    """The masked-shift unpack against the shift and mask of every field,
+def test_unpack_matches_the_field_by_field_formula(field, nvars):
+    """The struct unpack of byte-aligned fields (B, H, I, Q) and the
+    per-field path of wider ones against the shift and mask of every field,
     on seeded keys with fields at 0, 1, the field's maximum and between."""
+    width = field - 1  # data bits under the guard bit
     layout = _Layout(nvars, width)
 
     def field_by_field(key):
@@ -437,10 +441,17 @@ def test_unpack_matches_the_field_by_field_formula(width, nvars):
         key = layout.pack(exps)
         assert layout.unpack(key) == field_by_field(key) == exps
     assert layout.unpack(0) == (0,) * nvars
-    # an exponent too wide for a field is no exponent vector of the layout
+    # too wide, negative and wrong-length exponents are no exponent vectors
+    # of the layout
+    v0 = (1,) + (0,) * (nvars - 1)
     R = PolyRing([f"v{i}" for i in range(nvars)])
-    with pytest.raises(KeyError):
-        R.var("v0").terms[(1 << 64 | 1,) + (0,) * (nvars - 1)]
+    terms = Polynomial(R, {layout.pack(v0): 1}, width).terms
+    assert terms[v0] == 1
+    for exps in [(1 << 64 | 1,) + v0[1:], (layout.mask + 1,) + v0[1:],
+                 (-1,) + v0[1:], (1 << 64,) * nvars, (-1,) * nvars,
+                 v0 + (0,), v0 + (-1,), v0[:-1]]:
+        with pytest.raises(KeyError):
+            terms[exps]
 
 
 def test_canonical_string_det2(ctx2):
@@ -468,7 +479,7 @@ def test_string_round_trip_bit_exact():
 
 
 # (exponent tuple, coefficient) lists of three-variable polynomials: exponents
-# up to 300, so widths 8 and 16 both occur, and coefficients that may be
+# up to 300, so widths 7 and 15 both occur, and coefficients that may be
 # non-integral fractions (rings without fractions take their numerators)
 TERM_LISTS = st.lists(
     st.tuples(st.tuples(*[st.integers(0, 300)] * 3),
