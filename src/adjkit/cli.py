@@ -11,6 +11,7 @@ Exit codes: 0 all checks verified, 1 a mathematical check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -283,9 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first ``main`` call: a
+    parse leaves no state in it, so every request shares it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -9,13 +9,16 @@ domain's ``coerce`` for a lone scalar; over GF(p) the elimination and the
 product work on rows packed into one int each (``_pack``), whose slots are
 reduced mod p only where a value is read.  Every matrix of minors comes
 from ``Matrix._minors``, which over a field reduces each row set once and
-reads all the minors on it from the reduced form.
+reads all the minors on it from the reduced form, and over a polynomial
+ring aligns the entries' keys once and takes each minor straight from the
+Laplace kernel.  ``_laplace_kernel`` holds the one rule that gives a
+Laplace call its traced span name by size.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Sequence
 
 from . import kernels
@@ -218,6 +221,22 @@ def _t_ring(dom) -> PolyRing:
 
 def _max_degree(polys) -> int:
     return max((f.total_degree() for f in polys), default=0)
+
+
+def _laplace_kernel(rows: list[list[dict]], p: int, expect=None):
+    """The Laplace kernel on a square grid of term dicts, under the traced
+    span name of its size route: ``kernels.packed_det_laplace`` for a grid
+    of 7 rows or more, or whose terms together with those of ``expect``
+    (one term dict or a pair) number 128 or more, and otherwise
+    ``kernels.det_laplace_terms``, the same engine.  This is the one place
+    of that rule until the benchmark merges the two names."""
+    volume = sum(map(len, chain.from_iterable(rows)))
+    if expect is not None:
+        volume += (sum(map(len, expect)) if isinstance(expect, tuple)
+                   else len(expect))
+    if volume >= 128 or len(rows) >= 7:
+        return kernels.packed_det_laplace(rows, p, expect)
+    return kernels.det_laplace_terms(rows, p, expect)
 
 
 class Matrix:
@@ -441,14 +460,7 @@ class Matrix:
         expect = (tuple(extra) if len(extra) == 2
                   else extra[0] if extra else None)
         rows_terms = [terms[i * n:(i + 1) * n] for i in range(n)]
-        # one engine under two names: the large route remains only as the
-        # traced span name kernels.packed_det, until the benchmark merges them
-        volume = sum(map(len, terms))
-        p = ring.p or 0
-        if volume >= 128 or n >= 7:
-            det = kernels.packed_det_laplace(rows_terms, p, expect)
-        else:
-            det = kernels.det_laplace_terms(rows_terms, p, expect)
+        det = _laplace_kernel(rows_terms, ring.p or 0, expect)
         return det if factors else Polynomial(ring, det, width)
 
     def det_equals(self, f: Polynomial, g: Polynomial | None = None) -> bool:
@@ -615,28 +627,44 @@ class Matrix:
 
         Over a field each row set is reduced once and every minor on it is
         read from the reduced form (``_row_set_minors``), by one read plan
-        per pivot tuple, which generic row sets share; over ZZ and
-        polynomial rings, which have no division, each minor is its own
-        ``det()``.  Every entry depends on the rows of its S alone.
+        per pivot tuple, which generic row sets share.  Over a polynomial
+        ring the entries are aligned once, at a width that holds k times
+        their largest degree, and each minor is one Laplace kernel call on
+        that grid (``_laplace_kernel``).  Over ZZ each minor is its own
+        Bareiss ``det()``.  Every entry depends on the rows of its S alone.
         """
         dom = self.domain
-        rows = self.to_rows()
         k = len(index_sets[0])
         field = getattr(dom, "is_field", False)
+        poly = isinstance(dom, PolynomialDomain)
+        if poly:
+            ring, c = dom.ring, self.cols
+            p = ring.p or 0
+            # no k-by-k minor has a degree above k times the largest entry's
+            width, terms = aligned(self.entries, k * _max_degree(self.entries))
+            rows = [terms[i * c:(i + 1) * c] for i in range(self.rows)]
+        else:
+            rows = self.to_rows()
         odd = [sum(s) % 2 if signed else 0 for s in index_sets]
         plans: dict = {}
         out = []
         for S, odd_s in zip(index_sets, odd):
+            kept = [rows[i] for i in S]
             if field:
                 # to_rows() lists are shared across row sets, and the
                 # reduction works in place
-                minors = _row_set_minors([rows[i][:] for i in S], self.cols,
+                minors = _row_set_minors([row[:] for row in kept], self.cols,
                                          index_sets, dom, plans)
+            elif not k:
+                minors = [dom.one]
+            elif poly:
+                minors = [Polynomial(ring, _laplace_kernel(
+                    [[row[j] for j in T] for row in kept], p), width)
+                    for T in index_sets]
             else:
-                kept = [rows[i] for i in S]
                 minors = [Matrix(dom, k, k, [row[j] for row in kept
-                                             for j in T]).det() if k
-                          else dom.one for T in index_sets]
+                                             for j in T]).det()
+                          for T in index_sets]
             out.extend(-minor if odd_s != odd_t else minor
                        for minor, odd_t in zip(minors, odd))
         return Matrix(dom, len(index_sets), len(index_sets),

@@ -4,8 +4,12 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -491,6 +495,65 @@ def test_every_option_is_read_by_its_handler():
                 continue
             unread.append(f"{name} {action.option_strings[0]}")
     assert unread == []
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    build, built = cli.build_parser, []
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(capsys, "gen", "--n", "2")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["gen"])
+        assert exc.value.code == 2
+        assert run(capsys, "compound", "--n", "2", "--m", "3")[0] == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+def fresh_process(*argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "adjkit.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_requests_on_one_parser_stay_isolated(capsys):
+    want = fresh_process("verify", "--n", "3")
+    assert want.returncode == 0
+    assert run(capsys, "verify", "--n", "3")[:2] == (0, want.stdout)
+    # argparse usage errors: a missing value, a bad choice, an unknown option
+    for argv in (("verify", "--n"), ("verify", "--n", "3", "--format", "xml"),
+                 ("verify", "--n", "3", "--side", "left")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "verify", "--n", "3")[:2] == (0, want.stdout)
+    assert run(capsys, "verify", "--n", "3", "--negative-control",
+               "--format", "json")[0] == 1
+    assert run(capsys, "verify", "--n", "3")[:2] == (0, want.stdout)
+
+
+def test_help_is_the_parser_help(capsys):
+    main(["gen", "--n", "2"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == cli.build_parser().format_help()
 
 
 # ---------------------------------------------------------------------------

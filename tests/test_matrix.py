@@ -9,7 +9,8 @@ from math import comb
 
 import pytest
 
-from adjkit import GF, QQ, ZZ, Matrix, PolyRing, PolynomialDomain, matrix
+from adjkit import (GF, QQ, ZZ, Matrix, PolyRing, PolynomialDomain, kernels,
+                    matrix)
 from adjkit.factor import random_unimodular
 from adjkit.specialize import _column_space_basis
 
@@ -919,6 +920,190 @@ def test_stress_field_minors_at_classify_sizes():
 
 def test_minor_matrices_of_the_generic_matrix_match_the_textbook_oracle(ctx3):
     check_minor_matrices(ctx3.X)
+
+
+# symbolic matrices of minors: one key alignment per matrix and one Laplace
+# kernel call per minor, against Bareiss and against their GF(p) images
+
+POLY_MODES = ({}, {"rational": True}, {"p": 7})
+POLY_MODE_IDS = ("ZZ", "QQ", "GF7")
+
+
+def generic_matrix(n, **mode):
+    ring = PolyRing.generic(n, **mode)
+    return Matrix.from_rows(PolynomialDomain(ring),
+                            [[ring.var(f"x_{i}_{j}") for j in range(1, n + 1)]
+                             for i in range(1, n + 1)])
+
+
+def draw_poly(rng, ring, exps, terms=3):
+    """Up to ``terms`` terms with exponent vectors from ``exps()``."""
+    def coeff():
+        c = rng.choice((-5, -3, -2, -1, 1, 2, 3, 5))
+        return Fraction(c, rng.randint(1, 3)) if ring.rational else c
+    return ring.from_terms({exps(): coeff()
+                            for _ in range(rng.randint(0, terms))})
+
+
+def degree_40_matrix(rng, ring):
+    """4-by-4, entries of degree at most 40, so each entry's keys fit
+    7-bit fields, and so do the minors of order 3 (degree 120), but not
+    those of order 4 (degree 160)."""
+    def exps():
+        i, j = rng.randint(0, 40), rng.randint(0, 40)
+        return (40 - max(i, j), min(i, j), max(i, j) - min(i, j))
+    return Matrix.from_rows(PolynomialDomain(ring),
+                            [[draw_poly(rng, ring, exps, 2) or ring.one
+                              for _ in range(4)] for _ in range(4)])
+
+
+def poly_minor_cases(mode):
+    """Seeded square polynomial matrices, n = 1..4: the generic matrix,
+    sparse entries of low degree in a, b, c, entries at two key widths
+    (7 and 15 data bits, the diagonal times a^130), and
+    ``degree_40_matrix``."""
+    rng = random.Random(f"poly-minors-{sorted(mode.items())}")
+    ring = PolyRing(("a", "b", "c"), **mode)
+    dom = PolynomialDomain(ring)
+    wide = ring.from_terms({(130, 0, 0): 1})
+
+    def low():
+        return tuple(rng.randint(0, 2) for _ in range(3))
+    for n in range(1, 5):
+        yield generic_matrix(n, **mode)
+        for _ in range(2):
+            yield Matrix.from_rows(dom, [[draw_poly(rng, ring, low)
+                                          for _ in range(n)]
+                                         for _ in range(n)])
+        mixed = Matrix.from_rows(
+            dom, [[(draw_poly(rng, ring, low) or ring.one)
+                   * (wide if i == j else ring.one)
+                   for j in range(n)] for i in range(n)])
+        assert n == 1 or len({f.width for f in mixed.entries if f}) == 2
+        yield mixed
+    yield degree_40_matrix(rng, ring)
+
+
+def residue(v, p):
+    """The image in GF(p) of an int or a Fraction."""
+    v = Fraction(v)
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
+@pytest.mark.parametrize("mode", POLY_MODES, ids=POLY_MODE_IDS)
+def test_polynomial_minor_matrices_match_the_textbook_oracle(mode):
+    for a in poly_minor_cases(mode):
+        check_minor_matrices(a)
+
+
+@pytest.mark.parametrize("mode", POLY_MODES, ids=POLY_MODE_IDS)
+def test_polynomial_minors_widen_their_keys_with_the_order(mode):
+    a = degree_40_matrix(random.Random(40), PolyRing(("a", "b", "c"), **mode))
+    assert {f.width for f in a.entries} == {7}
+    assert {f.width for f in a.compound(3).entries} == {7}
+    assert {f.width for f in a.compound(4).entries} == {15}
+    check_minor_matrices(a)
+
+
+@pytest.mark.parametrize("mode", POLY_MODES, ids=POLY_MODE_IDS)
+def test_polynomial_minor_matrices_match_their_gf_p_images(mode):
+    # the symbolic minors at seeded points against the field minors of the
+    # matrix at the same points, which come from elimination
+    p = mode.get("p", 2_147_483_647)
+    field = GF(p)
+    rng = random.Random(f"poly-minors-at-points-{p}")
+    for a in poly_minor_cases(mode):
+        names = a.domain.ring.names
+        for _ in range(2):
+            point = {name: rng.randrange(p) for name in names}
+
+            def at(m):
+                return m.map_entries(
+                    lambda f: residue(f.evaluate(point), p), field)
+            b = at(a)
+            for m in range(1, a.rows + 1):
+                assert at(a.compound(m)) == b.compound(m)
+                assert at(a.complementary_compound(m)) == \
+                    b.complementary_compound(m)
+            assert at(a.adjugate()) == b.adjugate()
+
+
+def counting_laplace_kernels(monkeypatch):
+    """Wrap both names of the Laplace kernel; returns the list of
+    (span name, rows) of their calls."""
+    calls = []
+    for name, span in (("det_laplace_terms", "kernels.det_tuple"),
+                       ("packed_det_laplace", "kernels.packed_det")):
+        def counting(rows, *args, _kernel=getattr(kernels, name), _span=span):
+            calls.append((_span, len(rows)))
+            return _kernel(rows, *args)
+        monkeypatch.setattr(kernels, name, counting)
+    return calls
+
+
+def test_polynomial_minor_matrices_make_one_kernel_call_per_minor(
+        ctx4, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a minor went through Matrix.det")
+
+    monkeypatch.setattr(Matrix, "det", refuse)
+    monkeypatch.setattr(Matrix, "det_laplace", refuse)
+    calls = counting_laplace_kernels(monkeypatch)
+    x, n = ctx4.X, 4
+    for m in range(1, n + 1):
+        c = x.compound(m)
+        assert [k for _, k in calls] == [m] * comb(n, m) ** 2
+        calls.clear()
+        d = x.complementary_compound(m)
+        # the empty minor of order n - m = 0 is one, with no kernel call
+        assert [k for _, k in calls] == [n - m] * comb(n, m) ** 2 * (m < n)
+        calls.clear()
+        if m == 2:
+            assert c * d.transpose() == \
+                Matrix.identity(x.domain, comb(n, m)).scale(ctx4.detX)
+    assert x.adjugate() == ctx4.adjX
+    assert [k for _, k in calls] == [n - 1] * n ** 2
+
+
+def test_laplace_size_route(ctx3, ctx4, monkeypatch):
+    # the two names of one engine, chosen by the terms of the grid plus
+    # those of the expected factors, or by seven rows or more
+    det2 = ctx4.det_power(2)
+    calls = counting_laplace_kernels(monkeypatch)
+
+    def spans(run):
+        calls.clear()
+        run()
+        return [span for span, _ in calls]
+
+    small, large = "kernels.det_tuple", "kernels.packed_det"
+    # det(adj X) = det(X)^2 * det(X) at n = 4: a grid of 96 terms, and
+    # 96 + 24 + |det(X)^2| with the factors
+    assert sum(map(len, ctx4.adjX.entries)) < 128
+    assert spans(lambda: ctx4.adjX.det_equals(det2, ctx4.detX)) == [large]
+    # at n = 3: 18 + 6 + 6 terms
+    assert spans(lambda: ctx3.adjX.det_equals(ctx3.detX, ctx3.detX)) == \
+        [small]
+    ring = PolyRing(("a", "b"))
+    dom = PolynomialDomain(ring)
+    a, b, one = ring.var("a"), ring.var("b"), ring.one
+    big = [(a + b + 1) ** 7, (a + 2 * b + 1) ** 7, (a - b + 2) ** 7]
+    assert [len(f) for f in big] == [36] * 3
+    # 36 + 36 + 36 + 20 = 128 terms take the large route, and 127 not
+    for tail, span in (((a + 1) ** 19, large), ((a + 1) ** 18, small)):
+        grid = Matrix.from_rows(dom, [big[:2], [big[2], tail]])
+        assert spans(grid.det) == [span]
+    # row set {0, 1} of compound(2) holds four 36-term entries, the row
+    # sets with row 2 two of them and two monomials
+    y = Matrix.from_rows(dom, [big, big[1:] + big[:1], [a, b, one]])
+    assert spans(lambda: y.compound(2)) == [large] * 3 + [small] * 6
+    assert spans(lambda: y.compound(1)) == [small] * 9
+    # adj(Y) reads the row sets {1, 2}, {0, 2} and {0, 1}
+    assert spans(y.adjugate) == [small] * 6 + [large] * 3
+    assert spans(y.det) == [large]
+    # seven rows take the large route at any size
+    assert spans(Matrix.identity(dom, 7).det) == [large]
+    assert spans(Matrix.identity(dom, 6).det) == [small]
 
 
 @pytest.mark.parametrize("dom", (ZZ, QQ, GF(7), GF(2_147_483_647)),
