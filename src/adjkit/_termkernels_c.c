@@ -91,6 +91,18 @@
  * dict takes only Python objects, which the helper may not make.  When the
  * helper cannot start, the merge runs on one thread too.
  *
+ * Row reduction over GF(p), 2 <= p < 2^32: row_reduce_mod is the compiled
+ * body of matrix._row_reduce_mod, the one field elimination, with the same
+ * contract.  The rows are read once into native residues in [0, p) (any
+ * int representative: negative, or wider than 64 bits, through one Python
+ * `%`), eliminated with every entry kept in [0, p), where a product and
+ * the entry it updates stay below (p - 1)^2 + (p - 1) < 2^64, and written
+ * back as new lists in their final order.  Pivots are searched in the
+ * first ncols columns only; the pivot product is negated once per swap.
+ * Signals are checked once per pivot; a failed allocation raises
+ * MemoryError.  The packed Python body serves p >= 2^32 and the
+ * pure-Python build, and is the tests' oracle.
+ *
  * The build (adjkit/_cbuild.py) defines ADJKIT_SOURCE_DIGEST, the digest
  * of this file, and the loader rebuilds when it changes.
  */
@@ -1715,6 +1727,194 @@ done:
 }
 
 /* ------------------------------------------------------------------------
+ * row reduction over GF(p) (see the header)
+ * ---------------------------------------------------------------------- */
+
+/* The residue of the int v in [0, p), p as the int pobj: any int, negative
+   or wider than 64 bits. */
+static int
+residue(PyObject *v, PyObject *pobj, u64 p, u64 *out)
+{
+    int overflow = 1;
+    long long c = 0;
+    PyObject *r;
+
+    if (PyLong_Check(v)) {
+        c = PyLong_AsLongLongAndOverflow(v, &overflow);
+        if (c == -1 && PyErr_Occurred())
+            return FAIL;
+    }
+    if (!overflow) {
+        c %= (long long)p;
+        *out = (u64)(c < 0 ? c + (long long)p : c);
+        return OK;
+    }
+    if ((r = PyNumber_Remainder(v, pobj)) == NULL)
+        return FAIL;
+    *out = PyLong_AsUnsignedLongLong(r);
+    Py_DECREF(r);
+    if (*out == (u64)-1 && PyErr_Occurred())
+        return FAIL;
+    *out %= p;
+    return OK;
+}
+
+/* a^-1 mod p for a in [1, p), p < 2^32; 0 when a and p share a factor */
+static u64
+inverse_mod(u64 a, u64 p)
+{
+    int64_t t = 0, nt = 1, r = (int64_t)p, nr = (int64_t)a;
+    while (nr) {
+        int64_t q = r / nr, x;
+        x = t - q * nt; t = nt; nt = x;
+        x = r - q * nr; r = nr; nr = x;
+    }
+    if (r != 1)
+        return 0;
+    return (u64)(t < 0 ? t + (int64_t)p : t);
+}
+
+/* row_reduce_mod(work, ncols, p, reduced): matrix._row_reduce_mod on
+   native residues (see the header).  It takes the packed body's pivots,
+   swaps and row factors, so it leaves the same rows and det. */
+static PyObject *
+row_reduce_mod(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+               PyObject *kwnames)
+{
+    PyObject *work, *pobj, *pivots = NULL, *rows = NULL, *out = NULL;
+    Py_ssize_t nrows, count = 0, ncols, npiv = 0;
+    u64 p, det = 1, *cells = NULL, **row = NULL;
+    int reduced, overflow;
+    long long pv;
+
+    if (parse_args(args, nargs, kwnames, 4, "row_reduce_mod", NULL, 0,
+                   NULL) < 0)
+        return NULL;
+    work = args[0];
+    pobj = args[2];
+    if (!PyList_Check(work)) {
+        PyErr_SetString(PyExc_TypeError, "row_reduce_mod: work must be a list");
+        return NULL;
+    }
+    if ((ncols = PyNumber_AsSsize_t(args[1], NULL)) == -1 && PyErr_Occurred())
+        return NULL;
+    if (!PyLong_Check(pobj)) {
+        PyErr_SetString(PyExc_TypeError, "row_reduce_mod: p must be an int");
+        return NULL;
+    }
+    pv = PyLong_AsLongLongAndOverflow(pobj, &overflow);
+    if (pv == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow || pv < 2 || pv >= ((long long)1 << 32)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "row_reduce_mod: p must satisfy 2 <= p < 2**32");
+        return NULL;
+    }
+    p = (u64)pv;
+    if ((reduced = PyObject_IsTrue(args[3])) < 0)
+        return NULL;
+    nrows = PyList_GET_SIZE(work);
+    for (Py_ssize_t i = 0; i < nrows; i++) {
+        PyObject *r = PyList_GET_ITEM(work, i);
+        if (!(PyList_Check(r) || PyTuple_Check(r))) {
+            PyErr_SetString(PyExc_TypeError,
+                            "row_reduce_mod: rows must be lists");
+            return NULL;
+        }
+        if (i == 0)
+            count = PySequence_Fast_GET_SIZE(r);
+        else if (PySequence_Fast_GET_SIZE(r) != count) {
+            PyErr_SetString(PyExc_ValueError,
+                            "row_reduce_mod: rows of different lengths");
+            return NULL;
+        }
+    }
+    if (ncols > count)
+        ncols = count;
+    if (nrows && (size_t)count > PY_SSIZE_T_MAX / sizeof(u64) / (size_t)nrows)
+        return PyErr_NoMemory();
+    cells = PyMem_Malloc((size_t)nrows * (size_t)count * sizeof(u64));
+    row = PyMem_Malloc((size_t)nrows * sizeof(u64 *));
+    if (cells == NULL || row == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < nrows; i++) {
+        PyObject *r = PyList_GET_ITEM(work, i);
+        row[i] = cells + (size_t)i * count;
+        for (Py_ssize_t j = 0; j < count; j++)
+            if (residue(PySequence_Fast_GET_ITEM(r, j), pobj, p,
+                        &row[i][j]) == FAIL)
+                goto done;
+    }
+    if ((pivots = PyList_New(0)) == NULL)
+        goto done;
+    for (Py_ssize_t col = 0; col < ncols; col++) {
+        Py_ssize_t r = npiv, i = r;
+        u64 *prow, inv;
+        while (i < nrows && row[i][col] == 0)
+            i++;
+        if (i == nrows)
+            continue;
+        if (PyErr_CheckSignals() < 0)
+            goto done;
+        if (i != r) {
+            prow = row[r];
+            row[r] = row[i];
+            row[i] = prow;
+            det = p - det;  /* in [1, p]; reduced just below */
+        }
+        prow = row[r];
+        det = det * prow[col] % p;
+        if ((inv = inverse_mod(prow[col], p)) == 0) {
+            PyErr_SetString(PyExc_ValueError,
+                            "base is not invertible for the given modulus");
+            goto done;
+        }
+        if (reduced)
+            for (Py_ssize_t j = col; j < count; j++)
+                prow[j] = prow[j] * inv % p;
+        for (i = reduced ? 0 : r + 1; i < nrows; i++) {
+            u64 *x = row[i], g;
+            if (i == r || x[col] == 0)
+                continue;
+            g = reduced ? p - x[col] : (p - x[col]) * inv % p;
+            for (Py_ssize_t j = col; j < count; j++)
+                x[j] = (x[j] + g * prow[j]) % p;
+        }
+        PyObject *c = PyLong_FromSsize_t(col);
+        if (c == NULL || PyList_Append(pivots, c) < 0) {
+            Py_XDECREF(c);
+            goto done;
+        }
+        Py_DECREF(c);
+        npiv++;
+    }
+    if ((rows = PyList_New(nrows)) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < nrows; i++) {
+        PyObject *r = PyList_New(count);
+        if (r == NULL)
+            goto done;
+        PyList_SET_ITEM(rows, i, r);
+        for (Py_ssize_t j = 0; j < count; j++) {
+            PyObject *v = PyLong_FromUnsignedLongLong(row[i][j]);
+            if (v == NULL)
+                goto done;
+            PyList_SET_ITEM(r, j, v);
+        }
+    }
+    if (PyList_SetSlice(work, 0, nrows, rows) == 0)
+        out = Py_BuildValue("(OK)", pivots, (unsigned long long)det);
+done:
+    Py_XDECREF(rows);
+    Py_XDECREF(pivots);
+    PyMem_Free(cells);
+    PyMem_Free(row);
+    return out;
+}
+
+/* ------------------------------------------------------------------------
  * module
  * ---------------------------------------------------------------------- */
 
@@ -1733,8 +1933,8 @@ compacted_compares(PyObject *self, PyObject *unused)
 #define KERNEL(name, fn, doc) \
     {name, (PyCFunction)(void (*)(void))fn, METH_FASTCALL | METH_KEYWORDS, doc}
 
-/* Each kernel is bound under two names, so that the large route's name is
-   a distinct object a profiler can wrap on its own. */
+/* Each term kernel is bound under two names, so that the large route's
+   name is a distinct object a profiler can wrap on its own. */
 static PyMethodDef methods[] = {
     KERNEL("mul_terms", mul_terms,
            "mul_terms(a, b, p=0)\n--\n\nReturn the term dict of a * b."),
@@ -1752,6 +1952,12 @@ static PyMethodDef methods[] = {
     KERNEL("packed_det_laplace", det_laplace_terms,
            "packed_det_laplace(rows, p=0, expect=None)\n--\n\n"
            "det_laplace_terms, under the span name of large determinants."),
+    KERNEL("row_reduce_mod", row_reduce_mod,
+           "row_reduce_mod(work, ncols, p, reduced)\n--\n\n"
+           "matrix._row_reduce_mod for 2 <= p < 2**32: row-reduce the int\n"
+           "rows work over GF(p) in place, pivots in the first ncols columns\n"
+           "only; return the pivot columns and the pivot product, negated\n"
+           "once per row swap."),
     {"split_merges", split_merges, METH_NOARGS,
      "split_merges()\n--\n\nHow many merges so far ran as two key ranges on "
      "two threads."},

@@ -584,8 +584,13 @@ def solve_common_refinement(ctx: GenericContext, alt: AlternatingMatrix,
     for key in target:
         rows.setdefault(key, {})
 
-    solved = _sparse_solve([(row, target.get(key, 0))
-                            for key, row in rows.items()], ncols)
+    # many (entry, monomial) pairs give the same equation; one copy of each
+    # leaves the reduced row echelon form as it is
+    equations = {}
+    for key, row in rows.items():
+        rhs = target.get(key, 0)
+        equations.setdefault((frozenset(row.items()), rhs), (row, rhs))
+    solved = _sparse_solve(list(equations.values()), ncols)
     if solved is None:
         return None
     solution, free = solved

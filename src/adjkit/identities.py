@@ -292,9 +292,14 @@ def _modp_factor_product(n, p, rng):
     a_inv = a_p.inverse()
     b, det_b = rand_gfp_invertible(rng, n, p)
     adj = b.adjugate()
-    det_inv = GF(p).inv(det_b)
-    y = (adj * a_inv * adj.transpose()).scale(det_inv)
+    y = _modp_quotient_factor(adj, det_b, a_inv)
     return y * (b.transpose() * a_p) == adj
+
+
+def _modp_quotient_factor(adj, det_b, a_inv):
+    """L A^-1 L^T / det(B) over GF(p), L = adj(B): the image at B of
+    factor_right's Y, and with L = adj(B)^T of factor_left's Z."""
+    return (adj * a_inv * adj.transpose()).scale(adj.domain.inv(det_b))
 
 
 def _modp_compound_det(n, p, rng):

@@ -64,6 +64,11 @@ thread cannot start, and every smaller merge.  ``split_merges()`` counts
 the merges that ran on two threads.  Results are the same either way:
 only the time differs.
 
+``row_reduce_mod`` is the compiled body of ``matrix._row_reduce_mod``,
+the GF(p) row reduction, for 2 <= p < 2^32, and None on the pure-Python
+kernels; ``matrix._row_reduce`` runs the packed body in ``matrix.py``
+whenever it is None or p is 2^32 or more.
+
 ``IMPL`` is ``"c"`` or ``"py"``; ``IMPL_NOTE`` is empty
 with ``"c"`` and says why the compiled kernels were refused with ``"py"``:
 ``ADJKIT_PURE`` set, a read-only tree, no compiler, a build error or an
@@ -300,6 +305,10 @@ IMPL = "py" if _compiled is None else "c"
 # The pair count from which a compiled merge runs on two threads; None
 # on the pure-Python kernels, which never split.
 SPLIT_MIN_PAIRS = None if _compiled is None else _compiled.SPLIT_MIN_PAIRS
+
+
+# The compiled GF(p) row reduction; matrix._row_reduce_mod serves without it.
+row_reduce_mod = None if _compiled is None else _compiled.row_reduce_mod
 
 
 def split_merges() -> int:

@@ -5,9 +5,10 @@ fraction-free Bareiss) so each can serve as an oracle for the other.
 Laplace runs on the term kernels for every domain, a numeric entry being
 a constant term.  All other scalar arithmetic uses Python's operators,
 with one ``% p`` per result entry over GF(p) (``_residues``) and a
-domain's ``coerce`` for a lone scalar; over GF(p) the elimination and the
-product work on rows packed into one int each (``_pack``), whose slots are
-reduced mod p only where a value is read.  Every matrix of minors comes
+domain's ``coerce`` for a lone scalar; over GF(p) the product, and the
+elimination where ``kernels.row_reduce_mod`` does not serve it, work on
+rows packed into one int each (``_pack``), whose slots are reduced mod p
+only where a value is read.  Every matrix of minors comes
 from ``Matrix._minors``, which over a field reduces each row set once and
 reads all the minors on it from the reduced form, and over a polynomial
 ring aligns the entries' keys once and takes each minor straight from the
@@ -75,10 +76,14 @@ def _row_reduce(work: list[list], ncols: int, dom,
     [0, p), so at most (p-1)**2 per slot, and a row takes at most one
     update per pivot.  So an update is one multiply-add of ints, and a slot
     is reduced mod p only when its pivot column is inspected and when its
-    row becomes the pivot row.  Each row is unpacked once, at the end.
+    row becomes the pivot row.  Each row is unpacked once, at the end.  On
+    the compiled kernels ``kernels.row_reduce_mod``, the same elimination
+    on native residues, serves every p below 2^32 instead.
     """
     p = getattr(dom, "p", None)
     if p is not None:
+        if kernels.row_reduce_mod is not None and p < 1 << 32:
+            return kernels.row_reduce_mod(work, ncols, p, reduced)
         return _row_reduce_mod(work, ncols, p, reduced)
     nrows = len(work)
     pivots: list[int] = []

@@ -39,12 +39,29 @@ from pathlib import Path
 
 import pytest
 
-from adjkit import kernels
-from adjkit.domains import PolynomialDomain
+from adjkit import kernels, matrix
+from adjkit.domains import GF, PolynomialDomain
 from adjkit.matrix import Matrix
 from adjkit.polyring import PolyRing, _Layout
 
 from test_kernels import *  # noqa: F401,F403  (rerun under kernel_impl)
+# the GF(p) tests of test_matrix, rerun under field_body on the packed body
+from test_matrix import (  # noqa: F401
+    test_corank_one_adjugate_matches_integer_cofactors,
+    test_elimination_agrees_with_independent_oracles,
+    test_elimination_reduces_unnormalized_entries_once,
+    test_field_adjugate_at_corank_one_reduces_twice,
+    test_field_adjugate_at_full_rank_reduces_once,
+    test_field_adjugate_is_the_cofactor_matrix,
+    test_field_adjugate_rank_deficient,
+    test_field_minor_matrices_reduce_each_row_set_once,
+    test_gauss_det_agrees_with_bareiss, test_gf_equality_compares_residues,
+    test_inverse, test_minor_matrices_match_the_textbook_oracle,
+    test_polynomial_minor_matrices_match_their_gf_p_images,
+    test_rank_of_adjugate_at_corank_one,
+    test_rectangular_reductions_match_independent_oracles,
+    test_reduction_of_a_with_identity_is_rref_and_records_the_ops,
+    test_slots_hold_one_update_per_pivot)
 
 PACKAGE = Path(kernels.__file__).parent
 SRC = PACKAGE.parent
@@ -85,9 +102,12 @@ def require_compiled():
 
 
 def pytest_generate_tests(metafunc):
-    # the tests imported from test_kernels run once on each implementation
+    # the tests imported from test_kernels run once on each implementation,
+    # and those from test_matrix once more, on the packed field elimination
     if metafunc.function.__module__ == "test_kernels":
         metafunc.parametrize("kernel_impl", ["py", "c"], indirect=True)
+    elif metafunc.function.__module__ == "test_matrix":
+        metafunc.parametrize("field_body", ["packed"], indirect=True)
 
 
 @pytest.fixture(autouse=True)
@@ -102,6 +122,35 @@ def kernel_impl(request, monkeypatch):
             for alias in aliases:
                 monkeypatch.setattr(kernels, alias, PY[name])
     return impl
+
+
+@pytest.fixture(autouse=True)
+def field_body(request):
+    """With the parameter "packed", run a test with the compiled GF(p) row
+    reduction set to None, so ``matrix._row_reduce`` runs the packed body,
+    and check that it did.  test_matrix runs the same tests on the compiled
+    one.  A domain other than GF(p) with p < 2^32 runs the packed body or
+    none on both, so its rerun is skipped."""
+    if getattr(request, "param", None) != "packed":
+        yield None
+        return
+    dom = getattr(request.node, "callspec", None)
+    dom = dom and dom.params.get("dom")
+    if dom is not None and not getattr(dom, "p", 1 << 32) < 1 << 32:
+        pytest.skip(f"{dom.name} runs the same elimination on both bodies")
+    calls = []
+    packed = matrix._row_reduce_mod
+
+    def counting(*args):
+        calls.append(args[2])
+        return packed(*args)
+
+    # its own patch, which a test's monkeypatch.undo() leaves in place
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "row_reduce_mod", None)
+        mp.setattr(matrix, "_row_reduce_mod", counting)
+        yield "packed"
+    assert calls, "the packed body never ran"
 
 
 def c_kernels():
@@ -931,6 +980,183 @@ def test_compacted_compares_is_a_read_only_count():
 
 
 # ---------------------------------------------------------------------------
+# the GF(p) row reduction against the packed body it replaces
+# ---------------------------------------------------------------------------
+
+# 4294967291 is the largest prime below 2^32, 4294967311 the smallest above
+FIELD_PRIMES = (2, 3, 7, 65521, 2_147_483_647, 4_294_967_291)
+ABOVE_2_32 = 4_294_967_311
+
+
+def row_reduce_c():
+    require_compiled()
+    return kernels.row_reduce_mod
+
+
+def representatives(rng, p, rows):
+    """rows with each entry moved by a multiple of p: some negative, some
+    at least p, some beyond 2^64 either way."""
+    shifts = (0, 0, 1, -1, 5, -3, 2**70 // p + 1, -(2**66))
+    return [[v + p * rng.choice(shifts) for v in row] for row in rows]
+
+
+def low_rank(rng, p, nrows, count, rank):
+    """A random nrows-by-count product of rank at most ``rank``."""
+    u = [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)]
+    v = [[rng.randrange(p) for _ in range(count)] for _ in range(rank)]
+    return [[sum(a * b[j] for a, b in zip(row, v)) % p for j in range(count)]
+            for row in u]
+
+
+def reduction_cases(p):
+    """Seeded (rows, ncols): 1 to 12 rows, ncols 0, random and the row
+    length, each also as [A | I] reduced by the pivots of A; zero,
+    rank-deficient and repeated-row squares; and staircases whose pivots
+    sit below the rows they move to."""
+    rng = random.Random(f"row-reduce-{p}")
+    for nrows in range(1, 13):
+        count = rng.randint(1, 13)
+        a = [[rng.randrange(p) for _ in range(count)] for _ in range(nrows)]
+        for ncols in sorted({0, rng.randint(0, count), count}):
+            yield representatives(rng, p, a), ncols
+        eye = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+        yield representatives(rng, p, [r + e for r, e in zip(a, eye)]), count
+    for n in range(1, 9):
+        yield representatives(rng, p, [[0] * n for _ in range(n)]), n
+        for rank in {n - 1, n // 2}:
+            a = low_rank(rng, p, n, n, rank)
+            yield representatives(rng, p, a), n
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            yield representatives(rng, p, [r + e for r, e in zip(a, eye)]), n
+        a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        a[-1] = a[0][:]
+        yield representatives(rng, p, a), n
+        # row i is zero left of column n-1-i: the pivot of column c is on
+        # row n-1-c, below the row it must move to
+        a = [[rng.randrange(1, p) if j >= n - 1 - i else 0 for j in range(n)]
+             for i in range(n)]
+        yield representatives(rng, p, a), n
+
+
+def check_reduction(rows, ncols, p, reduced):
+    """The compiled and the packed reduction of rows: the same rows, pivots
+    and det.  Returns the rows, pivots and det."""
+    want, got = [r[:] for r in rows], [r[:] for r in rows]
+    expect = matrix._row_reduce_mod(want, ncols, p, reduced)
+    assert row_reduce_c()(got, ncols, p, reduced) == expect
+    assert got == want
+    assert all(type(v) is int for row in got for v in row)
+    return (got, *expect)
+
+
+@pytest.mark.parametrize("p", FIELD_PRIMES)
+def test_row_reduction_matches_the_packed_body(p):
+    for rows, ncols in reduction_cases(p):
+        for reduced in (False, True):
+            check_reduction(rows, ncols, p, reduced)
+
+
+def test_row_reduction_above_2_32_runs_the_packed_body(monkeypatch):
+    calls = []
+    packed = matrix._row_reduce_mod
+
+    def counting(*args):
+        calls.append(args[2])
+        return packed(*args)
+
+    row_reduce_c()
+    monkeypatch.setattr(matrix, "_row_reduce_mod", counting)
+    rows = [[3, -1, 2**70], [5, 7, 11]]
+    for p in (4_294_967_291, ABOVE_2_32):
+        work = [r[:] for r in rows]
+        got = matrix._row_reduce(work, 3, GF(p), reduced=True)
+        want = [r[:] for r in rows]
+        assert got == packed(want, 3, p, True) and work == want
+    assert calls == [ABOVE_2_32]
+    for p in (ABOVE_2_32, 1 << 32, 1, 0, -7):
+        with pytest.raises(ValueError, match="2 <= p < 2\\*\\*32"):
+            kernels.row_reduce_mod([r[:] for r in rows], 3, p, False)
+
+
+def test_row_reduction_rejects_malformed_rows():
+    reduce = row_reduce_c()
+    with pytest.raises(ValueError, match="different lengths"):
+        reduce([[1, 2], [3]], 2, 7, False)
+    with pytest.raises(TypeError):
+        reduce(([1, 2], [3, 4]), 2, 7, False)
+    with pytest.raises(TypeError):
+        reduce([[1, 2], "ab"], 2, 7, False)
+    with pytest.raises(TypeError):
+        reduce([[1, 2]], 2, 7, False, True)
+    # a row given twice is read twice and written back as two lists
+    row = [2, 3]
+    work = [row, row, [1, 1]]
+    assert reduce(work, 2, 7, True) == ([0, 1], 1)
+    assert work == [[1, 0], [0, 1], [0, 0]] and row == [2, 3]
+    assert work[0] is not work[1]
+
+
+# each planted fault of the compiled body fails one of the four tests below
+
+@pytest.mark.parametrize("p", FIELD_PRIMES)
+def test_row_reduction_negates_the_det_once_per_swap(p):
+    # the pivot rows of a permutation matrix, and of a staircase with row
+    # i zero left of column 3 - i, move by one swap each when out of place:
+    # one swap, one swap, two, and two for the staircase (det 2*3*5*7)
+    cases = (([[0, 1], [1, 0]], -1), ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+             ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+             ([[0, 0, 0, 2], [0, 0, 3, 1], [0, 5, 1, 1], [7, 1, 1, 1]], 210))
+    for rows, det_zz in cases:
+        n = len(rows)
+        for reduced in (False, True):
+            _, pivots, det = check_reduction(rows, n, p, reduced)
+            if det_zz % p:
+                assert pivots == list(range(n)) and det == det_zz % p
+
+
+@pytest.mark.parametrize("p", FIELD_PRIMES)
+def test_row_reduction_leaves_every_entry_a_residue(p):
+    rng = random.Random(f"residues-{p}")
+    for nrows, count in ((3, 5), (6, 6), (8, 10)):
+        a = [[rng.randrange(p) for _ in range(count)] for _ in range(nrows)]
+        rows = representatives(rng, p, a)
+        rows[0][0] = -1 - 3 * p
+        for reduced in (False, True):
+            got, pivots, det = check_reduction(rows, count, p, reduced)
+            assert all(0 <= v < p for row in got for v in row)
+            assert 0 <= det < p
+
+
+@pytest.mark.parametrize("p", FIELD_PRIMES)
+def test_reduced_rows_have_unit_pivots(p):
+    rng = random.Random(f"unit-pivots-{p}")
+    for nrows, count in ((2, 10), (8, 10), (5, 5)):
+        rows = [[rng.randrange(p) for _ in range(count)]
+                for _ in range(nrows)]
+        got, pivots, _ = check_reduction(rows, count, p, True)
+        assert pivots
+        for r, c in enumerate(pivots):
+            assert [row[c] for row in got] == \
+                [int(i == r) for i in range(nrows)]
+
+
+@pytest.mark.parametrize("p", FIELD_PRIMES)
+def test_pivots_come_from_the_first_ncols_columns(p):
+    rng = random.Random(f"ncols-{p}")
+    for n in (2, 4, 7):
+        # [A | I] with A of rank n - 1 and a zero first column
+        a = low_rank(rng, p, n, n, n - 1)
+        for row in a:
+            row[0] = 0
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows = [r + e for r, e in zip(a, eye)]
+        for ncols in range(n + 1):
+            for reduced in (False, True):
+                _, pivots, _ = check_reduction(rows, ncols, p, reduced)
+                assert all(c < ncols for c in pivots)
+
+
+# ---------------------------------------------------------------------------
 # selection, build and robustness, each in a fresh process
 # ---------------------------------------------------------------------------
 
@@ -972,8 +1198,12 @@ def test_memory_error_under_an_address_space_limit():
         limit = pages * resource.getpagesize() + (192 << 20)
         resource.setrlimit(resource.RLIMIT_AS,
                            (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+        # 20000 references to one row of 20000 zeros: 0.3 MB of lists, and
+        # 3.2 GB of residues for the row reduction
+        rows = [[0] * 20000] * 20000
         for call in (lambda: kernels.mul_terms(a, b),
-                     lambda: kernels.packed_det_laplace(grid, 0, {0: 1})):
+                     lambda: kernels.packed_det_laplace(grid, 0, {0: 1}),
+                     lambda: kernels.row_reduce_mod(rows, 20000, 7, False)):
             try:
                 call()
             except MemoryError:
@@ -983,11 +1213,15 @@ def test_memory_error_under_an_address_space_limit():
         grid = [[{1: 2}, {0: 1}], [{0: 1}, {1: 3}]]
         assert kernels.det_laplace_terms(grid) == {2: 6, 0: -1}
         assert kernels.det_laplace_terms(grid, 0, {2: 6, 0: -1}) is True
+        assert len(rows) == 20000 and rows[0] is rows[-1]
+        work = [[2, 1], [1, 1]]
+        assert kernels.row_reduce_mod(work, 2, 7, True) == ([0, 1], 1)
+        assert work == [[1, 0], [0, 1]]
         print("done")
         """
     done = run_python(code, env=env_without_pure())
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["MemoryError", "MemoryError", "done"]
+    assert done.stdout.split() == ["MemoryError"] * 3 + ["done"]
 
 
 # the child's thread count, and a split product it must still get right:

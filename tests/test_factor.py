@@ -926,8 +926,11 @@ def test_refinement_system_splits_into_bidegree_blocks(monkeypatch, ctx4):
     assert w.passed
     [(equations, ncols)] = systems
     assert ncols == 392
-    assert len(equations) == 4048
-    assert sum(len(row) for row, _ in equations) == 6272
+    # 4,048 (entry, monomial) pairs give 984 distinct equations, each once
+    assert len(equations) == 984
+    assert len({(frozenset(row.items()), rhs)
+                for row, rhs in equations}) == 984
+    assert sum(len(row) for row, _ in equations) == 1912
     assert all(v == 1 for row, _ in equations for v in row.values())
     assert max(len(row) for row, _ in equations) == 4
     # connected components of the unknowns that share an equation
@@ -946,6 +949,29 @@ def test_refinement_system_splits_into_bidegree_blocks(monkeypatch, ctx4):
     sizes = Counter(find(j) for j in range(ncols))
     assert len(sizes) == 100
     assert max(sizes.values()) <= 6
+
+
+def test_refinement_solves_each_distinct_equation_once(monkeypatch, ctx4):
+    # the pair of `refine --n 4 --A random --seed 11`: its 4,048 (entry,
+    # monomial) pairs hold 984 distinct equations, and repeating each of
+    # them, in another order, leaves the solution and free-unknown count
+    systems = []
+    solve = factor._sparse_solve
+
+    def capturing(equations, ncols):
+        got = solve(equations, ncols)
+        systems.append((equations, ncols, got))
+        return got
+
+    monkeypatch.setattr(factor, "_sparse_solve", capturing)
+    w = solve_common_refinement(ctx4, random_alternating(4, 11),
+                               standard_symplectic(4))
+    assert w.passed
+    [(equations, ncols, got)] = systems
+    assert len(equations) == 984
+    repeated = [eq for eq in equations for _ in range(5)]
+    assert solve(repeated[::-1], ncols) == got
+    assert got[1] == w.solution_space_dim
 
 
 @pytest.mark.parametrize("part", ["r", "W"])

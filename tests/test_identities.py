@@ -6,7 +6,9 @@ from math import comb
 
 import pytest
 
-from adjkit import GenericContext, identities, matrix
+from adjkit import (GF, GenericContext, factor_left, factor_right,
+                    identities, matrix, random_alternating,
+                    standard_symplectic)
 from adjkit.identities import (REGISTRY, SUITE, compound_det_check,
                                rand_gfp_singular, run_modp_suite,
                                run_symbolic_suite)
@@ -331,3 +333,52 @@ def test_modp_negative_control_fails_every_trial(p):
     # det(B) is drawn outside {0, 1}, where det^(n-1) * (det - 1) != 0
     rep = sz_check("corrupted_adj_det", 3, p, trials=20, seed=1)
     assert [f["trial"] for f in rep["failures"]] == list(range(20))
+
+
+# the symbolic objects against their images over GF(p), which come from the
+# field elimination
+
+def gf_image(m, point, p):
+    """The matrix of polynomials m at the int point, over GF(p)."""
+    return m.map_entries(lambda f: f.evaluate(point) % p, GF(p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 2_147_483_647])
+def test_symbolic_objects_match_their_gf_p_images(p, ctx2, ctx3, ctx4, ctx5):
+    rng = random.Random(f"gf-images-{p}")
+    for ctx in (ctx2, ctx3, ctx4, ctx5):
+        names = [f"x_{i}_{j}" for i in range(1, ctx.n + 1)
+                 for j in range(1, ctx.n + 1)]
+        for _ in range(3):
+            point = {name: rng.randrange(-p, 2 * p) for name in names}
+            b = gf_image(ctx.X, point, p)
+            assert ctx.detX.evaluate(point) % p == b.det()
+            assert gf_image(ctx.adjX, point, p) == b.adjugate()
+    # factor_right's Y and factor_left's Z at n = 4, against the
+    # construction of the factor_product mod-p trial, at points where B is
+    # invertible mod p
+    names = [f"x_{i}_{j}" for i in range(1, 5) for j in range(1, 5)]
+    alts = [standard_symplectic(4), random_alternating(4, 5),
+            random_alternating(4, 7, bound=3)]
+    seen = 0
+    for alt in alts:
+        right, left = factor_right(ctx4, alt), factor_left(ctx4, alt)
+        a_p = alt.matrix.map_entries(GF(p).coerce, GF(p))
+        a_inv = a_p.inverse()
+        for _ in range(3):
+            point = {name: rng.randrange(p) for name in names}
+            b = gf_image(ctx4.X, point, p)
+            det_b = b.det()
+            if not det_b:
+                continue
+            seen += 1
+            adj = b.adjugate()
+            y = identities._modp_quotient_factor(adj, det_b, a_inv)
+            z = identities._modp_quotient_factor(adj.transpose(), det_b,
+                                                 a_inv)
+            assert gf_image(right.Y, point, p) == y
+            assert gf_image(right.Z, point, p) == b.transpose() * a_p
+            assert gf_image(left.Y, point, p) == a_p * b.transpose()
+            assert gf_image(left.Z, point, p) == z
+            assert y * (b.transpose() * a_p) == adj
+    assert seen
