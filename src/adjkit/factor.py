@@ -9,8 +9,9 @@ expansion, and the quotient factor's law derived (``_certificate_checks``).
 
 Also here: the alternating-sandwich divisibility adj(X)*A*adj(X)^T =
 det(X)*Q, the diagonal factorization of det(X)*I, the parity/exponent
-feasibility guard, and the common-refinement solver for
-adj(X) = A*(r*X^T + X^T*W*X^T)*A'.
+feasibility guard, and the common refinement
+adj(X) = A*(r*X^T + X^T*W*X^T)*A', whose witness (r, W) is built from its
+closed form in Pfaffians of A and A' and minors of X.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from functools import cache
 
 from . import kernels
 from .domains import ZZ, PolynomialDomain
-from .matrix import Matrix, _max_degree, lift_int_matrix
+from .matrix import Matrix, _max_degree, index_subsets, lift_int_matrix
 from .polyring import ExactDivisionError, PolyRing, Polynomial, aligned
 
 FEASIBLE = "feasible"
@@ -420,10 +421,12 @@ def diagonal_factorization(ctx: GenericContext) -> list[Matrix]:
 class RefinementWitness:
     """Witness for adj(X) = A (r X^T + X^T W X^T) A'.
 
-    The scalar r is a homogeneous polynomial of degree n-2 (an honest
-    constant only when n = 2: with a constant r the degree-(n-1) match is
-    impossible for n >= 3, and the n = 4 system is exactly inconsistent).
-    W entries are homogeneous of degree n-3, the zero matrix when n = 2.
+    The scalar r is a homogeneous polynomial of degree n-2 (a constant only
+    when n = 2: with a constant r the degree-(n-1) match is impossible for
+    n >= 3).  W entries are homogeneous of degree n-3, the zero matrix when
+    n = 2.  Their coefficients are rational: they are closed forms with
+    integer coefficients divided by Pf(A) Pf(A') (``solve_common_refinement``).
+    The witness is unique, so ``solution_space_dim`` is 0.
     """
 
     n: int
@@ -465,79 +468,78 @@ class RefinementWitness:
         )
 
 
-def _sparse_solve(equations: list, ncols: int):
-    """Exact sparse elimination over the rationals.
+def _pfaffian(a: Matrix):
+    """Pf(a[L]) for index tuples L of the alternating matrix a: the
+    Pfaffian of the principal submatrix on L, taken in that order.
 
-    equations is a list of (row, rhs) pairs, a row mapping unknown index ->
-    coefficient.  Returns (solution list, free-unknown count), or None when
-    the system is inconsistent.  The equations are reduced sparsest first
-    into an echelon basis whose pivot is the lowest unknown of each row;
-    fill-in that lands on a pivot column waits on a heap.  Back-substitution
-    sets every free unknown to zero, which gives the particular solution of
-    the reduced row echelon form, whatever the equation order.  Integral
-    values are kept as ints, which multiply far faster than Fractions.
+    It is expanded along the first index, Pf(a[L]) = sum over j >= 1 of
+    (-1)^(j+1) a[L_0, L_j] Pf(a[L without L_0, L_j]), and memoized on L, so
+    the submatrices of one call share their sub-Pfaffians.  The empty list
+    gives 1 and a list of odd length 0.
     """
-    basis: dict = {}   # pivot -> (row without the pivot, rhs), pivot coeff 1
-    for row, rhs in sorted(equations, key=lambda eq: len(eq[0])):
-        row = {j: v for j, v in row.items() if v}
-        heap = [c for c in row if c in basis]
-        heapify(heap)
-        while heap:
-            c = heappop(heap)
-            f = row.pop(c, 0)
-            if not f:
-                continue
-            prow, prhs = basis[c]
-            for j, v in prow.items():
-                nv = row.get(j, 0) - f * v
-                if not nv:
-                    del row[j]
-                    continue
-                if j not in row and j in basis:
-                    heappush(heap, j)
-                row[j] = nv
-            rhs -= f * prhs
-        if not row:
-            if rhs:
-                return None
-            continue
-        p = min(row)
-        inv = Fraction(1, row.pop(p))
-        basis[p] = ({j: _integral(v * inv) for j, v in row.items()},
-                    _integral(rhs * inv))
-    solution = [Fraction(0)] * ncols
-    for p in sorted(basis, reverse=True):
-        prow, prhs = basis[p]
-        solution[p] = Fraction(prhs - sum(v * solution[j]
-                                          for j, v in prow.items()))
-    return solution, ncols - len(basis)
+    @cache
+    def pf(index: tuple):
+        if len(index) % 2:
+            return 0
+        if not index:
+            return 1
+        first, rest = index[0], index[1:]
+        return sum((-1) ** j * a[first, c] * pf(rest[:j] + rest[j + 1:])
+                   for j, c in enumerate(rest) if a[first, c])
+    return pf
 
 
-def _integral(q: Fraction):
-    """q, as an int when its denominator is 1."""
-    return q.numerator if q.denominator == 1 else q
+def _refinement_closed_form(ctx: GenericContext, alt: AlternatingMatrix,
+                            alt_prime: AlternatingMatrix):
+    """(r, W, Pf(A) Pf(A')) of the closed form, over the integers.
+
+    With Pf(M[L]) the Pfaffian of M on the index list L in that order
+    (``_pfaffian``),
+
+      r    = -sum Pf(A[I]) det X[K, I] Pf(A'[K]) over (n-2)-sets I, K,
+      W_ab = -sum Pf(A'[(a, I)]) det X[I, K] Pf(A[(K, b)]) over
+             (n-3)-sets I, K with a not in I and b not in K,
+
+    with I and K ascending, so a comes first and b last, satisfy
+    A (r X^T + X^T W X^T) A' = Pf(A) Pf(A') adj(X).  Each sum is a product
+    of a row of Pfaffians, one matrix of minors of X and a column of
+    Pfaffians.  At n = 2 the one empty minor is 1, so r = -1 and W = 0.
+    """
+    n = ctx.n
+    pf, pf_prime = _pfaffian(alt.matrix), _pfaffian(alt_prime.matrix)
+    sets = index_subsets(n, n - 2)
+    r = -(ctx.lift(Matrix(ZZ, 1, len(sets), [pf_prime(K) for K in sets]))
+          * ctx.X._minors(sets, signed=False)
+          * ctx.lift(Matrix(ZZ, len(sets), 1, [pf(I) for I in sets])))[0, 0]
+    if n == 2:
+        w = Matrix.zeros(ctx.domain, n, n)
+    else:
+        sets = index_subsets(n, n - 3)
+        left = [pf_prime((a, *I)) if a not in I else 0
+                for a in range(n) for I in sets]
+        right = [pf((*K, b)) if b not in K else 0
+                 for K in sets for b in range(n)]
+        w = -(ctx.lift(Matrix(ZZ, n, len(sets), left))
+              * ctx.X._minors(sets, signed=False)
+              * ctx.lift(Matrix(ZZ, len(sets), n, right)))
+    full = tuple(range(n))
+    return r, w, pf(full) * pf_prime(full)
 
 
 def solve_common_refinement(ctx: GenericContext, alt: AlternatingMatrix,
-                            alt_prime: AlternatingMatrix
-                            ) -> RefinementWitness | None:
-    """Solve adj(X) = A (r X^T + X^T W X^T) A' by coefficient matching.
+                            alt_prime: AlternatingMatrix) -> RefinementWitness:
+    """The witness (r, W) of adj(X) = A (r X^T + X^T W X^T) A'.
 
-    Degree bookkeeping against the homogeneous degree-(n-1) adjugate forces
-    the shape of the unknowns: r is a homogeneous scalar polynomial of
-    degree n-2 and the entries of W are homogeneous of degree n-3 (W = 0
-    when n = 2).  The coefficients are matched in the basis
-    A^-1 adj(X) A'^-1 = r X^T + X^T W X^T, which mixes each monomial's n^2
-    equations by an invertible matrix: the reduced row echelon form of
-    [M | b], and so the particular solution with every free unknown at
-    zero, is that of the original basis.  There each unknown has
-    coefficient 1, x^mu of r at x^mu x_v_u in entry (u, v) and x^mu of
-    W[a][b] at x^mu x_a_u x_v_b.  Grading x_i_j by (e_i, f_j) and entry
-    (u, v) by -(e_v + f_u) gives every unknown one grade, so the system
-    splits into small blocks that the sparse elimination never mixes.  The
-    product checks run over the integers: with d the lcm of the solution's
-    denominators, each bracketing of A (d r X^T + X^T (d W) X^T) A' is
-    compared with d adj(X), which is exactly the identity over QQ.
+    It is the closed form of ``_refinement_closed_form`` divided by
+    Pf(A) Pf(A').  It is unique, so ``solution_space_dim`` is 0: a
+    difference of two witnesses has r X^T + X^T W X^T = 0, so
+    det(X) W = -r adj(X^T), and the irreducible det(X), which divides no
+    entry of adj(X^T), would divide r, whose degree n-2 is too low; so
+    r = 0 and W = 0.
+
+    The product checks run over the integers: with d the lcm of the
+    witness's denominators, each bracketing of A (d r X^T + X^T (d W) X^T) A'
+    is compared with d adj(X), which is exactly the identity over QQ.
     """
     n = ctx.n
     if n % 2:
@@ -549,62 +551,20 @@ def solve_common_refinement(ctx: GenericContext, alt: AlternatingMatrix,
         raise ValueError(f"refinement solves over the rationals, "
                          f"not over GF({ring.p})")
     qring = PolyRing.generic(n, rational=True)
-    # det(A) det(A') * A^-1 adj(X) A'^-1
-    rhs = (ctx.lift(alt.matrix.adjugate()) * ctx.adjX
-           * ctx.lift(alt_prime.matrix.adjugate()))
-    denom = alt.det * alt_prime.det
+    r_num, w_num, pf_both = _refinement_closed_form(ctx, alt, alt_prime)
+    # the witness is (r_num, w_num) / pf_both, so the lcm d of its
+    # denominators is |pf_both| over the gcd of pf_both and every
+    # coefficient, and d times the witness is (r_num, w_num) / q
+    d = abs(pf_both) // math.gcd(pf_both, *(
+        c for f in [r_num, *w_num.entries] for c in f.packed.values()))
+    q = pf_both // d
 
-    nx = n * n  # the x variables; t is never involved
-    r_monos = ring.monomials(n - 2, nx)
-    w_monos = ring.monomials(n - 3, nx) if n >= 3 else []
-    nr, nw = len(r_monos), len(w_monos)
-    ncols = nr + n * n * nw
-    # every equation's monomial has total degree n - 1: at one key width,
-    # the key of a product of monomials is the sum of their keys
-    width, terms = aligned(r_monos + w_monos + ctx.X.entries + rhs.entries,
-                           n - 1)
-    mu_keys = [next(iter(t)) for t in terms[:nr + nw]]
-    x_keys = [next(iter(t)) for t in terms[nr + nw:nr + nw + nx]]
+    def scaled(f):
+        """d * f / pf_both: q divides every coefficient of f."""
+        return Polynomial(ring, {k: c // q for k, c in f.packed.items()},
+                          f.width)
 
-    # one equation per (entry index u * n + v, key)
-    rows: dict = {}
-    for u in range(n):
-        for v in range(n):
-            e = u * n + v
-            k = x_keys[v * n + u]
-            for mi, mk in enumerate(mu_keys[:nr]):
-                rows.setdefault((e, mk + k), {})[mi] = 1
-            for ab in range(nx):
-                a, b = divmod(ab, n)
-                k = x_keys[a * n + u] + x_keys[v * n + b]
-                for mi, mk in enumerate(mu_keys[nr:], nr + ab * nw):
-                    rows.setdefault((e, mk + k), {})[mi] = 1
-    target = {(e, k): _integral(Fraction(c, denom))
-              for e, entry in enumerate(terms[-nx:]) for k, c in entry.items()}
-    for key in target:
-        rows.setdefault(key, {})
-
-    # many (entry, monomial) pairs give the same equation; one copy of each
-    # leaves the reduced row echelon form as it is
-    equations = {}
-    for key, row in rows.items():
-        rhs = target.get(key, 0)
-        equations.setdefault((frozenset(row.items()), rhs), (row, rhs))
-    solved = _sparse_solve(list(equations.values()), ncols)
-    if solved is None:
-        return None
-    solution, free = solved
-    d = math.lcm(*(s.denominator for s in solution))
-
-    def combination(keys, start):
-        """The polynomial d * sum of solution[start + i] x^keys[i]."""
-        return Polynomial(ring, {k: (solution[start + i] * d).numerator
-                                 for i, k in enumerate(keys)
-                                 if solution[start + i]}, width)
-
-    r_d = combination(mu_keys[:nr], 0)
-    w_d = Matrix(ctx.domain, n, n, [combination(mu_keys[nr:], nr + ab * nw)
-                                    for ab in range(nx)])
+    r_d, w_d = scaled(r_num), w_num.map_entries(scaled)
     a, a2 = ctx.lift(alt.matrix), ctx.lift(alt_prime.matrix)
     xt, r_i = ctx.X.transpose(), ctx.identity.scale(r_d)
     adj_d = ctx.adjX.scale(d)
@@ -624,4 +584,4 @@ def solve_common_refinement(ctx: GenericContext, alt: AlternatingMatrix,
                              for e in W.entries),
     }
     return RefinementWitness(n=n, r=r, W=W, alt=alt, alt_prime=alt_prime,
-                             solution_space_dim=free, checks=checks)
+                             solution_space_dim=0, checks=checks)

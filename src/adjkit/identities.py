@@ -174,12 +174,17 @@ def _sym_sandwich(ctx: GenericContext) -> dict:
     C[{i,j}, {k,l}], with C = compound(adj X, 2); the entries with i > j
     are their negatives and the diagonal is zero.  Jacobi's theorem at
     order 2, C = det(X) * complementary_compound(X, 2)^T, checked exactly,
-    makes every such sum a multiple of det(X).  At n = 1 there are no
-    2-by-2 minors, and the only alternating matrix is zero.
+    makes every such sum a multiple of det(X).  The two sides are compared
+    entry by entry, each entry of det(X) * D^T (D the complementary
+    compound) formed as it is compared, so only C is held whole.  At n = 1
+    there are no 2-by-2 minors, and the only alternating matrix is zero.
     """
     n = ctx.n
-    ok = n < 2 or ctx.adjX.compound(2) == (
-        ctx.X.complementary_compound(2).transpose().scale(ctx.detX))
+    ok = True
+    if n >= 2:
+        c, d = ctx.adjX.compound(2), ctx.X.complementary_compound(2)
+        ok = all(c[i, j] == ctx.detX * d[j, i]
+                 for i in range(c.rows) for j in range(c.cols))
     return {"identity": "sandwich_divisibility", "n": n, "route": "derived",
             "theorem": "Jacobi's theorem on the minors of the adjugate",
             "checks": {"compound_of_adjugate": ok}, "passed": ok}

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from adjkit import cli
 from adjkit.cli import main
 from adjkit.factor import (random_alternating, random_unimodular,
-                           standard_symplectic)
+                           solve_common_refinement, standard_symplectic)
 
 
 def run(capsys, *argv):
@@ -252,14 +253,20 @@ def test_refine_n4(capsys):
     assert payload["solution_space_dim"] == 0
 
 
-def test_refine_no_solution(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "solve_common_refinement", lambda *args: None)
-    code, out, _ = run(capsys, "refine", "--n", "2")
-    assert code == 1
-    assert out == "no solution: the coefficient-matching system is inconsistent\n"
-    code, out, _ = run(capsys, "refine", "--n", "2", "--format", "json")
-    assert code == 1
-    assert json.loads(out) == {"n": 2, "result": "no_solution"}
+def test_refine_n6_builds_the_unique_witness(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "refine", "--n", "6", "--A", "random",
+                       "--seed", "11")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "solution_space_dim = 0"
+    assert lines[2:7] == [f"  check {name}: ok" for name in (
+        "back_multiplication", "left_divisible_by_a_xt",
+        "right_divisible_by_xt_aprime", "r_homogeneous", "w_homogeneous")]
+    payload = json.loads(lines[-1])
+    assert payload["n"] == 6 and payload["solution_space_dim"] == 0
+    assert elapsed < 5, elapsed
 
 
 def test_refine_draws_a_prime_from_the_next_seed(capsys, monkeypatch):
@@ -267,6 +274,7 @@ def test_refine_draws_a_prime_from_the_next_seed(capsys, monkeypatch):
 
     def record(ctx, alt, alt2):
         seen.append((alt.matrix, alt2.matrix))
+        return solve_common_refinement(ctx, alt, alt2)
 
     monkeypatch.setattr(cli, "solve_common_refinement", record)
     for seed in (1, 2, 7, 40):

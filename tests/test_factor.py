@@ -1,12 +1,14 @@
 """Factorization core: generic contexts, the feasibility guard, alternating
 matrices, sandwich divisibility, both factorization sides, the diagonal
-factorization, and the common-refinement solver."""
+factorization, and the common refinement with its closed form, checked
+against the coefficient-matching solver it replaced."""
 
 import json
 import random
-from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
 
@@ -20,7 +22,7 @@ from adjkit import (AlternatingMatrix, ExactDivisionError,
 from adjkit import factor
 from adjkit.domains import PolynomialDomain
 from adjkit.factor import (FEASIBLE, INFEASIBLE_EXPONENT, INFEASIBLE_ODD,
-                           RefinementWitness, _sparse_solve)
+                           RefinementWitness)
 from adjkit.matrix import _row_reduce, lift_int_matrix
 from adjkit.polyring import PolyRing, Polynomial, aligned
 
@@ -788,13 +790,66 @@ def test_refinement_rejects_a_mod_p_context():
                                 random_alternating(4, 3))
 
 
+def _sparse_solve(equations: list, ncols: int):
+    """Exact sparse elimination over the rationals, the oracle's solver.
+
+    equations is a list of (row, rhs) pairs, a row mapping unknown index ->
+    coefficient.  Returns (solution list, free-unknown count), or None when
+    the system is inconsistent.  The equations are reduced sparsest first
+    into an echelon basis whose pivot is the lowest unknown of each row;
+    fill-in that lands on a pivot column waits on a heap.  Back-substitution
+    sets every free unknown to zero, which gives the particular solution of
+    the reduced row echelon form, whatever the equation order.  Integral
+    values are kept as ints, which multiply far faster than Fractions.
+    """
+    basis: dict = {}   # pivot -> (row without the pivot, rhs), pivot coeff 1
+    for row, rhs in sorted(equations, key=lambda eq: len(eq[0])):
+        row = {j: v for j, v in row.items() if v}
+        heap = [c for c in row if c in basis]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            f = row.pop(c, 0)
+            if not f:
+                continue
+            prow, prhs = basis[c]
+            for j, v in prow.items():
+                nv = row.get(j, 0) - f * v
+                if not nv:
+                    del row[j]
+                    continue
+                if j not in row and j in basis:
+                    heappush(heap, j)
+                row[j] = nv
+            rhs -= f * prhs
+        if not row:
+            if rhs:
+                return None
+            continue
+        p = min(row)
+        inv = Fraction(1, row.pop(p))
+        basis[p] = ({j: _integral(v * inv) for j, v in row.items()},
+                    _integral(rhs * inv))
+    solution = [Fraction(0)] * ncols
+    for p in sorted(basis, reverse=True):
+        prow, prhs = basis[p]
+        solution[p] = Fraction(prhs - sum(v * solution[j]
+                                          for j, v in prow.items()))
+    return solution, ncols - len(basis)
+
+
+def _integral(q: Fraction):
+    """q, as an int when its denominator is 1."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def _original_basis_refinement(ctx, alt, alt_prime):
     """The refinement witness from the original basis, kept as the oracle.
 
     Matches the coefficients of A (r X^T + X^T W X^T) A' against adj(X)
     itself: r multiplies A X^T A' and the coefficient of x^mu in W[a][b]
-    multiplies (A X^T)[u,a] (X^T A')[b,v].  The system goes to the same
-    sparse solver, and the checks multiply over the rationals.
+    multiplies (A X^T)[u,a] (X^T A')[b,v].  The system goes to
+    ``_sparse_solve``, and the checks multiply over the rationals.
     """
     n = ctx.n
     ring = ctx.ring
@@ -912,89 +967,140 @@ def test_refinement_matches_the_original_basis(request, case):
         assert _witness_denominator(got) > 1
 
 
-def test_refinement_system_splits_into_bidegree_blocks(monkeypatch, ctx4):
-    systems = []
-    solve = factor._sparse_solve
-
-    def capturing(equations, ncols):
-        systems.append((equations, ncols))
-        return solve(equations, ncols)
-
-    monkeypatch.setattr(factor, "_sparse_solve", capturing)
-    w = solve_common_refinement(ctx4, random_alternating(4, 1),
-                                random_alternating(4, 2))
-    assert w.passed
-    [(equations, ncols)] = systems
-    assert ncols == 392
-    # 4,048 (entry, monomial) pairs give 984 distinct equations, each once
-    assert len(equations) == 984
-    assert len({(frozenset(row.items()), rhs)
-                for row, rhs in equations}) == 984
-    assert sum(len(row) for row, _ in equations) == 1912
-    assert all(v == 1 for row, _ in equations for v in row.values())
-    assert max(len(row) for row, _ in equations) == 4
-    # connected components of the unknowns that share an equation
-    root = list(range(ncols))
-
-    def find(j):
-        while root[j] != j:
-            root[j] = root[root[j]]
-            j = root[j]
-        return j
-
-    for row, _ in equations:
-        first, *rest = row
-        for j in rest:
-            root[find(j)] = find(first)
-    sizes = Counter(find(j) for j in range(ncols))
-    assert len(sizes) == 100
-    assert max(sizes.values()) <= 6
-
-
-def test_refinement_solves_each_distinct_equation_once(monkeypatch, ctx4):
-    # the pair of `refine --n 4 --A random --seed 11`: its 4,048 (entry,
-    # monomial) pairs hold 984 distinct equations, and repeating each of
-    # them, in another order, leaves the solution and free-unknown count
-    systems = []
-    solve = factor._sparse_solve
-
-    def capturing(equations, ncols):
-        got = solve(equations, ncols)
-        systems.append((equations, ncols, got))
-        return got
-
-    monkeypatch.setattr(factor, "_sparse_solve", capturing)
-    w = solve_common_refinement(ctx4, random_alternating(4, 11),
-                               standard_symplectic(4))
-    assert w.passed
-    [(equations, ncols, got)] = systems
-    assert len(equations) == 984
-    repeated = [eq for eq in equations for _ in range(5)]
-    assert solve(repeated[::-1], ncols) == got
-    assert got[1] == w.solution_space_dim
-
-
 @pytest.mark.parametrize("part", ["r", "W"])
 def test_refinement_checks_catch_a_perturbed_solution(monkeypatch, ctx4,
                                                       part):
-    # one coefficient of r (the first unknown) or of W (the last) is off
-    # by one; the pair has det(A) det(A') = 36, so d > 1 clears fractions
-    solve = factor._sparse_solve
+    # one coefficient of the closed-form r, or of one entry of W, is
+    # doubled; the pair has Pf(A) Pf(A') = 6, so d > 1 clears fractions
+    closed_form = factor._refinement_closed_form
 
-    def perturbed(equations, ncols):
-        solution, free = solve(equations, ncols)
-        solution[0 if part == "r" else ncols - 1] += 1
-        return solution, free
+    def perturbed(ctx, alt, alt_prime):
+        r, w, pf_both = closed_form(ctx, alt, alt_prime)
+        f = r if part == "r" else next(e for e in w.entries if e)
+        f.packed[next(iter(f.packed))] *= 2
+        return r, w, pf_both
 
     alt, alt_prime = _block_alternating(2, 3), _scaled_j(4, 1)
     assert _witness_denominator(
         solve_common_refinement(ctx4, alt, alt_prime)) > 1
-    monkeypatch.setattr(factor, "_sparse_solve", perturbed)
+    monkeypatch.setattr(factor, "_refinement_closed_form", perturbed)
     w = solve_common_refinement(ctx4, alt, alt_prime)
     assert not w.checks["back_multiplication"]
     assert not w.checks["left_divisible_by_a_xt"]
     assert not w.checks["right_divisible_by_xt_aprime"]
     assert w.checks["r_homogeneous"] and w.checks["w_homogeneous"]
+
+
+def _closed_form_sums(x, pf, pf_prime, fault=None):
+    """(r, W) times Pf(A) Pf(A'), summed term by term from the closed form.
+
+    x is the generic matrix, pf and pf_prime map an index tuple L to
+    Pf(A[L]) and Pf(A'[L]).  ``fault`` plants one error: "index_order"
+    takes Pf(A'[(I, a)]) for Pf(A'[(a, I)]), "transposed_minor" det X[I, K]
+    for det X[K, I] in r, and "sign" negates both sums.
+    """
+    n = x.rows
+    sign = 1 if fault == "sign" else -1
+    r = x.domain.zero
+    for i in combinations(range(n), n - 2):
+        for k in combinations(range(n), n - 2):
+            rows, cols = (i, k) if fault == "transposed_minor" else (k, i)
+            r = r + x.submatrix(rows, cols).det_laplace() * (pf(i) * pf_prime(k))
+    w = Matrix.zeros(x.domain, n, n)
+    for a in range(n):
+        for b in range(n):
+            for i in combinations([c for c in range(n) if c != a], n - 3):
+                left = pf_prime(i + (a,) if fault == "index_order"
+                                else (a,) + i)
+                for k in combinations([c for c in range(n) if c != b], n - 3):
+                    w.entries[a * n + b] += (x.submatrix(i, k).det_laplace()
+                                             * (left * pf(k + (b,))))
+    return r * sign, w.scale(sign)
+
+
+@pytest.mark.parametrize("fault", [None, "index_order", "transposed_minor",
+                                   "undivided", "sign"])
+def test_refinement_checks_catch_a_planted_fault(monkeypatch, ctx4, fault):
+    # A != A', so a transposed minor (which swaps their roles in r) is
+    # wrong, and Pf(A) Pf(A') = 6, so dropping the division is wrong too
+    alt, alt_prime = _block_alternating(2, 3), random_alternating(4, 12)
+    pf, pf_prime = (factor._pfaffian(alt.matrix),
+                    factor._pfaffian(alt_prime.matrix))
+    r, w = _closed_form_sums(ctx4.X, pf, pf_prime,
+                             None if fault == "undivided" else fault)
+    pf_both = 1 if fault == "undivided" else pf((0, 1, 2, 3)) * pf_prime(
+        (0, 1, 2, 3))
+    assert pf((0, 1, 2, 3)) * pf_prime((0, 1, 2, 3)) == 6
+    monkeypatch.setattr(factor, "_refinement_closed_form",
+                        lambda ctx, a, a2: (r, w, pf_both))
+    got = solve_common_refinement(ctx4, alt, alt_prime)
+    products = ("back_multiplication", "left_divisible_by_a_xt",
+                "right_divisible_by_xt_aprime")
+    if fault is None:
+        # the term-by-term sums are the closed form of the package
+        assert got.passed
+        monkeypatch.undo()
+        assert solve_common_refinement(ctx4, alt, alt_prime).to_json() == (
+            got.to_json())
+    else:
+        assert not any(got.checks[name] for name in products), got.checks
+
+
+def test_pfaffian_of_index_lists():
+    alt = random_alternating(6, 3, bound=3)
+    pf = factor._pfaffian(alt.matrix)
+    assert pf(()) == 1 and pf((2,)) == 0 and pf((0, 1, 2)) == 0
+    assert pf((0, 1)) == alt.matrix[0, 1] == -pf((1, 0))
+    assert pf(tuple(range(6))) ** 2 == alt.det == 1
+    assert factor._pfaffian(standard_symplectic(4).matrix)((0, 1, 2, 3)) == 1
+    for index in combinations(range(6), 4):
+        sub = alt.matrix.submatrix(index, index)
+        assert pf(index) ** 2 == sub.det_bareiss()
+        # moving the first index to the end is an odd permutation of 4
+        assert pf(index[1:] + index[:1]) == -pf(index)
+    scaled = factor._pfaffian(_block_alternating(2, 3).matrix)
+    assert scaled((0, 1, 2, 3)) == 6 and scaled((2, 3, 0, 1)) == 6
+
+
+def _generic_alternating(ring, name, n):
+    entries = [ring.zero] * (n * n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = ring.var(f"{name}_{i}_{j}")
+            entries[i * n + j], entries[j * n + i] = v, -v
+    return Matrix(PolynomialDomain(ring), n, n, entries)
+
+
+def _check_generic_refinement_identity(n):
+    """A (r X^T + X^T W X^T) A' = Pf(A) Pf(A') adj(X) with X, A and A' all
+    generic, in one ring over their entries: a theorem at this n over every
+    commutative ring.  Without the factor Pf(A) Pf(A') it fails."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ring = PolyRing([f"x_{i}_{j}" for i in range(n) for j in range(n)]
+                    + [f"{name}_{i}_{j}" for name in ("a", "b")
+                       for i, j in pairs])
+    pd = PolynomialDomain(ring)
+    x = Matrix(pd, n, n, [ring.var(f"x_{i}_{j}") for i in range(n)
+                          for j in range(n)])
+    a, a2 = _generic_alternating(ring, "a", n), _generic_alternating(ring, "b", n)
+    pf, pf_prime = factor._pfaffian(a), factor._pfaffian(a2)
+    full = tuple(range(n))
+    assert pf(full) * pf(full) == a.det_laplace()
+    r, w = _closed_form_sums(x, pf, pf_prime)
+    xt = x.transpose()
+    product = a * (xt.scale(r) + xt * w * xt) * a2
+    adj = x.adjugate()
+    assert product == adj.scale(pf(full) * pf_prime(full))
+    assert product != adj
+
+
+def test_refinement_identity_with_a_and_a_prime_generic_n4():
+    _check_generic_refinement_identity(4)
+
+
+@pytest.mark.stress
+def test_refinement_identity_with_a_and_a_prime_generic_n6():
+    _check_generic_refinement_identity(6)
 
 
 # The sparse solver against the dense reduced echelon form of [M | b].

@@ -252,7 +252,7 @@ def test_untransposed_adjugate_fails_multiplicativity_and_conjugation(
 @pytest.mark.stress
 def test_stress_n6_jacobi_and_generic_multiplicativity(ctx6, no_random):
     # on the compiled kernels of a 2-core host, one fresh process each:
-    # 3.5 s at a 785 MB peak and 5.8 s at 874 MB
+    # 2.5-2.7 s at a 404 MB peak and 5.8 s at 874 MB
     for name in ("sandwich_divisibility", "multiplicativity"):
         assert REGISTRY[name].symbolic(ctx6)["passed"], name
 
