@@ -91,17 +91,19 @@
  * dict takes only Python objects, which the helper may not make.  When the
  * helper cannot start, the merge runs on one thread too.
  *
- * Row reduction over GF(p), 2 <= p < 2^32: row_reduce_mod is the compiled
- * body of matrix._row_reduce_mod, the one field elimination, with the same
- * contract.  The rows are read once into native residues in [0, p) (any
- * int representative: negative, or wider than 64 bits, through one Python
- * `%`), eliminated with every entry kept in [0, p), where a product and
- * the entry it updates stay below (p - 1)^2 + (p - 1) < 2^64, and written
- * back as new lists in their final order.  Pivots are searched in the
- * first ncols columns only; the pivot product is negated once per swap.
- * Signals are checked once per pivot; a failed allocation raises
- * MemoryError.  The packed Python body serves p >= 2^32 and the
- * pure-Python build, and is the tests' oracle.
+ * Row reduction over GF(p): row_reduce_mod is the compiled body of
+ * kernels.row_reduce_mod, for 2 <= p < 2^32.  p is read by mode_from and
+ * every entry, once, by coefficient into a residue in [0, p) (any int
+ * representative: negative, or wider than 64 bits, through one Python `%`).
+ * Every entry stays in [0, p), so a product and the entry it updates stay
+ * below (p - 1)^2 + (p - 1) < 2^64.  Pivots are searched in the first ncols
+ * columns only; the pivot product is negated once per swap.  Given reduced,
+ * the rows are written back as new lists; otherwise work is left as given.
+ * Any other p, a work that is not a list, a row that is not a list or
+ * tuple, ragged rows, and a p or an entry that is not an exact int (a
+ * subclass's `%` could change the rows being read) run
+ * kernels._row_reduce_mod, which raises the errors.  Signals are checked
+ * once per pivot; a failed allocation raises MemoryError.
  *
  * The build (adjkit/_cbuild.py) defines ADJKIT_SOURCE_DIGEST, the digest
  * of this file, and the loader rebuilds when it changes.
@@ -1033,9 +1035,9 @@ merge(const Stream *st, int nst, Scratch sc[2], Sink *sink)
  * the pure-Python kernels, for the calls this file does not take
  * ---------------------------------------------------------------------- */
 
-/* adjkit.kernels._fma and _det_laplace, looked up on the first call that
-   needs them */
-static PyObject *py_fma, *py_det_laplace;
+/* adjkit.kernels._fma, _det_laplace and _row_reduce_mod, looked up on the
+   first call that needs them */
+static PyObject *py_fma, *py_det_laplace, *py_row_reduce_mod;
 
 static PyObject *
 python_kernel(PyObject **slot, const char *name)
@@ -1730,35 +1732,6 @@ done:
  * row reduction over GF(p) (see the header)
  * ---------------------------------------------------------------------- */
 
-/* The residue of the int v in [0, p), p as the int pobj: any int, negative
-   or wider than 64 bits. */
-static int
-residue(PyObject *v, PyObject *pobj, u64 p, u64 *out)
-{
-    int overflow = 1;
-    long long c = 0;
-    PyObject *r;
-
-    if (PyLong_Check(v)) {
-        c = PyLong_AsLongLongAndOverflow(v, &overflow);
-        if (c == -1 && PyErr_Occurred())
-            return FAIL;
-    }
-    if (!overflow) {
-        c %= (long long)p;
-        *out = (u64)(c < 0 ? c + (long long)p : c);
-        return OK;
-    }
-    if ((r = PyNumber_Remainder(v, pobj)) == NULL)
-        return FAIL;
-    *out = PyLong_AsUnsignedLongLong(r);
-    Py_DECREF(r);
-    if (*out == (u64)-1 && PyErr_Occurred())
-        return FAIL;
-    *out %= p;
-    return OK;
-}
-
 /* a^-1 mod p for a in [1, p), p < 2^32; 0 when a and p share a factor */
 static u64
 inverse_mod(u64 a, u64 p)
@@ -1774,60 +1747,38 @@ inverse_mod(u64 a, u64 p)
     return (u64)(t < 0 ? t + (int64_t)p : t);
 }
 
-/* row_reduce_mod(work, ncols, p, reduced): matrix._row_reduce_mod on
-   native residues (see the header).  It takes the packed body's pivots,
-   swaps and row factors, so it leaves the same rows and det. */
+/* row_reduce_mod(work, ncols, p, reduced): kernels._row_reduce_mod on
+   native residues, with its pivots, swaps and row factors (see the header) */
 static PyObject *
 row_reduce_mod(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
                PyObject *kwnames)
 {
-    PyObject *work, *pobj, *pivots = NULL, *rows = NULL, *out = NULL;
+    PyObject *work, *pivots = NULL, *rows = NULL, *out = NULL, *fn;
     Py_ssize_t nrows, count = 0, ncols, npiv = 0;
-    u64 p, det = 1, *cells = NULL, **row = NULL;
-    int reduced, overflow;
-    long long pv;
+    u64 det = 1, *cells = NULL, **row = NULL;
+    Mode m = {0};
+    int reduced, rc, unused;
 
     if (parse_args(args, nargs, kwnames, 4, "row_reduce_mod", NULL, 0,
                    NULL) < 0)
         return NULL;
     work = args[0];
-    pobj = args[2];
-    if (!PyList_Check(work)) {
-        PyErr_SetString(PyExc_TypeError, "row_reduce_mod: work must be a list");
+    if ((rc = mode_from(args[2], &m)) == FAIL)
         return NULL;
-    }
+    if (rc == FALLBACK || m.p < 2 || !PyLong_CheckExact(args[2])
+        || !PyList_Check(work))
+        goto python;
     if ((ncols = PyNumber_AsSsize_t(args[1], NULL)) == -1 && PyErr_Occurred())
         return NULL;
-    if (!PyLong_Check(pobj)) {
-        PyErr_SetString(PyExc_TypeError, "row_reduce_mod: p must be an int");
-        return NULL;
-    }
-    pv = PyLong_AsLongLongAndOverflow(pobj, &overflow);
-    if (pv == -1 && PyErr_Occurred())
-        return NULL;
-    if (overflow || pv < 2 || pv >= ((long long)1 << 32)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "row_reduce_mod: p must satisfy 2 <= p < 2**32");
-        return NULL;
-    }
-    p = (u64)pv;
     if ((reduced = PyObject_IsTrue(args[3])) < 0)
         return NULL;
     nrows = PyList_GET_SIZE(work);
     for (Py_ssize_t i = 0; i < nrows; i++) {
         PyObject *r = PyList_GET_ITEM(work, i);
-        if (!(PyList_Check(r) || PyTuple_Check(r))) {
-            PyErr_SetString(PyExc_TypeError,
-                            "row_reduce_mod: rows must be lists");
-            return NULL;
-        }
-        if (i == 0)
-            count = PySequence_Fast_GET_SIZE(r);
-        else if (PySequence_Fast_GET_SIZE(r) != count) {
-            PyErr_SetString(PyExc_ValueError,
-                            "row_reduce_mod: rows of different lengths");
-            return NULL;
-        }
+        if (!(PyList_Check(r) || PyTuple_Check(r))
+            || (i && PySequence_Fast_GET_SIZE(r) != count))
+            goto python;
+        count = PySequence_Fast_GET_SIZE(r);
     }
     if (ncols > count)
         ncols = count;
@@ -1842,16 +1793,21 @@ row_reduce_mod(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     for (Py_ssize_t i = 0; i < nrows; i++) {
         PyObject *r = PyList_GET_ITEM(work, i);
         row[i] = cells + (size_t)i * count;
-        for (Py_ssize_t j = 0; j < count; j++)
-            if (residue(PySequence_Fast_GET_ITEM(r, j), pobj, p,
-                        &row[i][j]) == FAIL)
+        for (Py_ssize_t j = 0; j < count; j++) {
+            PyObject *v = PySequence_Fast_GET_ITEM(r, j);
+            int64_t c;
+            if (!PyLong_CheckExact(v))
+                goto python;
+            if (coefficient(v, &m, &c, &unused) == FAIL)
                 goto done;
+            row[i][j] = (u64)c;
+        }
     }
     if ((pivots = PyList_New(0)) == NULL)
         goto done;
     for (Py_ssize_t col = 0; col < ncols; col++) {
         Py_ssize_t r = npiv, i = r;
-        u64 *prow, inv;
+        u64 *prow, inv, p = m.p;
         while (i < nrows && row[i][col] == 0)
             i++;
         if (i == nrows)
@@ -1890,22 +1846,29 @@ row_reduce_mod(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         Py_DECREF(c);
         npiv++;
     }
-    if ((rows = PyList_New(nrows)) == NULL)
-        goto done;
-    for (Py_ssize_t i = 0; i < nrows; i++) {
-        PyObject *r = PyList_New(count);
-        if (r == NULL)
+    if (reduced) {
+        if ((rows = PyList_New(nrows)) == NULL)
             goto done;
-        PyList_SET_ITEM(rows, i, r);
-        for (Py_ssize_t j = 0; j < count; j++) {
-            PyObject *v = PyLong_FromUnsignedLongLong(row[i][j]);
-            if (v == NULL)
+        for (Py_ssize_t i = 0; i < nrows; i++) {
+            PyObject *r = PyList_New(count);
+            if (r == NULL)
                 goto done;
-            PyList_SET_ITEM(r, j, v);
+            PyList_SET_ITEM(rows, i, r);
+            for (Py_ssize_t j = 0; j < count; j++) {
+                PyObject *v = PyLong_FromUnsignedLongLong(row[i][j]);
+                if (v == NULL)
+                    goto done;
+                PyList_SET_ITEM(r, j, v);
+            }
         }
+        if (PyList_SetSlice(work, 0, nrows, rows) < 0)
+            goto done;
     }
-    if (PyList_SetSlice(work, 0, nrows, rows) == 0)
-        out = Py_BuildValue("(OK)", pivots, (unsigned long long)det);
+    out = Py_BuildValue("(OK)", pivots, (unsigned long long)det);
+    goto done;
+python:
+    if ((fn = python_kernel(&py_row_reduce_mod, "_row_reduce_mod")) != NULL)
+        out = PyObject_Vectorcall(fn, args, 4, NULL);
 done:
     Py_XDECREF(rows);
     Py_XDECREF(pivots);
@@ -1954,10 +1917,12 @@ static PyMethodDef methods[] = {
            "det_laplace_terms, under the span name of large determinants."),
     KERNEL("row_reduce_mod", row_reduce_mod,
            "row_reduce_mod(work, ncols, p, reduced)\n--\n\n"
-           "matrix._row_reduce_mod for 2 <= p < 2**32: row-reduce the int\n"
-           "rows work over GF(p) in place, pivots in the first ncols columns\n"
-           "only; return the pivot columns and the pivot product, negated\n"
-           "once per row swap."),
+           "Row-reduce the int rows work over GF(p), pivots in the first\n"
+           "ncols columns only; return the pivot columns and the pivot\n"
+           "product, negated once per row swap.  With reduced the rows\n"
+           "become the reduced row echelon form; without it they are left\n"
+           "as given.  Native for 2 <= p < 2**32; kernels._row_reduce_mod\n"
+           "runs every other call."),
     {"split_merges", split_merges, METH_NOARGS,
      "split_merges()\n--\n\nHow many merges so far ran as two key ranges on "
      "two threads."},

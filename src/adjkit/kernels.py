@@ -1,10 +1,11 @@
-"""Term-arithmetic kernels: the inner loops of polynomial arithmetic.
+"""Kernels: the inner loops of polynomial arithmetic on term dicts, and of
+GF(p) matrix arithmetic on int rows.
 
 A polynomial is carried around as a plain dict mapping a monomial key to a
 nonzero coefficient.  The kernels know nothing of the key layout (that is
 defined in ``polyring``): the key of a product of two monomials is the sum
 of their keys, and the caller guarantees that every sum it asks for is the
-key of a monomial.  Every kernel takes the modulus as its last parameter
+key of a monomial.  Every term kernel takes the modulus as its parameter
 ``p``: ``p=0`` means characteristic zero, with int or Fraction
 coefficients; a prime ``p`` means int coefficients in ``[1, p)``.  Inputs
 are canonical and so are the results: no zero coefficient is ever stored.
@@ -64,21 +65,27 @@ thread cannot start, and every smaller merge.  ``split_merges()`` counts
 the merges that ran on two threads.  Results are the same either way:
 only the time differs.
 
-``row_reduce_mod`` is the compiled body of ``matrix._row_reduce_mod``,
-the GF(p) row reduction, for 2 <= p < 2^32, and None on the pure-Python
-kernels; ``matrix._row_reduce`` runs the packed body in ``matrix.py``
-whenever it is None or p is 2^32 or more.
+Two GF(p) kernels work on matrices given as lists of int rows:
+``row_reduce_mod``, the row reduction, and ``matmul_mod``, the product.
+Their pure-Python bodies pack each row into one int (``_pack``,
+``_unpack``).  The row reduction also has a compiled body, for
+2 <= p < 2^32, which hands every other call, the malformed ones too, to
+the pure-Python ``_row_reduce_mod``, as the term kernels hand theirs to
+``_fma`` and ``_det_laplace``; so a malformed call raises the same error
+on both builds.
 
 ``IMPL`` is ``"c"`` or ``"py"``; ``IMPL_NOTE`` is empty
 with ``"c"`` and says why the compiled kernels were refused with ``"py"``:
 ``ADJKIT_PURE`` set, a read-only tree, no compiler, a build error or an
-import error.  The private ``_fma``, ``_laplace`` and ``_det_laplace`` stay
-pure Python: they are the fallback and the tests' reference.
+import error.  The private ``_fma``, ``_laplace``, ``_det_laplace`` and
+``_row_reduce_mod`` stay pure Python: they are the fallback and the tests'
+reference.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import operator
+from itertools import chain, combinations
 
 from . import _cbuild
 
@@ -174,7 +181,8 @@ def _laplace(rows, p, acc=None):
 
 def _det_laplace(rows, p, expect):
     """The determinant of rows; given ``expect``, whether it equals the
-    term dict expect or the product of the pair expect = (a, b).
+    term dict expect or the product of the pair expect = (a, b).  Any
+    other ``expect`` raises TypeError.
 
     A comparison never holds the determinant: the accumulator starts at
     -expect (after the canonical test the compiled body makes: every
@@ -183,17 +191,96 @@ def _det_laplace(rows, p, expect):
     when nothing is left."""
     if expect is None:
         return _laplace(rows, p)
-    if isinstance(expect, tuple):
-        a, b = expect
-        acc = {}
-        _fma(acc, a, b, True, p)
-    elif isinstance(expect, dict):
+    if isinstance(expect, dict):
         if not all(c and (not p or 0 < c < p) for c in expect.values()):
             return False
         acc = {e: p - c if p else -c for e, c in expect.items()}
+    elif (isinstance(expect, tuple) and len(expect) == 2
+          and all(isinstance(f, dict) for f in expect)):
+        acc = {}
+        _fma(acc, *expect, True, p)
     else:
-        return _laplace(rows, p) == expect
+        raise TypeError("expect must be None, a term dict or a pair of "
+                        f"term dicts, not {type(expect).__name__}")
     return not _laplace(rows, p, acc)
+
+
+def _pack(row, width, p):
+    """The residues mod p of ``row`` as one int, a packed row: entry j is
+    the little-endian slot of ``width`` bytes at bit 8 * width * j.  Slots
+    are nonnegative, so packed rows add and scale slot by slot for as long
+    as no slot reaches 256**width."""
+    return int.from_bytes(b"".join([(v % p).to_bytes(width, "little")
+                                    for v in row]), "little")
+
+
+def _unpack(x, width, count, p):
+    """The ``count`` slots of the packed row ``x``, each reduced into
+    [0, p): the inverse of ``_pack``."""
+    b = x.to_bytes(width * count, "little")
+    return [int.from_bytes(b[i:i + width], "little") % p
+            for i in range(0, width * count, width)]
+
+
+def _row_reduce_mod(work, ncols, p, reduced):
+    """Row-reduce the int rows ``work`` over GF(p); see ``row_reduce_mod``.
+
+    Each row is packed into one int (``_pack``), with this slot invariant:
+    every slot holds a nonnegative representative of its entry, at most
+    (p-1) + u*(p-1)**2 with u = min(rows, ncols), and slots are as wide as
+    that bound needs.  A slot starts in [0, p).  A row update adds
+    f * (pivot row) with f in [0, p) and the pivot row reduced into
+    [0, p), so at most (p-1)**2 per slot, and a row takes at most one
+    update per pivot.  So an update is one multiply-add of ints, and a slot
+    is reduced mod p only when its pivot column is inspected and when its
+    row becomes the pivot row.  With ``reduced`` each row is unpacked once,
+    at the end; without it no row is unpacked.
+    """
+    if not isinstance(work, list) or not isinstance(p, int):
+        raise TypeError("row_reduce_mod: work must be a list and p an int")
+    if p < 2:
+        raise ValueError(f"row_reduce_mod: p must be at least 2, not {p}")
+    count = len(work[0]) if work else 0
+    if any(len(row) != count for row in work):
+        raise ValueError("row_reduce_mod: rows of different lengths")
+    if not all(issubclass(t, int) for t in set(map(type, chain(*work)))):
+        raise TypeError("row_reduce_mod: entries must be ints")
+    nrows = len(work)
+    width = ((p - 1) * (1 + min(nrows, ncols) * (p - 1))).bit_length() // 8 + 1
+    rows = [_pack(row, width, p) for row in work]
+    shift = 8 * width
+    mask = (1 << shift) - 1
+    pivots = []
+    det = 1
+    for col in range(ncols):
+        r = len(pivots)
+        s = shift * col
+        for i in range(r, nrows):
+            if (rows[i] >> s & mask) % p:
+                break
+        else:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            det = -det
+        # left of col the pivot row is 0 mod p: only the rest is reduced
+        prow = _unpack(rows[r] >> s, width, count - col, p)
+        pval = prow[0]
+        det = det * pval % p
+        inv = pow(pval, -1, p)
+        if reduced:
+            prow = [v * inv for v in prow]
+        rows[r] = packed = _pack(prow, width, p) << s
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
+            f = (rows[i] >> s & mask) % p
+            if f:
+                rows[i] += (p - f if reduced else (p - f) * inv % p) * packed
+        pivots.append(col)
+    if reduced:
+        work[:] = [_unpack(x, width, count, p) for x in rows]
+    return pivots, det
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +371,30 @@ def det_laplace_terms(rows, p=0, expect=None):
     return _det_laplace(rows, p, expect)
 
 
+def row_reduce_mod(work, ncols, p, reduced):
+    """Row-reduce the int rows ``work`` over GF(p), pivots searched in the
+    first ``ncols`` columns only; return the pivot columns and the pivot
+    product, negated once per row swap.  Entries may be any int
+    representative.  With ``reduced`` the rows become the reduced row
+    echelon form, as lists of residues in [0, p); without it they are left
+    as given.  Ragged rows and p < 2 raise ValueError, and a ``work`` that
+    is not a list, a modulus or an entry that is not an int TypeError."""
+    return _row_reduce_mod(work, ncols, p, reduced)
+
+
+def matmul_mod(a_rows, b_rows, p):
+    """The product of the int matrices with rows ``a_rows`` and ``b_rows``
+    over GF(p), as rows of residues in [0, p).  b_rows is not empty.
+
+    Row i of the product is sum_l a_il * (row l of b), on packed rows whose
+    slots take k = len(b_rows) products below p**2 each."""
+    width = (len(b_rows) * (p - 1) ** 2).bit_length() // 8 + 1
+    count = len(b_rows[0])
+    packed = [_pack(row, width, p) for row in b_rows]
+    return [_unpack(sum(map(operator.mul, [a % p for a in row], packed)),
+                    width, count, p) for row in a_rows]
+
+
 # The callers route large products and determinants to these two names and
 # small ones to mul_terms and det_laplace_terms.  The bodies are the same;
 # the names remain only as traced span names of the large route.
@@ -307,10 +418,6 @@ IMPL = "py" if _compiled is None else "c"
 SPLIT_MIN_PAIRS = None if _compiled is None else _compiled.SPLIT_MIN_PAIRS
 
 
-# The compiled GF(p) row reduction; matrix._row_reduce_mod serves without it.
-row_reduce_mod = None if _compiled is None else _compiled.row_reduce_mod
-
-
 def split_merges() -> int:
     """How many merges so far ran as two key ranges on two threads."""
     return 0 if _compiled is None else _compiled.split_merges()
@@ -328,6 +435,7 @@ if _compiled is not None:
     fma_terms = _compiled.fma_terms
     det_laplace_terms = _compiled.det_laplace_terms
     packed_det_laplace = _compiled.packed_det_laplace
+    row_reduce_mod = _compiled.row_reduce_mod
 
 # perfbench/layers.py wraps every kernel by name, these old mod-p names too.
 add_terms_mod = add_terms

@@ -5,10 +5,9 @@ fraction-free Bareiss) so each can serve as an oracle for the other.
 Laplace runs on the term kernels for every domain, a numeric entry being
 a constant term.  All other scalar arithmetic uses Python's operators,
 with one ``% p`` per result entry over GF(p) (``_residues``) and a
-domain's ``coerce`` for a lone scalar; over GF(p) the product, and the
-elimination where ``kernels.row_reduce_mod`` does not serve it, work on
-rows packed into one int each (``_pack``), whose slots are reduced mod p
-only where a value is read.  Every matrix of minors comes
+domain's ``coerce`` for a lone scalar; over GF(p) the product and the
+elimination are the kernels ``kernels.matmul_mod`` and
+``kernels.row_reduce_mod``.  Every matrix of minors comes
 from ``Matrix._minors``, which over a field reduces each row set once and
 reads all the minors on it from the reduced form, and over a polynomial
 ring aligns the entries' keys once and takes each minor straight from the
@@ -36,23 +35,6 @@ def index_subsets(n: int, m: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), m))
 
 
-def _pack(row: list[int], width: int, p: int) -> int:
-    """The residues mod p of ``row`` as one int, a packed row: entry j is
-    the little-endian slot of ``width`` bytes at bit 8 * width * j.  Slots
-    are nonnegative, so packed rows add and scale slot by slot for as long
-    as no slot reaches 256**width."""
-    return int.from_bytes(b"".join([(v % p).to_bytes(width, "little")
-                                    for v in row]), "little")
-
-
-def _unpack(x: int, width: int, count: int, p: int) -> list[int]:
-    """The ``count`` slots of the packed row ``x``, each reduced into
-    [0, p): the inverse of ``_pack``."""
-    b = x.to_bytes(width * count, "little")
-    return [int.from_bytes(b[i:i + width], "little") % p
-            for i in range(0, width * count, width)]
-
-
 def _row_reduce(work: list[list], ncols: int, dom,
                 reduced: bool = False) -> tuple[list[int], object]:
     """Row-reduce the rows ``work`` over the field ``dom``, in place.
@@ -63,28 +45,19 @@ def _row_reduce(work: list[list], ncols: int, dom,
     to a leading one and clears the pivot column above it, which gives the
     reduced row echelon form.  Returns the pivot columns and the product of
     the pivots, negated once per row swap: the determinant of a square A
-    whose every column has a pivot.  The rows are left in canonical form;
-    over GF(p) callers may pass any int representative.
+    whose every column has a pivot.  With ``reduced`` the rows are left in
+    canonical form; without it they are unspecified (the QQ loop changes
+    them, the GF(p) kernel leaves them as given), and the caller reads
+    only the pivots and the determinant.  Over GF(p) callers may pass any
+    int representative.
 
     Over QQ the loops are list comprehensions, and the only domain call is
-    one inverse per pivot.  Over GF(p) (``_row_reduce_mod``) each row is
-    packed into one int (``_pack``), with this slot invariant: every slot
-    holds a nonnegative representative of its entry, at most
-    (p-1) + u*(p-1)**2 with u = min(rows, ncols), and slots are as wide as
-    that bound needs.  A slot starts in [0, p).  A row update adds
-    f * (pivot row) with f in [0, p) and the pivot row reduced into
-    [0, p), so at most (p-1)**2 per slot, and a row takes at most one
-    update per pivot.  So an update is one multiply-add of ints, and a slot
-    is reduced mod p only when its pivot column is inspected and when its
-    row becomes the pivot row.  Each row is unpacked once, at the end.  On
-    the compiled kernels ``kernels.row_reduce_mod``, the same elimination
-    on native residues, serves every p below 2^32 instead.
+    one inverse per pivot.  Over GF(p) the elimination is the kernel
+    ``kernels.row_reduce_mod``.
     """
     p = getattr(dom, "p", None)
     if p is not None:
-        if kernels.row_reduce_mod is not None and p < 1 << 32:
-            return kernels.row_reduce_mod(work, ncols, p, reduced)
-        return _row_reduce_mod(work, ncols, p, reduced)
+        return kernels.row_reduce_mod(work, ncols, p, reduced)
     nrows = len(work)
     pivots: list[int] = []
     det = dom.one
@@ -115,47 +88,6 @@ def _row_reduce(work: list[list], ncols: int, dom,
                 f = f * inv
             row[col:] = [a - f * b for a, b in zip(row[col:], prow)]
         pivots.append(col)
-    return pivots, det
-
-
-def _row_reduce_mod(work: list[list], ncols: int, p: int,
-                    reduced: bool) -> tuple[list[int], int]:
-    """``_row_reduce`` over GF(p), on packed rows; see its slot invariant."""
-    nrows = len(work)
-    count = len(work[0]) if work else 0
-    width = ((p - 1) * (1 + min(nrows, ncols) * (p - 1))).bit_length() // 8 + 1
-    rows = [_pack(row, width, p) for row in work]
-    shift = 8 * width
-    mask = (1 << shift) - 1
-    pivots: list[int] = []
-    det = 1
-    for col in range(ncols):
-        r = len(pivots)
-        s = shift * col
-        for i in range(r, nrows):
-            if (rows[i] >> s & mask) % p:
-                break
-        else:
-            continue
-        if i != r:
-            rows[r], rows[i] = rows[i], rows[r]
-            det = -det
-        # left of col the pivot row is 0 mod p: only the rest is reduced
-        prow = _unpack(rows[r] >> s, width, count - col, p)
-        pval = prow[0]
-        det = det * pval % p
-        inv = pow(pval, -1, p)
-        if reduced:
-            prow = [v * inv for v in prow]
-        rows[r] = packed = _pack(prow, width, p) << s
-        for i in range(0 if reduced else r + 1, nrows):
-            if i == r:
-                continue
-            f = (rows[i] >> s & mask) % p
-            if f:
-                rows[i] += (p - f if reduced else (p - f) * inv % p) * packed
-        pivots.append(col)
-    work[:] = [_unpack(x, width, count, p) for x in rows]
     return pivots, det
 
 
@@ -365,18 +297,10 @@ class Matrix:
         dom = self.domain
         n, k, m = self.rows, self.cols, other.cols
         p = getattr(dom, "p", None)
-        if p is not None:
-            # row i of the product is sum_l a_il * (row l of other), on
-            # packed rows whose slots take k products below p**2 each
-            width = (k * (p - 1) ** 2).bit_length() // 8 + 1
-            packed = [_pack(other.entries[l * m:(l + 1) * m], width, p)
-                      for l in range(k)]
-            out = []
-            for i in range(n):
-                row = [a % p for a in self.entries[i * k:(i + 1) * k]]
-                out.extend(_unpack(sum(map(operator.mul, row, packed)),
-                                   width, m, p))
-            return Matrix(dom, n, m, out)
+        # with k = 0 the loop below gives the zero matrix
+        if p is not None and k:
+            rows = kernels.matmul_mod(self.to_rows(), other.to_rows(), p)
+            return Matrix(dom, n, m, list(chain.from_iterable(rows)))
         cols = [other.entries[j::m] for j in range(m)]
         zero = dom.zero
         out = []

@@ -279,7 +279,7 @@ def sz_check(identity: str, n: int, p: int, trials: int, seed: int) -> dict:
     if identity == "corrupted_adj_det" and p == 2:
         raise ValueError("the corrupted identity cannot fail over GF(2)")
     rng = random.Random(seed)
-    failures = [{"trial": trial, "detail": None}
+    failures = [{"trial": trial}
                 for trial in range(trials) if not spec.modp(n, p, rng)]
     return {
         "identity": identity,
@@ -287,7 +287,6 @@ def sz_check(identity: str, n: int, p: int, trials: int, seed: int) -> dict:
         "params": {"p": p, "seed": seed},
         "trials": trials,
         "failures": failures,
-        "observations": [],
         "passed": not failures,
         "expected_failure": spec.expected_failure,
     }

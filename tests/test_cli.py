@@ -575,7 +575,10 @@ def test_help_is_the_parser_help(capsys):
 # theorem and check keys changed.  verify --n 3 was re-recorded again when
 # the symbolic suite stopped drawing random instances: its "seed" key went,
 # and the multiplicativity, conjugation and sandwich_divisibility reports
-# gained their route (and theorem) with new check keys.
+# gained their route (and theorem) with new check keys.  The two
+# verify --prime reports were recorded when the mod-p trial reports lost
+# their empty "observations" list and each failure its "detail": null; at
+# 4294967311 the row reduction runs the pure-Python body on every build.
 GOLDEN = (
     (("gen", "--n", "3"),
      0, "ccf16ad608a3294a941edc6e1d75426f098cc2319cc9cd242c5438ca9749197c"),
@@ -597,6 +600,12 @@ GOLDEN = (
      0, "3019c6764220d5fca112d69d1816182fcf6f8f30b376114cd886d83e72c5824f"),
     (("compound", "--n", "4", "--m", "2", "--format", "json"),
      0, "b0f55cb3a64849181ec232d6904e4b5d9803340f4fc37fceb3b947ca908e2631"),
+    (("verify", "--n", "4", "--prime", "101", "--seed", "11", "--trials", "5",
+      "--format", "json"),
+     0, "2f426def3167ba642bd1e229b36401609abed38acbbe9ddb696b587a662c639f"),
+    (("verify", "--n", "4", "--prime", "4294967311", "--seed", "1",
+      "--trials", "3", "--format", "json"),
+     0, "87493dcaeb9fc4c66f5bd5478dc220365505cf1c1890509a9c3758c3f9440190"),
 )
 
 

@@ -180,6 +180,28 @@ def test_python_comparison_never_holds_the_determinant(p, monkeypatch):
     assert kernels._det_laplace(grid, p, None) == det
 
 
+@pytest.mark.parametrize("p", (0, 5))
+def test_a_malformed_expect_raises_type_error(p):
+    """expect is None, a term dict or a pair of term dicts; anything else,
+    a list of them, a string, an int or a tuple of another shape, raises
+    TypeError on both Laplace names."""
+    grid = [[{1: 2}, {0: 1}], [{0: 1}, {1: 3}]]
+    a = {1: 2, 0: 1}
+    for bad in ([], [a], [a, a], "det", 0, 1, (), (a,), (a, a, a), (a, [a]),
+                ([a], a), (a, "b")):
+        for name in ("det_laplace_terms", "packed_det_laplace"):
+            with pytest.raises(TypeError, match="expect must be"):
+                getattr(kernels, name)(grid, p, bad)
+
+
+def test_gf_p_matrix_kernels_are_functions_on_every_build():
+    work = [[2, 1], [1, 1]]
+    assert kernels.row_reduce_mod(work, 2, 7, True) == ([0, 1], 1)
+    assert work == [[1, 0], [0, 1]]
+    assert kernels.matmul_mod([[1, 2, 3], [-1, 0, 8]],
+                              [[1, 0], [0, 1], [1, 1]], 7) == [[4, 5], [0, 1]]
+
+
 def test_packed_and_tuple_products_agree():
     # both size routes of Polynomial.__mul__ against the tuple oracle
     rng = random.Random(4)
