@@ -4,8 +4,8 @@ Subcommands: gen, verify, factor, refine, rank-check, compound.  Output is
 exact and textual (canonical polynomial strings or JSON); identical
 command lines with identical seeds produce byte-identical output.
 
-Exit codes: 0 all checks verified, 1 a mathematical check failed,
-2 input/usage error.
+Exit codes: 0 all checks verified, 1 a mathematical check failed or
+memory ran out, 2 input/usage error.
 """
 
 from __future__ import annotations
@@ -301,6 +301,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except MemoryError:
+        # exit 1, as the uncaught error did: 2 would blame the input
+        print("error: out of memory", file=sys.stderr)
+        return CHECK_FAILED
 
 
 def entry() -> None:

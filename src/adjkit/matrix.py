@@ -22,7 +22,7 @@ from itertools import chain, combinations
 from typing import Callable, Sequence
 
 from . import kernels
-from .domains import PolynomialDomain, RationalDomain
+from .domains import PolynomialDomain
 from .polyring import PolyRing, Polynomial, aligned
 
 
@@ -148,12 +148,6 @@ def _residues(dom, values: list) -> list:
     the one step that brings operator results into canonical form."""
     p = getattr(dom, "p", None)
     return values if p is None else [v % p for v in values]
-
-
-def _t_ring(dom) -> PolyRing:
-    """The univariate ring in t over the numeric domain dom."""
-    return PolyRing(("t",), p=getattr(dom, "p", None),
-                    rational=isinstance(dom, RationalDomain))
 
 
 def _max_degree(polys) -> int:
@@ -615,7 +609,7 @@ class Matrix:
         return self._minors([[i for i in full if i not in S]
                              for S in self._order_subsets(m)], signed=True)
 
-    # -- rank and characteristic polynomial ----------------------------------
+    # -- rank --------------------------------------------------------------
 
     def rank(self) -> int:
         """Exact rank by Gaussian elimination; field domains only."""
@@ -629,24 +623,6 @@ class Matrix:
 
     def nullity(self) -> int:
         return self.cols - self.rank()
-
-    def char_poly_shifted(self) -> Polynomial:
-        """det(tI + A) as a polynomial in t (monic of degree n)."""
-        if not self.is_square:
-            raise ValueError("characteristic polynomial of a non-square matrix")
-        dom = self.domain
-        if isinstance(dom, PolynomialDomain):
-            raise TypeError("char_poly_shifted expects a numeric matrix")
-        tring = _t_ring(dom)
-        pd = PolynomialDomain(tring)
-        t = tring.var("t")
-        n = self.rows
-        entries = []
-        for i in range(n):
-            for j in range(n):
-                c = tring.const(self.entries[i * n + j])
-                entries.append(t + c if i == j else c)
-        return Matrix(pd, n, n, entries).det_laplace()
 
     # -- serialization -----------------------------------------------------
 

@@ -2,18 +2,17 @@
 
 The scalar rings supported are the integers (the default), the rationals,
 and the prime fields GF(p).  A :class:`PolyRing` fixes an ordered tuple of
-variable names; the standard ring for an n-by-n generic matrix has the
-n^2 + 1 variables ``x_1_1 ... x_n_n, t`` in row-major order with ``t``
-last.
+variable names; the ring of the n-by-n generic matrix X = (x_i_j) has
+exactly the n^2 variables ``x_1_1 ... x_n_n`` in row-major order.
 
 The canonical term order is graded: higher total degree first, ties broken
-by comparing exponents from the last variable (the largest, ``t``)
-downward, larger exponent winning.  Under this order the determinant of the
+by comparing exponents from the last variable (the largest) downward,
+larger exponent winning.  Under this order the determinant of the
 generic 2x2 matrix prints as ``x_1_1*x_2_2 - x_1_2*x_2_1``.
 
 Term dicts are keyed by one packed int per monomial, laid out here alone:
-the total degree in the top field, then the variables from ``t`` down to
-the first, each field ``width`` data bits under a guard bit.  So integer
+the total degree in the top field, then the variables from the last down
+to the first, each field ``width`` data bits under a guard bit.  So integer
 order is the term order, a monomial product is a key sum, and divisibility
 is one guard-bit test.  A field is a whole number of bytes: width + 1 is
 8, 16, 32, 64 or more bits.  Each polynomial records its width (7 to begin
@@ -150,8 +149,7 @@ def canonical_scalar(c, p: int | None = None, rational: bool = False):
 class PolyRing:
     """An ordered variable table plus a coefficient mode (ZZ, QQ, or GF(p))."""
 
-    __slots__ = ("names", "index", "p", "rational", "nvars", "t_index",
-                 "_zero", "_one")
+    __slots__ = ("names", "index", "p", "rational", "nvars", "_zero", "_one")
 
     def __init__(self, names: Sequence[str], p: int | None = None,
                  rational: bool = False):
@@ -167,23 +165,22 @@ class PolyRing:
         self.p = p
         self.rational = rational
         self.nvars = len(names)
-        self.t_index = self.index.get("t")
         self._zero = Polynomial(self, {})
         self._one = Polynomial(self, {0: Fraction(1) if rational else 1})
 
     @classmethod
     def generic(cls, n: int, p: int | None = None, rational: bool = False,
                 allow_large: bool = False) -> "PolyRing":
-        """The ring in the n*n matrix variables x_i_j (row-major) plus t."""
+        """The ring of the generic n-by-n matrix: the n*n variables x_i_j,
+        row-major, and no other."""
         if n < 1:
             raise ValueError("matrix dimension must be positive")
         if n > SYMBOLIC_CAP and not allow_large:
             raise ValueError(
                 f"symbolic dimension {n} exceeds the cap {SYMBOLIC_CAP}; "
                 "pass allow_large=True to override")
-        names = [f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-        names.append("t")
-        return cls(names, p=p, rational=rational)
+        return cls([f"x_{i}_{j}" for i in range(1, n + 1)
+                    for j in range(1, n + 1)], p=p, rational=rational)
 
     # -- element constructors ------------------------------------------------
 
@@ -461,7 +458,7 @@ class Polynomial:
 
     def t_valuation(self):
         """Least power of t; math.inf for the zero polynomial."""
-        ti = self.ring.t_index
+        ti = self.ring.index.get("t")
         if ti is None:
             raise ValueError("ring has no variable t")
         for e in self.terms:
@@ -563,17 +560,23 @@ class Polynomial:
             raise ExactDivisionError("polynomial is not exactly divisible")
         return out
 
-    # -- evaluation and substitution --------------------------------------
+    # -- evaluation ------------------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, object]):
-        """Value at a point; every occurring variable must be assigned."""
+        """Image under the ring homomorphism sending each variable to its
+        value in ``assignment``; every occurring variable must have one.
+
+        Values are scalars, or polynomials of one ring, which is then the
+        ring of the image.  Over GF(p), int values are reduced mod p first
+        and a scalar image at the end."""
         ring = self.ring
+        p = ring.p
         values = [None] * ring.nvars
         for name, v in assignment.items():
             i = ring.index.get(name)
             if i is None:
                 raise KeyError(f"unknown variable {name!r}")
-            values[i] = v % ring.p if ring.p is not None else v
+            values[i] = v % p if p is not None and isinstance(v, int) else v
         if not self.packed:
             return Fraction(0) if ring.rational else 0
         total = 0
@@ -586,26 +589,9 @@ class Polynomial:
                         raise ValueError(f"no value for {ring.names[i]}")
                     prod *= v ** exp
             total += prod
-        if ring.p is not None:
-            total %= ring.p
+        if p is not None and not isinstance(total, Polynomial):
+            total %= p
         return total
-
-    def substitute(self, mapping: Mapping[str, "Polynomial"],
-                   target: PolyRing) -> "Polynomial":
-        """Ring morphism given by variable images in the target ring."""
-        images = [None] * self.ring.nvars
-        for name, img in mapping.items():
-            images[self.ring.index[name]] = target.convert(img)
-        out = target.zero
-        for e, c in self.terms.items():
-            term = target.const(c)
-            for i, exp in enumerate(e):
-                if exp:
-                    if images[i] is None:
-                        raise ValueError(f"no image for {self.ring.names[i]}")
-                    term = term * images[i] ** exp
-            out = out + term
-        return out
 
     # -- formatting --------------------------------------------------------
 

@@ -1,26 +1,28 @@
 """Pointwise specialization: evaluation homomorphisms, valuation bounds,
 the constant-rank law, projector points, and randomized mod-p checks.
 
-A polynomial matrix is specialized either at a concrete matrix (each x_i_j
-goes to an entry) or along the one-parameter family tI + A, which lands in
-a univariate polynomial ring where the t-adic valuation of the determinant
-can be read off.  The rank laws for factorization certificates hold exactly
-at every point whose zero eigenvalue has multiplicity one; that hypothesis
-is computed from the characteristic polynomial, never inferred from rank
-(a nilpotent Jordan block has rank n-1 but multiplicity n, and must be
-rejected).
+A polynomial matrix over k[x_i_j] is specialized by one evaluation
+homomorphism, x_i_j -> entry (i, j) of a value matrix: at a concrete matrix
+A (phi), or along the one-parameter family tI + A (psi), which lands in a
+separate univariate ring k[t] where the t-adic valuation of the
+determinant can be read off.  The rank laws for factorization certificates
+hold exactly at every point whose zero eigenvalue has multiplicity one;
+that hypothesis is computed from the characteristic polynomial, never
+inferred from rank (a nilpotent Jordan block has rank n-1 but multiplicity
+n, and must be rejected).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
 
-from .domains import GF, QQ, ZZ, PolynomialDomain, PrimeFieldDomain
+from .domains import GF, QQ, ZZ, PolynomialDomain
 from .factor import FactorizationCertificate
-from .matrix import Matrix, _row_reduce, _t_ring
-from .polyring import Polynomial
+from .matrix import Matrix, _row_reduce
+from .polyring import Polynomial, PolyRing
 
 
 class MultiplicityError(ValueError):
@@ -28,7 +30,7 @@ class MultiplicityError(ValueError):
 
 
 class SpecPoint:
-    """A concrete square matrix with its cached shifted characteristic data."""
+    """A concrete square matrix A with its cached shift tI + A."""
 
     def __init__(self, matrix: Matrix):
         if not matrix.is_square:
@@ -39,85 +41,68 @@ class SpecPoint:
             matrix = matrix.map_entries(QQ.coerce, QQ)
         self.matrix = matrix
         self.n = matrix.rows
-        self._char_poly: Polynomial | None = None
 
-    @property
+    @functools.cached_property
+    def shifted(self) -> Matrix:
+        """tI + A over k[t], with k the point's field (QQ or GF(p))."""
+        p = getattr(self.matrix.domain, "p", None)
+        tring = PolyRing(("t",), p=p, rational=p is None)
+        pd = PolynomialDomain(tring)
+        return (Matrix.identity(pd, self.n).scale(tring.var("t"))
+                + self.matrix.map_entries(tring.const, pd))
+
+    @functools.cached_property
     def char_poly_shifted(self) -> Polynomial:
-        """det(tI + A), cached."""
-        if self._char_poly is None:
-            self._char_poly = self.matrix.char_poly_shifted()
-        return self._char_poly
+        """det(tI + A), monic of degree n in t."""
+        return self.shifted.det()
 
     @property
     def zero_multiplicity(self) -> int:
         """Algebraic multiplicity of the eigenvalue 0."""
         return self.char_poly_shifted.t_valuation()
 
-    def assignment(self) -> dict:
-        n = self.n
-        out = {}
-        for i in range(n):
-            for j in range(n):
-                out[f"x_{i + 1}_{j + 1}"] = self.matrix[i, j]
-        return out
 
-
-def _check_t_free(m: Matrix):
-    if m.domain.ring.t_index is None:
-        return
-    if any(e.degree_in(("t",)) for e in m.entries):
-        raise ValueError("matrix involves the variable t; "
-                         "specialization is defined on x variables only")
+def _evaluate_at(m: Matrix, values: Matrix) -> Matrix:
+    """m with each x_i_j sent to entry (i, j) of ``values``: one evaluation
+    homomorphism, entry by entry, into the domain of ``values``."""
+    if not isinstance(m.domain, PolynomialDomain):
+        raise TypeError("specialization expects a polynomial matrix")
+    dom = values.domain
+    p = m.domain.ring.p
+    # a ring map from GF(p) exists only into a ring where p is zero
+    if p is not None and dom.coerce(p):
+        raise ValueError("coefficient modulus does not match the point")
+    assignment = {f"x_{i + 1}_{j + 1}": values[i, j]
+                  for i in range(values.rows) for j in range(values.cols)}
+    return m.map_entries(lambda e: dom.coerce(e.evaluate(assignment)), dom)
 
 
 def phi_apply(m: Matrix, pt: SpecPoint) -> Matrix:
-    """Entrywise evaluation at x_i_j -> pt entry; ring homomorphism."""
-    if not isinstance(m.domain, PolynomialDomain):
-        raise TypeError("phi_apply expects a polynomial matrix")
-    _check_t_free(m)
-    assign = pt.assignment()
-    dom = pt.matrix.domain
-    if isinstance(dom, PrimeFieldDomain) and m.domain.ring.p not in (None, dom.p):
-        raise ValueError("coefficient modulus does not match the point")
-    return m.map_entries(lambda e: dom.coerce(e.evaluate(assign)), dom)
+    """Entrywise evaluation x_i_j -> entry (i, j) of the point."""
+    return _evaluate_at(m, pt.matrix)
 
 
 def psi_apply(m: Matrix, pt: SpecPoint) -> Matrix:
-    """Entrywise substitution x_i_j -> t*delta_ij + pt entry, into k[t]."""
-    if not isinstance(m.domain, PolynomialDomain):
-        raise TypeError("psi_apply expects a polynomial matrix")
-    _check_t_free(m)
-    tring = _t_ring(pt.matrix.domain)
-    t = tring.var("t")
-    n = pt.n
-    mapping = {}
-    for i in range(n):
-        for j in range(n):
-            img = tring.const(pt.matrix[i, j])
-            if i == j:
-                img = img + t
-            mapping[f"x_{i + 1}_{j + 1}"] = img
-    pd = PolynomialDomain(tring)
-    return m.map_entries(lambda e: e.substitute(mapping, tring), pd)
+    """Entrywise evaluation x_i_j -> t*delta_ij + entry (i, j), into k[t]."""
+    return _evaluate_at(m, pt.shifted)
 
 
-def _mod_t(m: Matrix) -> Matrix:
-    """Set t to zero: the constant-coefficient matrix of a k[t] matrix."""
+def _rank_and_valuation(m: Matrix) -> tuple:
+    """(rank of M mod t, v_t(det M)) of a square k[t] matrix M, the two
+    sides of the t-adic bound."""
+    if not m.is_square:
+        raise ValueError("square matrices only")
     tring = m.domain.ring
-    if tring.p is not None:
-        dom = GF(tring.p)
-    else:
-        dom = QQ  # rank needs a field; ZZ[t] constants embed in QQ
-    return m.map_entries(lambda e: dom.coerce(e.constant_term()), dom)
+    # rank needs a field; ZZ[t] constants embed in QQ
+    dom = QQ if tring.p is None else GF(tring.p)
+    reduced = m.map_entries(lambda e: dom.coerce(e.constant_term()), dom)
+    return reduced.rank(), m.det().t_valuation()
 
 
 def verify_dvr_bound(m: Matrix) -> dict:
     """t-adic bound: v_t(det M) >= nullity of M mod t."""
-    if not m.is_square:
-        raise ValueError("square matrices only")
-    reduced = _mod_t(m)
-    r = reduced.cols - reduced.rank()
-    v = m.det().t_valuation()
+    rank, v = _rank_and_valuation(m)
+    r = m.cols - rank
     return {
         "lemma": "dvr_valuation_bound",
         "n": m.rows,
@@ -129,11 +114,7 @@ def verify_dvr_bound(m: Matrix) -> dict:
 
 def verify_ufd_bound(m: Matrix) -> dict:
     """Rank form of the same bound: rank(M mod t) >= n - v_t(det M)."""
-    if not m.is_square:
-        raise ValueError("square matrices only")
-    reduced = _mod_t(m)
-    rank = reduced.rank()
-    v = m.det().t_valuation()
+    rank, v = _rank_and_valuation(m)
     bound = m.rows - v if v != math.inf else -math.inf
     return {
         "lemma": "ufd_rank_bound",
@@ -151,14 +132,14 @@ def lemma_rk_check(cert: FactorizationCertificate, pt: SpecPoint) -> dict:
     Points whose zero eigenvalue has multiplicity other than one are
     rejected: rank n-1 alone is not enough (Jordan blocks).
     """
+    n, d = cert.n, cert.d
+    if pt.n != n:
+        raise ValueError("point dimension does not match the certificate")
     mult = pt.zero_multiplicity
     if mult != 1:
         raise MultiplicityError(
             f"point has zero-eigenvalue multiplicity {mult}, need exactly 1 "
             "(rank n-1 alone does not suffice)")
-    n, d = cert.n, cert.d
-    if pt.n != n:
-        raise ValueError("point dimension does not match the certificate")
     y0 = phi_apply(cert.Y, pt)
     z0 = phi_apply(cert.Z, pt)
     a = pt.matrix

@@ -50,6 +50,15 @@ def test_above_cap_rejected(capsys, command):
     assert out == "" and "cap" in err
 
 
+def test_out_of_memory_is_one_line_and_exit_1(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "GenericContext", exhausted)
+    code, out, err = run(capsys, "gen", "--n", "2")
+    assert code == 1
+    assert out == "" and err == "error: out of memory\n"
+
+
 def test_gen_json_round_trips(capsys):
     code, out, _ = run(capsys, "gen", "--n", "2", "--format", "json")
     assert code == 0

@@ -611,7 +611,7 @@ def test_transpose_duality(ctx4):
     ring = ctx4.ring
     swap = {f"x_{i}_{j_}": ring.var(f"x_{j_}_{i}")
             for i in range(1, 5) for j_ in range(1, 5)}
-    tau = lambda poly: poly.substitute(swap, ring)
+    tau = lambda poly: ctx4.domain.coerce(poly.evaluate(swap))
     y_t = cert_r.Y.map_entries(tau).transpose()
     neg_alt = AlternatingMatrix(-j.matrix)
     cert_l = factor_left(ctx4, neg_alt)

@@ -60,10 +60,17 @@ def definitions(tree: ast.Module) -> list[ast.AST]:
 
 def mentions(tree: ast.AST) -> list[str]:
     """Every identifier the code mentions: names, attributes, imported
-    names, and the identifier-like words of string constants (perfbench
-    names what it wraps as strings such as "GenericContext.det_power")."""
+    names, and the identifier-like words of string constants other than
+    docstrings (perfbench names what it wraps as strings such as
+    "GenericContext.det_power")."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
     out = []
     for node in ast.walk(tree):
+        if id(node) in docstrings:
+            continue
         if isinstance(node, ast.Name):
             out.append(node.id)
         elif isinstance(node, ast.Attribute):
@@ -99,12 +106,18 @@ def test_no_unused_definitions():
 
 
 def test_the_scan_sees_an_unused_definition():
-    src = ("class A:\n"
-           "    def used(self): return self.used_too()\n"
+    src = ('"""Module text: doc_only."""\n'
+           "class A:\n"
+           '    """Class text: doc_only."""\n'
+           "    def used(self):\n"
+           '        """Method text: doc_only."""\n'
+           "        return self.used_too()\n"
            "    def used_too(self): return 1\n"
            "    def unused(self): return self.unused()\n"
            "    def __repr__(self): return ''\n"
            "def helper(): return helper()\n"
-           "def named(): pass\n")
+           "def named(): pass\n"
+           "def doc_only(): pass\n")
     assert unused_definitions({"m.py": src}, ["A().used()", "x = 'm.named'"]) == [
-        "m.py: helper (line 6)", "m.py: unused (line 4)"]
+        "m.py: doc_only (line 12)", "m.py: helper (line 10)",
+        "m.py: unused (line 8)"]

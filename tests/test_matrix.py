@@ -9,8 +9,8 @@ from math import comb
 
 import pytest
 
-from adjkit import (GF, QQ, ZZ, Matrix, PolyRing, PolynomialDomain, kernels,
-                    matrix)
+from adjkit import (GF, QQ, ZZ, Matrix, PolyRing, PolynomialDomain, SpecPoint,
+                    kernels, matrix)
 from adjkit.factor import random_unimodular
 from adjkit.specialize import _column_space_basis
 
@@ -397,18 +397,18 @@ def test_rank_rejects_polynomial_matrices(ctx2):
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial det(tI + A)
+# characteristic polynomial det(tI + A), built by SpecPoint
 # ---------------------------------------------------------------------------
 
 def test_char_poly_zero_matrix():
-    cp = Matrix.zeros(ZZ, 3, 3).char_poly_shifted()
+    cp = SpecPoint(Matrix.zeros(ZZ, 3, 3)).char_poly_shifted
     ring = cp.ring
     assert cp == ring.var("t") ** 3
 
 
 def test_char_poly_diag_0111():
     a = Matrix.diagonal(ZZ, [0, 1, 1, 1])
-    cp = a.char_poly_shifted()
+    cp = SpecPoint(a).char_poly_shifted
     t = cp.ring.var("t")
     assert cp == t * (t + 1) ** 3
     assert cp.t_valuation() == 1
@@ -417,14 +417,14 @@ def test_char_poly_diag_0111():
 def test_char_poly_valuation_counts_zero_eigenvalues():
     for diag, mult in (([0, 0, 2], 2), ([1, 2, 3], 0), ([0, 5, 0], 2)):
         a = Matrix.diagonal(ZZ, diag)
-        assert a.char_poly_shifted().t_valuation() == mult
+        assert SpecPoint(a).char_poly_shifted.t_valuation() == mult
 
 
 def test_char_poly_monic_with_det_constant_term():
     rng = random.Random(11)
     for n in (2, 3, 4):
         a = rand_int_matrix(rng, n)
-        cp = a.char_poly_shifted()
+        cp = SpecPoint(a).char_poly_shifted
         assert cp.total_degree() == n
         lead_e, lead_c = cp.leading()
         assert lead_c == 1 and lead_e == (n,)

@@ -9,11 +9,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from adjkit import (GF, QQ, ZZ, Matrix, MultiplicityError, PolyRing,
-                    PolynomialDomain, ProjectorPoint, SpecPoint, factor_left,
-                    factor_right, grassmann_map_sample, lemma_rk_check,
-                    phi_apply, psi_apply, standard_symplectic, sz_check,
-                    verify_dvr_bound, verify_ufd_bound)
+from adjkit import (GF, QQ, ZZ, GenericContext, Matrix, MultiplicityError,
+                    PolyRing, PolynomialDomain, ProjectorPoint, SpecPoint,
+                    factor_left, factor_right, grassmann_map_sample,
+                    lemma_rk_check, phi_apply, psi_apply, standard_symplectic,
+                    sz_check, verify_dvr_bound, verify_ufd_bound)
 from adjkit import matrix
 from adjkit.specialize import _in_span
 
@@ -98,12 +98,32 @@ def test_phi_at_a_gfp_point_refuses_non_integral_coefficients():
     assert got.domain is GF(7) and got.entries == [2]
 
 
-def test_phi_rejects_t(ctx2):
-    pd = ctx2.domain
-    t_mat = Matrix.from_rows(pd, [[ctx2.ring.var("t"), ctx2.ring.zero],
-                                  [ctx2.ring.zero, ctx2.ring.one]])
-    with pytest.raises(ValueError):
-        phi_apply(t_mat, diag_point(1, 2))
+def test_phi_rejects_t():
+    # the generic ring has no t; on a ring that does, neither phi nor psi
+    # gives t a value
+    ring = PolyRing(("x_1_1", "x_1_2", "x_2_1", "x_2_2", "t"))
+    t_mat = Matrix.from_rows(PolynomialDomain(ring), [[ring.var("t"), ring.zero],
+                                                      [ring.zero, ring.one]])
+    for apply in (phi_apply, psi_apply):
+        with pytest.raises(ValueError, match="no value for t"):
+            apply(t_mat, diag_point(1, 2))
+
+
+def test_phi_and_psi_refuse_gf_p_at_another_characteristic():
+    # no ring map GF(7) -> QQ: 9 would reduce mod 7, but 1/2 has no residue
+    ctx = GenericContext(2, p=7)
+    pt = SpecPoint(Matrix.from_rows(QQ, [[Fraction(1, 2), Fraction(3)],
+                                         [Fraction(5), Fraction(9)]]))
+    for apply in (phi_apply, psi_apply):
+        for m in (ctx.X, ctx.identity.scale(ctx.detX)):
+            with pytest.raises(ValueError, match="modulus does not match"):
+                apply(m, pt)
+    at_gf7 = SpecPoint(Matrix.from_rows(GF(7), [[4, 3], [5, 9]]))
+    assert phi_apply(ctx.X, at_gf7).entries == [4, 3, 5, 2]
+    at_gf5 = SpecPoint(Matrix.from_rows(GF(5), [[4, 3], [5, 9]]))
+    for apply in (phi_apply, psi_apply):
+        with pytest.raises(ValueError, match="modulus does not match"):
+            apply(ctx.X, at_gf5)
 
 
 def test_psi_sends_x_to_shifted_point(ctx3):
@@ -206,6 +226,15 @@ def test_rank_law_left_cert_at_diag(certs):
     rep = lemma_rk_check(cert_l, diag_point(0, 1, 1, 1))
     assert rep["ranks"] == {"Y": 3, "Z": 2, "XY": 2, "ZX": 1}
     assert rep["holds"]
+
+
+def test_rank_law_checks_the_dimension_first(certs):
+    cert_r, _ = certs
+    # diag(0, 0, 1) has multiplicity 2, diag(0, 1, 1) multiplicity 1
+    for pt in (diag_point(0, 0, 1), diag_point(0, 1, 1)):
+        with pytest.raises(ValueError, match="point dimension") as info:
+            lemma_rk_check(cert_r, pt)
+        assert not isinstance(info.value, MultiplicityError)
 
 
 def test_rank_law_rejects_jordan_block(certs):
