@@ -5,15 +5,16 @@ polynomial rings.  Matrix code does its arithmetic with Python's operators
 on the elements and brings a result into canonical form with the domain's
 ``coerce`` (over GF(p), one ``% p``); a domain adds only what operators
 lack: ``zero`` and ``one``, inverse and checked exact division, and JSON
-conversion.  Everything is exact; there is no floating point anywhere in
-the package.
+conversion.  A JSON entry is an integer when its type is ``int`` exactly:
+JSON's true and false load as bools, which are ints too.  Everything is
+exact; there is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyring import PolyRing, Polynomial, _is_prime, canonical_scalar
+from .polyring import PolyRing, Polynomial, _require_prime, canonical_scalar
 
 
 class IntegerDomain:
@@ -38,7 +39,7 @@ class IntegerDomain:
         return a
 
     def from_json(self, v):
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise ValueError(f"expected integer entry, got {v!r}")
         return v
 
@@ -66,7 +67,7 @@ class RationalDomain:
         return int(a) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def from_json(self, v):
-        if isinstance(v, int):
+        if type(v) is int:
             return Fraction(v)
         if isinstance(v, str):
             try:
@@ -82,8 +83,7 @@ class PrimeFieldDomain:
     is_field = True
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        _require_prime(p)
         self.p = p
         self.name = f"GF({p})"
         self.zero = 0
@@ -105,7 +105,7 @@ class PrimeFieldDomain:
         return a % self.p
 
     def from_json(self, v):
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise ValueError(f"expected integer entry, got {v!r}")
         return v % self.p
 
@@ -131,7 +131,7 @@ class PolynomialDomain:
         return str(a)
 
     def from_json(self, v):
-        if isinstance(v, int):
+        if type(v) is int:
             return self.ring.const(v)
         if isinstance(v, str):
             return self.ring.parse(v)

@@ -473,66 +473,42 @@ class Matrix:
             raise TypeError(f"inverse needs a field domain, not {dom.name}")
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        work, pivots, _ = self._reduce_with_identity()
-        if len(pivots) < n:
+        inv, det = self._reduce_with_identity()
+        if not det:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix(dom, n, n, [v for row in work for v in row[n:]])
+        return inv
 
-    def _reduce_with_identity(self) -> tuple[list[list], list[int], object]:
+    def _reduce_with_identity(self) -> tuple["Matrix", object]:
         """Reduce [A | I] to [R | E], R the reduced row echelon form of A.
 
-        E records the row operations, so E*A = R.  Returns the rows of
-        [R | E], the pivot columns of R and ``_row_reduce``'s signed pivot
-        product, which is det(A) when R has a pivot in every column.
+        E records the row operations, so E*A = R, and E = A^-1 when A is
+        nonsingular.  Returns E and det(A), zero when R lacks a pivot.
         """
         dom = self.domain
         n = self.rows
         work = [row + [dom.one if j == i else dom.zero for j in range(n)]
                 for i, row in enumerate(self.to_rows())]
         pivots, det = _row_reduce(work, n, dom, reduced=True)
-        return work, pivots, det
+        return (Matrix(dom, n, n, [v for row in work for v in row[n:]]),
+                det if len(pivots) == n else dom.zero)
 
     def adjugate(self) -> "Matrix":
         """Transposed cofactor matrix; adj(A)*A = A*adj(A) = det(A)*I.
 
         The 1x1 adjugate is [[1]], the empty minor, so the identity holds
-        at n = 1.  Field domains get O(n^3) paths at every size from one
-        reduction of [A | I] (det(A)*A^-1 when nonsingular, a kernel outer
-        product at rank n-1, calibrated by one cofactor); over ZZ and
-        polynomial rings adj(A)[i, j] is the (j, i) cofactor, so adj(A) is
-        the transposed complementary compound of order one.
+        at n = 1.  adj(A)[i, j] is the (j, i) cofactor, so adj(A) is the
+        transposed complementary compound of order one; over a field its
+        minors come from one reduction per row set.  A nonsingular field
+        matrix takes det(A)*A^-1 instead, from one reduction of [A | I].
         """
         if not self.is_square:
             raise ValueError("adjugate of a non-square matrix")
-        n = self.rows
-        dom = self.domain
-        if n == 0:
+        if not self.rows:
             raise ValueError("adjugate of an empty matrix")
-        if getattr(dom, "is_field", False):
-            work, pivots, det = self._reduce_with_identity()
-            if len(pivots) == n:
-                return Matrix(dom, n, n,
-                              [v for row in work for v in row[n:]]).scale(det)
-            if len(pivots) < n - 1:
-                return Matrix.zeros(dom, n, n)
-            # adj has rank one: columns span ker(A), rows span ker(A^T);
-            # one explicit cofactor calibrates the scale.  u in ker(A) has
-            # u[i] = 1 at R's free column i; v is the row of E beside R's
-            # zero row, so v*A = 0.
-            i = next(c for c in range(n) if c not in pivots)
-            u = [dom.zero] * n
-            u[i] = dom.one
-            for r, c in enumerate(pivots):
-                u[c] = -work[r][i]
-            v = work[n - 1][n:]
-            j = next(k for k in range(n) if v[k])
-            c = self.submatrix([k for k in range(n) if k != j],
-                               [k for k in range(n) if k != i]).det()
-            if (i + j) % 2:
-                c = -c
-            scale = c * dom.inv(v[j])
-            return self._like([scale * (a * b) for a in u for b in v])
+        if getattr(self.domain, "is_field", False):
+            inv, det = self._reduce_with_identity()
+            if det:
+                return inv.scale(det)
         return self.complementary_compound(1).transpose()
 
     def _order_subsets(self, m: int) -> list[tuple[int, ...]]:

@@ -104,18 +104,25 @@ def aligned(polys: Sequence["Polynomial"], degree: int = 0):
     return width, [f._at(width) for f in polys]
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
+# Sorenson and Webster (Math. Comp. 2017): below psi_13, the first 13 prime
+# bases decide primality by Miller-Rabin
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def _require_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime the package can prove prime:
+    one below psi_13, where Miller-Rabin on ``_PRIME_BASES`` is a proof."""
+    if p >= _PSI_13:
+        raise ValueError(f"modulus {p} is not below {_PSI_13}, the bound "
+                         "under which its primality is proved")
+    if p < 2 or (p % 2 == 0 and p != 2):
+        raise ValueError(f"modulus {p} is not prime")
     d, s = p - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _PRIME_BASES:
         if a % p == 0:
             continue
         x = pow(a, d, p)
@@ -126,8 +133,7 @@ def _is_prime(p: int) -> bool:
             if x == p - 1:
                 break
         else:
-            return False
-    return True
+            raise ValueError(f"modulus {p} is not prime")
 
 
 def canonical_scalar(c, p: int | None = None, rational: bool = False):
@@ -158,8 +164,8 @@ class PolyRing:
             raise ValueError("variable names must be unique")
         if p is not None and rational:
             raise ValueError("choose either mod-p or rational coefficients")
-        if p is not None and not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        if p is not None:
+            _require_prime(p)
         self.names = names
         self.index = {s: i for i, s in enumerate(names)}
         self.p = p
@@ -567,8 +573,10 @@ class Polynomial:
         value in ``assignment``; every occurring variable must have one.
 
         Values are scalars, or polynomials of one ring, which is then the
-        ring of the image.  Over GF(p), int values are reduced mod p first
-        and a scalar image at the end."""
+        ring of the image.  Over GF(p) a scalar value is brought into
+        canonical form first (``canonical_scalar``: a non-integral Fraction
+        raises) and a scalar image at the end; other rings take the values
+        as given."""
         ring = self.ring
         p = ring.p
         values = [None] * ring.nvars
@@ -576,7 +584,9 @@ class Polynomial:
             i = ring.index.get(name)
             if i is None:
                 raise KeyError(f"unknown variable {name!r}")
-            values[i] = v % p if p is not None and isinstance(v, int) else v
+            if p is not None and not isinstance(v, Polynomial):
+                v = canonical_scalar(v, p)
+            values[i] = v
         if not self.packed:
             return Fraction(0) if ring.rational else 0
         total = 0

@@ -201,17 +201,6 @@ def _column_space_basis(m: Matrix) -> list[list]:
     return [[m[i, c] for i in range(m.rows)] for c in pivots]
 
 
-def _in_span(vectors: list[list], target: list) -> bool:
-    """Is target an exact rational combination of the given vectors?
-
-    One reduction of [V | target]: target is in the column span of V
-    exactly when the last column gets no pivot.
-    """
-    work = [[v[i] for v in vectors] + [x] for i, x in enumerate(target)]
-    pivots, _ = _row_reduce(work, len(vectors) + 1, QQ)
-    return len(vectors) not in pivots
-
-
 def grassmann_map_sample(cert: FactorizationCertificate,
                          pp: ProjectorPoint) -> dict:
     """Column space of E * phi_E(Y): dimension n-1-d, inside span(basis)."""
@@ -220,7 +209,10 @@ def grassmann_map_sample(cert: FactorizationCertificate,
     g = pp.E * y0
     basis = _column_space_basis(g)
     dim = len(basis)
-    contained = all(_in_span(pp.basis, vec) for vec in basis)
+    # pp.basis is independent, so the sample lies in its span exactly when
+    # the sample's vectors beside it add nothing to its rank
+    beside = Matrix.from_rows(QQ, list(zip(*pp.basis, *basis)))
+    contained = beside.rank() == len(pp.basis)
     expected = cert.n - 1 - cert.d
     return {
         "lemma": "grassmann_sample",

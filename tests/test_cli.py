@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from adjkit import cli
+from adjkit import ExactDivisionError, cli
 from adjkit.cli import main
 from adjkit.factor import (random_alternating, random_unimodular,
                            solve_common_refinement, standard_symplectic)
@@ -237,6 +237,27 @@ def test_factor_malformed_file(capsys, tmp_path):
     path.write_text('{"rows": 2}')
     code, _, err = run(capsys, "factor", "--n", "4", "--A", str(path))
     assert code == 2
+
+
+def test_factor_refuses_json_booleans(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"rows": 2, "cols": 2, '
+                    '"entries": [[false, true], [-1, false]]}')
+    code, out, err = run(capsys, "factor", "--n", "2", "--A", str(path))
+    assert code == 2
+    assert out == "" and "expected integer entry, got False" in err
+
+
+def test_factor_certificate_failure_is_one_line_and_exit_1(capsys,
+                                                           monkeypatch):
+    def failed(ctx, alt):
+        raise ExactDivisionError("factorization certificate failed "
+                                 "verification")
+    monkeypatch.setattr(cli, "factor_right", failed)
+    code, out, err = run(capsys, "factor", "--n", "4", "--A", "symplectic")
+    assert code == 1
+    assert out == "" and err == ("check failed: factorization certificate "
+                                 "failed verification\n")
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from test_matrix import (  # noqa: F401
     test_corank_one_adjugate_matches_integer_cofactors,
     test_elimination_agrees_with_independent_oracles,
     test_elimination_reduces_unnormalized_entries_once,
-    test_field_adjugate_at_corank_one_reduces_twice,
+    test_field_adjugate_at_corank_one_reduces_each_row_set_once,
     test_field_adjugate_at_full_rank_reduces_once,
     test_field_adjugate_is_the_cofactor_matrix,
     test_field_adjugate_rank_deficient,

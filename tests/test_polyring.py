@@ -360,6 +360,18 @@ def test_evaluate_missing_variable():
         det2(R).evaluate({"x_1_1": 1})
 
 
+def test_evaluate_over_gf_p_takes_scalars_in_canonical_form():
+    f = PolyRing(["x"], p=7).parse("x^2 + 1")
+    # 8/2 is the residue 4, and 1/2 has no integral image
+    assert f.evaluate({"x": 4}) == f.evaluate({"x": Fraction(8, 2)}) == 3
+    assert type(f.evaluate({"x": Fraction(8, 2)})) is int
+    with pytest.raises(ValueError, match="non-integral"):
+        f.evaluate({"x": Fraction(1, 2)})
+    # without a p the values are taken as given
+    g = PolyRing(["x"]).parse("x^2 + 1")
+    assert g.evaluate({"x": Fraction(1, 2)}) == Fraction(5, 4)
+
+
 # ---------------------------------------------------------------------------
 # degrees and valuations
 # ---------------------------------------------------------------------------
@@ -529,6 +541,14 @@ def test_parser_rational_coefficients():
 def test_modp_mode_requires_prime():
     with pytest.raises(ValueError):
         PolyRing.generic(2, p=6)
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the
+    # first 12 prime bases; base 41 refuses it
+    with pytest.raises(ValueError, match="not prime"):
+        PolyRing(["x"], p=318_665_857_834_031_151_167_461)
+    # psi_13 passes all 13 bases, and the bound refuses it
+    with pytest.raises(ValueError, match="not below"):
+        PolyRing(["x"], p=3_317_044_064_679_887_385_961_981)
+    assert PolyRing(["x"], p=2**81 - 51).p == 2**81 - 51
 
 
 def test_generic_ring_shape():

@@ -15,7 +15,6 @@ from adjkit import (GF, QQ, ZZ, GenericContext, Matrix, MultiplicityError,
                     lemma_rk_check, phi_apply, psi_apply, standard_symplectic,
                     sz_check, verify_dvr_bound, verify_ufd_bound)
 from adjkit import matrix
-from adjkit.specialize import _in_span
 
 
 @pytest.fixture(scope="module")
@@ -346,28 +345,34 @@ def test_grassmann_dimensions(certs):
     assert rep["dimension"] == 2 and rep["holds"]
 
 
-def test_grassmann_basis_is_the_pivot_columns():
-    # E zeroes row 0: in E*Y column 0 is zero and column 2 is twice column 1
+def constant_cert():
+    """A certificate stand-in with a constant Y: with E zeroing row 0, in
+    E*Y column 0 is zero and column 2 is twice column 1."""
     ring = PolyRing.generic(4)
     y = Matrix.from_rows(PolynomialDomain(ring), [
         [ring.const(c) for c in row]
         for row in ([5, 1, 2, 0], [0, 1, 2, 0], [0, 0, 0, 1], [0, 3, 6, 1])])
-    cert = SimpleNamespace(Y=y, n=4, d=1)
+    return SimpleNamespace(Y=y, n=4, d=1)
+
+
+def test_grassmann_basis_is_the_pivot_columns():
     pp = ProjectorPoint(unit(4, 0), [unit(4, 1), unit(4, 2), unit(4, 3)])
-    rep = grassmann_map_sample(cert, pp)
+    rep = grassmann_map_sample(constant_cert(), pp)
     assert rep["basis"] == [["0", "1", "0", "3"], ["0", "0", "1", "1"]]
     assert rep["dimension"] == 2 and rep["holds"]
 
 
-def test_in_span():
-    half = Fraction(1, 2)
-    v1, v2 = [1, 0, 2], [0, half, 1]
-    assert _in_span([], [0, 0, 0])
-    assert not _in_span([], [0, 1, 0])
-    assert _in_span([v1, v2], [2, -1, 2])          # 2*v1 - 2*v2
-    assert _in_span([v1, v2, [1, 1, 4]], [1, 1, 4])
-    assert not _in_span([v1, v2], [0, 0, 1])
-    assert not _in_span([v1], [1, 0, 3])
+def test_grassmann_sample_outside_the_basis_span_fails():
+    # a planted fault: the basis of the hyperplane x_1 = 0 in place of the
+    # projector's, which holds (0, 0, 1, 1) but not (0, 1, 0, 3)
+    pp = ProjectorPoint(unit(4, 0), [unit(4, 1), unit(4, 2), unit(4, 3)])
+    pp.basis = [unit(4, 0), unit(4, 2), unit(4, 3)]
+    rep = grassmann_map_sample(constant_cert(), pp)
+    assert rep["dimension"] == rep["expected_dimension"] == 2
+    assert not rep["contained_in_complement"] and not rep["holds"]
+    # while the hyperplane x_0 + 3 x_1 + x_2 = x_3 holds both
+    pp.basis = [[1, 0, 0, 1], [0, 1, 0, 3], [0, 0, 1, 1]]
+    assert grassmann_map_sample(constant_cert(), pp)["holds"]
 
 
 def test_grassmann_random_samples(certs):
