@@ -8,15 +8,14 @@ arithmetic is exact: arbitrary-precision integers, rationals, or GF(p).
 """
 
 from .domains import GF, QQ, ZZ, PolynomialDomain
-from .factor import (AlternatingMatrix, FactorizationCertificate,
+from .factor import (SYMBOLIC_CAP, AlternatingMatrix, FactorizationCertificate,
                      GenericContext, RefinementWitness, diagonal_factorization,
                      factor_left, factor_right, quotient_matrix,
                      random_alternating, reverify_certificate, sandwich,
                      solve_common_refinement, standard_symplectic,
                      theorem_main_guard, verify_fundamental, zero_alternating)
 from .matrix import Matrix, index_subsets
-from .polyring import (SYMBOLIC_CAP, ExactDivisionError, PolyRing, Polynomial,
-                       order_key)
+from .polyring import ExactDivisionError, PolyRing, Polynomial, order_key
 from .specialize import (MultiplicityError, ProjectorPoint, SpecPoint,
                          grassmann_map_sample, lemma_rk_check, phi_apply,
                          psi_apply, sz_check, verify_dvr_bound,

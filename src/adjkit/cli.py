@@ -16,14 +16,13 @@ import json
 import sys
 
 from .domains import QQ
-from .factor import (AlternatingMatrix, FactorizationCertificate,
+from .factor import (SYMBOLIC_CAP, AlternatingMatrix, FactorizationCertificate,
                      GenericContext, factor_left, factor_right,
                      reverify_certificate, solve_common_refinement,
                      standard_symplectic, random_alternating,
                      theorem_main_guard)
 from .identities import compound_det_check, run_modp_suite, run_symbolic_suite
-from .matrix import Matrix
-from .polyring import SYMBOLIC_CAP
+from .matrix import Matrix, json_fields
 from .specialize import MultiplicityError, SpecPoint, lemma_rk_check
 
 OK, CHECK_FAILED, USAGE = 0, 1, 2
@@ -163,7 +162,8 @@ def cmd_rank_check(args) -> int:
     try:
         with open(args.cert) as fh:
             cert_obj = json.load(fh)
-        ctx = GenericContext(cert_obj["n"], allow_large=args.allow_large)
+        (n,) = json_fields(cert_obj, "certificate", "n")
+        ctx = GenericContext(n, allow_large=args.allow_large)
         cert = FactorizationCertificate.from_json(cert_obj, ctx)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot load certificate: {exc}")

@@ -16,7 +16,6 @@ closed form in Pfaffians of A and A' and minors of X.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,8 +23,12 @@ from functools import cache
 
 from . import kernels
 from .domains import ZZ, PolynomialDomain
-from .matrix import Matrix, _max_degree, index_subsets, lift_int_matrix
+from .matrix import (Matrix, _max_degree, index_subsets, json_fields,
+                     lift_int_matrix)
 from .polyring import ExactDivisionError, PolyRing, Polynomial, aligned
+
+# The largest n whose generic matrix is built without allow_large.
+SYMBOLIC_CAP = 6
 
 FEASIBLE = "feasible"
 INFEASIBLE_ODD = "infeasible_odd"
@@ -39,11 +42,18 @@ class GenericContext:
     construction, and ``products`` keeps its two results for
     ``verify_fundamental``; det powers are cached, and ``memo`` keeps the
     results that several identities of the symbolic suite share.
+
+    It is the one object whose cost grows with n, so it alone refuses
+    n > ``SYMBOLIC_CAP`` without ``allow_large``, before building anything.
     """
 
     def __init__(self, n: int, p: int | None = None, allow_large: bool = False):
+        if n > SYMBOLIC_CAP and not allow_large:
+            raise ValueError(
+                f"symbolic dimension {n} exceeds the cap {SYMBOLIC_CAP}; "
+                "pass allow_large=True to override")
         self.n = n
-        self.ring = PolyRing.generic(n, p=p, allow_large=allow_large)
+        self.ring = PolyRing.generic(n, p=p)
         self.domain = PolynomialDomain(self.ring)
         self.X = Matrix.from_rows(
             self.domain,
@@ -291,7 +301,8 @@ class FactorizationCertificate:
     @classmethod
     def from_json(cls, obj: dict, ctx: GenericContext | None = None
                   ) -> "FactorizationCertificate":
-        n, side = obj["n"], obj["side"]
+        n, side, d, a, y, z, checks = json_fields(
+            obj, "certificate", "n", "side", "d", "A", "Y", "Z", "checks")
         if side not in ("right", "left"):
             raise ValueError(f"certificate side must be 'right' or 'left', "
                              f"not {side!r}")
@@ -300,15 +311,9 @@ class FactorizationCertificate:
         elif ctx.n != n:
             raise ValueError("context dimension does not match certificate")
         pd = ctx.domain
-        return cls(
-            n=n,
-            side=side,
-            d=obj["d"],
-            alt=AlternatingMatrix.from_json(obj["A"]),
-            Y=Matrix.from_json(obj["Y"], pd),
-            Z=Matrix.from_json(obj["Z"], pd),
-            checks={k: bool(v) for k, v in obj["checks"].items()},
-        )
+        return cls(n, side, d, AlternatingMatrix.from_json(a),
+                   Matrix.from_json(y, pd), Matrix.from_json(z, pd),
+                   {k: bool(v) for k, v in checks.items()})
 
 
 def _certificate_checks(ctx: GenericContext, cert: FactorizationCertificate,
@@ -454,18 +459,15 @@ class RefinementWitness:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RefinementWitness":
-        n = obj["n"]
+        n, r, w, a, a2, dim, checks = json_fields(
+            obj, "refinement witness", "n", "r", "W", "A", "Aprime",
+            "solution_space_dim", "checks")
         ring = PolyRing.generic(n, rational=True)
-        pd = PolynomialDomain(ring)
-        return cls(
-            n=n,
-            r=ring.parse(str(obj["r"])),
-            W=Matrix.from_json(obj["W"], pd),
-            alt=AlternatingMatrix.from_json(obj["A"]),
-            alt_prime=AlternatingMatrix.from_json(obj["Aprime"]),
-            solution_space_dim=obj["solution_space_dim"],
-            checks={k: bool(v) for k, v in obj["checks"].items()},
-        )
+        return cls(n, ring.parse(str(r)),
+                   Matrix.from_json(w, PolynomialDomain(ring)),
+                   AlternatingMatrix.from_json(a),
+                   AlternatingMatrix.from_json(a2), dim,
+                   {k: bool(v) for k, v in checks.items()})
 
 
 def _pfaffian(a: Matrix):
@@ -537,48 +539,36 @@ def solve_common_refinement(ctx: GenericContext, alt: AlternatingMatrix,
     entry of adj(X^T), would divide r, whose degree n-2 is too low; so
     r = 0 and W = 0.
 
-    The product checks run over the integers: with d the lcm of the
-    witness's denominators, each bracketing of A (d r X^T + X^T (d W) X^T) A'
-    is compared with d adj(X), which is exactly the identity over QQ.
+    The product checks run over the integers, on the closed form's own
+    identity: each bracketing of A (r0 X^T + X^T W0 X^T) A' is compared with
+    Pf(A) Pf(A') adj(X), for (r0, W0) the closed form.  In the domain ZZ[x]
+    an identity scaled by the nonzero Pf(A) Pf(A') holds exactly when the
+    unscaled one does, so these are the witness's own checks over QQ.
     """
     n = ctx.n
     if n % 2:
         raise ValueError("refinement needs even n")
     if not (alt.invertible and alt_prime.invertible):
         raise ValueError("both alternating matrices must be invertible")
-    ring = ctx.ring
-    if ring.p is not None:
+    if ctx.ring.p is not None:
         raise ValueError(f"refinement solves over the rationals, "
-                         f"not over GF({ring.p})")
-    qring = PolyRing.generic(n, rational=True)
-    r_num, w_num, pf_both = _refinement_closed_form(ctx, alt, alt_prime)
-    # the witness is (r_num, w_num) / pf_both, so the lcm d of its
-    # denominators is |pf_both| over the gcd of pf_both and every
-    # coefficient, and d times the witness is (r_num, w_num) / q
-    d = abs(pf_both) // math.gcd(pf_both, *(
-        c for f in [r_num, *w_num.entries] for c in f.packed.values()))
-    q = pf_both // d
-
-    def scaled(f):
-        """d * f / pf_both: q divides every coefficient of f."""
-        return Polynomial(ring, {k: c // q for k, c in f.packed.items()},
-                          f.width)
-
-    r_d, w_d = scaled(r_num), w_num.map_entries(scaled)
+                         f"not over GF({ctx.ring.p})")
+    r0, w0, pf_both = _refinement_closed_form(ctx, alt, alt_prime)
     a, a2 = ctx.lift(alt.matrix), ctx.lift(alt_prime.matrix)
-    xt, r_i = ctx.X.transpose(), ctx.identity.scale(r_d)
-    adj_d = ctx.adjX.scale(d)
+    xt, r_i = ctx.X.transpose(), ctx.identity.scale(r0)
+    target = ctx.adjX.scale(pf_both)
+    qring = PolyRing.generic(n, rational=True)
 
     def rational(f):
-        return qring.convert(f)._scaled(Fraction(1, d))
+        return qring.convert(f)._scaled(Fraction(1, pf_both))
 
-    r, W = rational(r_d), w_d.map_entries(rational, PolynomialDomain(qring))
+    r, W = rational(r0), w0.map_entries(rational, PolynomialDomain(qring))
     checks = {
-        "back_multiplication": a * (xt.scale(r_d) + xt * w_d * xt) * a2
-        == adj_d,
-        "left_divisible_by_a_xt": (a * (xt * (r_i + w_d * xt))) * a2 == adj_d,
-        "right_divisible_by_xt_aprime": a * ((r_i + xt * w_d) * xt * a2)
-        == adj_d,
+        "back_multiplication": a * (xt.scale(r0) + xt * w0 * xt) * a2
+        == target,
+        "left_divisible_by_a_xt": (a * (xt * (r_i + w0 * xt))) * a2 == target,
+        "right_divisible_by_xt_aprime": a * ((r_i + xt * w0) * xt * a2)
+        == target,
         "r_homogeneous": r.is_homogeneous(n - 2),
         "w_homogeneous": all(e.is_homogeneous(n - 3) or e.is_zero()
                              for e in W.entries),

@@ -357,10 +357,16 @@ REGISTRY: dict[str, IdentitySpec] = {
     ]
 }
 
+
+def _selected(include_corrupted: bool) -> list[IdentitySpec]:
+    """The identities a run takes, in registry order: the negative controls,
+    registered last, only on request."""
+    return [spec for spec in REGISTRY.values()
+            if include_corrupted or not spec.expected_failure]
+
+
 # the order the CLI runs the full suite in
-SUITE = ["fundamental", "multiplicativity", "conjugation",
-         "sandwich_divisibility", "factor_product", "diagonal_factorization",
-         "compound_det", "complementary_compound"]
+SUITE = [spec.name for spec in _selected(False)]
 
 
 def run_symbolic_suite(n: int, include_corrupted: bool = False,
@@ -370,10 +376,8 @@ def run_symbolic_suite(n: int, include_corrupted: bool = False,
     Every check is exact, and none draws a random number.
     """
     ctx = GenericContext(n, allow_large=allow_large)
-    names = list(SUITE) + (["corrupted_adj_det"] if include_corrupted else [])
     reports = []
-    for name in names:
-        spec = REGISTRY[name]
+    for spec in _selected(include_corrupted):
         rep = spec.symbolic(ctx)
         rep.setdefault("expected_failure", spec.expected_failure)
         reports.append(rep)
@@ -387,11 +391,10 @@ def run_modp_suite(n: int, p: int, trials: int, seed: int,
                    include_corrupted: bool = False) -> dict:
     """Run the registered mod-p trials; identity order is fixed."""
     from .specialize import sz_check
-    names = [name for name in SUITE if REGISTRY[name].modp is not None]
+    names = [spec.name for spec in _selected(include_corrupted)
+             if spec.modp is not None]
     if n % 2:
         names.remove("factor_product")
-    if include_corrupted:
-        names.append("corrupted_adj_det")
     reports = []
     for i, name in enumerate(names):
         reports.append(sz_check(name, n, p, trials, seed + i))

@@ -613,12 +613,23 @@ class Matrix:
 
     @classmethod
     def from_json(cls, obj: dict, domain) -> "Matrix":
-        rows, cols = obj["rows"], obj["cols"]
-        grid = obj["entries"]
+        rows, cols, grid = json_fields(obj, "matrix", "rows", "cols", "entries")
         if len(grid) != rows or any(len(r) != cols for r in grid):
             raise ValueError("entry grid does not match the declared shape")
         frm = domain.from_json
         return cls(domain, rows, cols, [frm(v) for row in grid for v in row])
+
+
+def json_fields(obj, what: str, *names: str) -> list:
+    """The values of ``names`` in ``obj``, the JSON object of a ``what``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a {what} as a JSON object, "
+                         f"not {type(obj).__name__}")
+    missing = [k for k in names if k not in obj]
+    if missing:
+        raise ValueError(f"the {what} JSON object has no field "
+                         f"{', '.join(missing)}")
+    return [obj[k] for k in names]
 
 
 def lift_int_matrix(a: Matrix, ring: PolyRing) -> Matrix:

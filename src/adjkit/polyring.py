@@ -39,9 +39,6 @@ from itertools import combinations_with_replacement
 
 from . import kernels
 
-# Hard cap on the symbolic matrix dimension; override via allow_large flags.
-SYMBOLIC_CAP = 6
-
 # Minimum |a|*|b| term-pair count before a product takes the span name
 # kernels.packed_mul_terms (mul_terms' body), kept while the benchmark names it.
 _PACKED_MIN_PAIRS = 1 << 13
@@ -175,16 +172,13 @@ class PolyRing:
         self._one = Polynomial(self, {0: Fraction(1) if rational else 1})
 
     @classmethod
-    def generic(cls, n: int, p: int | None = None, rational: bool = False,
-                allow_large: bool = False) -> "PolyRing":
+    def generic(cls, n: int, p: int | None = None,
+                rational: bool = False) -> "PolyRing":
         """The ring of the generic n-by-n matrix: the n*n variables x_i_j,
-        row-major, and no other."""
+        row-major, and no other.  A ring costs nothing to build, so it has
+        no size cap; the generic matrix has (``GenericContext``)."""
         if n < 1:
             raise ValueError("matrix dimension must be positive")
-        if n > SYMBOLIC_CAP and not allow_large:
-            raise ValueError(
-                f"symbolic dimension {n} exceeds the cap {SYMBOLIC_CAP}; "
-                "pass allow_large=True to override")
         return cls([f"x_{i}_{j}" for i in range(1, n + 1)
                     for j in range(1, n + 1)], p=p, rational=rational)
 

@@ -44,7 +44,7 @@ def test_gen_n1_adj(capsys):
 
 @pytest.mark.parametrize("command", ["gen", "verify"])
 def test_above_cap_rejected(capsys, command):
-    # refused by PolyRing.generic before anything is built: n = 7 never runs
+    # refused by GenericContext before anything is built: n = 7 never runs
     code, out, err = run(capsys, command, "--n", "7")
     assert code == 2
     assert out == "" and "cap" in err
@@ -234,9 +234,15 @@ def test_factor_from_file(capsys, tmp_path):
 
 def test_factor_malformed_file(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"rows": 2}')
-    code, _, err = run(capsys, "factor", "--n", "4", "--A", str(path))
-    assert code == 2
+    # the error names the expected JSON object, or the fields it lacks
+    for text, message in (
+            ('{"rows": 2}', "the matrix JSON object has no field cols, entries"),
+            ('{"rows": 2, "cols": 2}', "has no field entries"),
+            ("[[0, 1], [-1, 0]]", "expected a matrix as a JSON object, not list")):
+        path.write_text(text)
+        code, out, err = run(capsys, "factor", "--n", "4", "--A", str(path))
+        assert code == 2
+        assert out == "" and message in err
 
 
 def test_factor_refuses_json_booleans(capsys, tmp_path):
@@ -319,6 +325,36 @@ def test_refine_draws_a_prime_from_the_next_seed(capsys, monkeypatch):
     a, a_prime = seen.pop()
     assert a == random_alternating(4, 7).matrix
     assert a_prime == standard_symplectic(4).matrix
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("text", "7104974bc57bb69cb7bc6a1cc837b20bbf8e53768bea5d1fe848de93f8ff4b0c"),
+    ("json", "bad5f0012299e22b0a5ead80c3725bcbe5526fb793d5c4733da63002b1f3cc5f"),
+], ids=["text", "json"])
+def test_refine_witness_with_denominators(capsys, tmp_path, fmt, digest):
+    # Pf(A) = 2 and Pf(A') = 3, so the witness has denominators dividing 6
+    a, a2 = tmp_path / "a.json", tmp_path / "a2.json"
+    a.write_text('{"rows":4,"cols":4,"entries":[[0,1,1,0],[-1,0,2,1],'
+                 '[-1,-2,0,3],[0,-1,-3,0]]}')
+    a2.write_text('{"rows":4,"cols":4,"entries":[[0,3,0,0],[-3,0,0,0],'
+                  '[0,0,0,1],[0,0,-1,0]]}')
+    code, out, _ = run(capsys, "refine", "--n", "4", "--A", str(a),
+                       "--Aprime", str(a2), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.stress
+def test_refine_n8_above_the_cap():
+    t0 = time.perf_counter()
+    out = fresh_process("refine", "--n", "8", "--allow-large",
+                        "--format", "json")
+    elapsed = time.perf_counter() - t0
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["solution_space_dim"] == 0
+    assert payload["checks"] and all(payload["checks"].values())
+    assert elapsed < 60, elapsed
 
 
 def test_refine_malformed_matrix(capsys, tmp_path):
@@ -420,6 +456,29 @@ def test_rank_check_zero_denominator_in_certificate(capsys, tmp_path,
                        "--point", str(pt))
     assert code == 2
     assert "zero denominator" in err
+
+
+@pytest.mark.parametrize("which,message", [
+    ("cert", "expected a certificate as a JSON object, not list"),
+    ("point", "expected a matrix as a JSON object, not list"),
+    ("no_d", "the certificate JSON object has no field d"),
+], ids=["cert", "point", "no_d"])
+def test_rank_check_names_what_a_file_lacks(capsys, tmp_path, cert_file,
+                                            which, message):
+    grid = tmp_path / "grid.json"
+    grid.write_text("[[1, 0], [0, 1]]")
+    point = point_file(tmp_path, [[int(i == j) for j in range(4)]
+                                  for i in range(4)])
+    cert = json.loads(cert_file.read_text())
+    del cert["d"]
+    no_d = tmp_path / "no_d.json"
+    no_d.write_text(json.dumps(cert))
+    paths = {"cert": (grid, point), "point": (cert_file, grid),
+             "no_d": (no_d, point)}[which]
+    code, out, err = run(capsys, "rank-check", "--cert", str(paths[0]),
+                         "--point", str(paths[1]))
+    assert code == 2
+    assert out == "" and message in err
 
 
 def test_rank_check_missing_file(capsys, tmp_path):

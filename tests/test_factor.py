@@ -15,7 +15,7 @@ import pytest
 from adjkit import (AlternatingMatrix, ExactDivisionError,
                     FactorizationCertificate, GenericContext, Matrix, QQ, ZZ,
                     diagonal_factorization, factor_left, factor_right,
-                    quotient_matrix, random_alternating,
+                    RefinementWitness, quotient_matrix, random_alternating,
                     reverify_certificate, sandwich, solve_common_refinement,
                     standard_symplectic, theorem_main_guard,
                     verify_fundamental, zero_alternating)
@@ -52,8 +52,9 @@ def test_make_generic_n3_adj_det(ctx3):
 
 
 def test_make_generic_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds the cap 6"):
         GenericContext(7)
+    assert GenericContext(7, allow_large=True).ring.nvars == 49
 
 
 def test_verify_fundamental(ctx2, ctx3, ctx4):
@@ -780,6 +781,19 @@ def test_refinement_witness_json_round_trip(ctx4):
     assert loaded.r == w.r
     assert loaded.W == w.W
     assert loaded.solution_space_dim == w.solution_space_dim
+
+
+def test_refinement_witness_above_the_cap_loads(tmp_path):
+    # loading a witness builds a ring, never a generic matrix: no cap
+    j = standard_symplectic(8).to_json()
+    zero = [["0"] * 8 for _ in range(8)]
+    path = tmp_path / "n8.json"
+    path.write_text(json.dumps({
+        "n": 8, "r": "1", "W": {"rows": 8, "cols": 8, "entries": zero},
+        "A": j, "Aprime": j, "solution_space_dim": 0, "checks": {}}))
+    w = RefinementWitness.from_json(json.loads(path.read_text()))
+    assert w.n == 8 and w.r == w.r.ring.one and w.r.ring.nvars == 64
+    assert all(e.is_zero() for e in w.W.entries)
 
 
 def test_refinement_rejects_a_mod_p_context():
